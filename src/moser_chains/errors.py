@@ -3,14 +3,13 @@
 Three kinds of failure are kept apart on purpose:
 
 * ``ParseError`` -- malformed user input (bad JSON, bad rational literal,
-  out-of-range configuration).  CLI exit code 2.
+  out-of-range configuration).
 * ``MathPreconditionError`` -- the input is well-formed but violates a
   mathematical hypothesis of the requested operation (e.g. a degenerate
-  Levi form, a map that does not fix the origin).  CLI exit code 3.
+  Levi form, a map that does not fix the origin).
 * ``InternalInvariantError`` -- the library caught itself producing something
   inconsistent (a residual that should vanish identically does not, a
   pivot that must exist is missing).  Always a bug, never user error.
-  CLI exit code 4.
 """
 
 

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .linalg import solve
 from .series_core import (
-    FLOAT_ASSERT_TOL,
     GaussianRational,
     HoloSeries,
     Series3,
@@ -46,6 +45,7 @@ from .series_core import (
     eval_holo3,
     holo_from_json,
     holo_to_json,
+    is_json_count,
     scalar_abs,
     series3_from_json,
     series3_to_json,
@@ -180,7 +180,7 @@ class Biholo:
         if not isinstance(obj, dict) or "trunc_order" not in obj:
             raise ParseError("map object needs trunc_order, f and g")
         n = obj["trunc_order"]
-        if not isinstance(n, int) or n < 2:
+        if not is_json_count(n, 2):
             raise ParseError("bad map trunc_order: %r" % (n,))
         f = holo_from_json(obj.get("f", []), n - 1, "f")
         g = holo_from_json(obj.get("g", []), n, "g")
@@ -233,33 +233,22 @@ class TransversalCurve:
         im_psi = (self.psi - re_psi) * (-cimag(exact))
         defect = re_psi - t
         defect2 = im_psi - height.truncate(im_psi.n)
-        if exact:
-            if not defect.is_zero() or not defect2.is_zero():
-                raise MathPreconditionError("curve does not lie on the hypersurface")
-        else:
-            if defect.max_abs() > FLOAT_ASSERT_TOL or defect2.max_abs() > FLOAT_ASSERT_TOL:
-                raise MathPreconditionError("curve does not lie on the hypersurface")
+        if not defect.vanishes() or not defect2.vanishes():
+            raise MathPreconditionError("curve does not lie on the hypersurface")
 
     def __repr__(self):
         return "TransversalCurve(phi=%r, psi=%r)" % (self.phi, self.psi)
 
 
 class Stage:
-    """One applied pipeline map with its source-coordinate point data.
+    """One applied pipeline map and the surface it produced."""
 
-    ``zmap``/``umap`` are the series of the new (z', u') coordinates as
-    functions of the old intrinsic coordinates (z, zbar, u); they are what a
-    point (or jet) pushforward needs.
-    """
+    __slots__ = ("name", "map", "surface", "residual_zero")
 
-    __slots__ = ("name", "map", "surface", "zmap", "umap", "residual_zero")
-
-    def __init__(self, name, biholo, surface, zmap, umap, residual_zero=None):
+    def __init__(self, name, biholo, surface, residual_zero=None):
         self.name = name
         self.map = biholo
         self.surface = surface
-        self.zmap = zmap
-        self.umap = umap
         self.residual_zero = residual_zero
 
     def __repr__(self):
@@ -347,12 +336,8 @@ def translate_to_point(M, z0, u0, v0=None):
     height = F.evaluate(z0, z0b, u0)
     if v0 is not None:
         diff = height - (v0 if not exact else (v0 if isinstance(v0, GaussianRational) else GaussianRational(v0)))
-        if exact:
-            if diff:
-                raise MathPreconditionError("point is not on the hypersurface")
-        else:
-            if scalar_abs(diff) > FLOAT_ASSERT_TOL:
-                raise MathPreconditionError("point is not on the hypersurface")
+        if not UPoly.const(0, diff, exact).vanishes():
+            raise MathPreconditionError("point is not on the hypersurface")
 
     n = F.n
     zero = czero(exact)
@@ -491,13 +476,13 @@ def fundamental_identity_residual(M, h, M_target, polynomial=False):
 
 
 def _run_stage(name, M, h, stages, verify):
-    M2, zmap, umap = graph_transform(M, h)
+    M2, _, _ = graph_transform(M, h)
     ok = None
     if verify:
         resid = fundamental_identity_residual(M, h, M2)
         resid.assert_zero("independent residual after stage %r" % name)
         ok = True
-    stages.append(Stage(name, h, M2, zmap, umap, ok))
+    stages.append(Stage(name, h, M2, ok))
     return M2
 
 
@@ -554,10 +539,7 @@ def adapt_chart(M, stages=None, verify=False):
             )
             resid.assert_zero("independent residual after stage 'shear'")
             ok = True
-        umap = Series3(
-            n, {(0, 0, 1): one, (1, 0, 0): nu * half, (0, 1, 0): nub * half}, exact
-        )
-        stages.append(Stage("shear", h, M2, Series3.z_var(n, exact), umap, ok))
+        stages.append(Stage("shear", h, M2, ok))
         M = M2
         F = M.series
 
@@ -665,7 +647,7 @@ def _series_rows(series, monos):
 _PUNCTUAL_CACHE = {}
 
 
-def _punctual_system(delta, n):
+def _punctual_system(delta):
     """Probe matrix of the core expression for homogeneous (f, g) at delta.
 
     Returns (f_keys, g_keys, columns) where the columns run over the real
@@ -697,7 +679,7 @@ def _punctual_system(delta, n):
 
 def _solve_punctual(delta, target, exact):
     """Solve core_expression(f, g) = target for homogeneous (f, g)."""
-    f_keys, g_keys, monos, columns = _punctual_system(delta, target.n)
+    f_keys, g_keys, monos, columns = _punctual_system(delta)
     rhs = _series_rows(target, monos)
     if exact:
         mat = [[col[r] for col in columns] for r in range(len(rhs))]
@@ -745,17 +727,10 @@ def punctual_normalize(M, stages=None, verify=False):
         f = HoloSeries.z_var(n - 1, exact) + HoloSeries(n - 1, fc, exact)
         g = HoloSeries.w_var(n, exact) + HoloSeries(n, gc, exact)
         M = _run_stage("punctual%d" % delta, M, Biholo(f, g), stages, verify)
-        new_part = M.series.weight_part(delta)
-        if exact:
-            if not new_part.is_zero():
-                raise InternalInvariantError(
-                    "weight-%d normalization left a remainder" % delta
-                )
-        else:
-            if new_part.max_abs() > FLOAT_ASSERT_TOL:
-                raise InternalInvariantError(
-                    "weight-%d normalization left a remainder" % delta
-                )
+        if not M.series.weight_part(delta).vanishes():
+            raise InternalInvariantError(
+                "weight-%d normalization left a remainder" % delta
+            )
     return M
 
 
@@ -820,13 +795,8 @@ def straighten_curve(M, curve, stages=None, verify=False):
     f = HoloSeries.z_var(n - 1, exact) - HoloSeries.from_w_series(phi_of, n - 1)
     g = HoloSeries.from_w_series(tau, n)
     M2 = _run_stage("straighten", M, Biholo(f, g), stages, verify)
-    axis = M2.series.pure_u_part()
-    if exact:
-        if not axis.is_zero():
-            raise InternalInvariantError("straightened curve is not the u-axis")
-    else:
-        if axis.max_abs() > FLOAT_ASSERT_TOL:
-            raise InternalInvariantError("straightened curve is not the u-axis")
+    if not M2.series.pure_u_part().vanishes():
+        raise InternalInvariantError("straightened curve is not the u-axis")
     return M2
 
 
@@ -845,8 +815,7 @@ def kill_harmonics(M, stages=None, verify=False):
         F.coeff(2, 0, 0), exact
     ):
         raise MathPreconditionError("harmonic killing needs an adapted chart")
-    axis = F.pure_u_part()
-    if (exact and not axis.is_zero()) or (not exact and axis.max_abs() > FLOAT_ASSERT_TOL):
+    if not F.pure_u_part().vanishes():
         raise MathPreconditionError("harmonic killing needs a straightened u-axis")
 
     harm = HoloSeries(
@@ -890,22 +859,17 @@ def normalize_levi(M, stages=None, verify=False):
     exact = M.exact
     f11 = M.slice(1, 1)
     one = cone(exact)
-    if exact:
-        if f11.coeff(0) != one:
-            raise MathPreconditionError("Levi slice must start at 1")
-        if not f11.is_real():
-            raise InternalInvariantError("Levi slice is not real")
-    else:
-        if scalar_abs(f11.coeff(0) - one) > FLOAT_ASSERT_TOL:
-            raise MathPreconditionError("Levi slice must start at 1")
+    if not UPoly.const(0, f11.coeff(0) - one, exact).vanishes():
+        raise MathPreconditionError("Levi slice must start at 1")
+    if exact and not f11.is_real():
+        raise InternalInvariantError("Levi slice is not real")
     if f11 == UPoly.one(f11.n, exact):
         return M
     root = f11.sqrt()
     f = (HoloSeries.z_var(n - 1, exact) * HoloSeries.from_w_series(root, n - 1)).truncate(n - 1)
     h = Biholo(f, HoloSeries.w_var(n, exact))
     M2 = _run_stage("levi", M, h, stages, verify)
-    defect = M2.slice(1, 1) - UPoly.one((n - 2) // 2, exact)
-    if (exact and not defect.is_zero()) or (not exact and defect.max_abs() > FLOAT_ASSERT_TOL):
+    if not (M2.slice(1, 1) - UPoly.one((n - 2) // 2, exact)).vanishes():
         raise InternalInvariantError("Levi slice not normalized to 1")
     return M2
 
@@ -946,7 +910,7 @@ def kill_f22_rotation(M, stages=None, verify=False):
     minus_half_i = cimag(exact) * chalf(exact) * (-1)
     lam = (f22.integrate() * minus_half_i).exp()
     unit_defect = lam * lam.conjugate() - UPoly.one(lam.n, exact)
-    if (exact and not unit_defect.is_zero()) or (not exact and unit_defect.max_abs() > FLOAT_ASSERT_TOL):
+    if not unit_defect.vanishes():
         raise InternalInvariantError("rotation factor is not unitary")
     f = (HoloSeries.z_var(n - 1, exact) * HoloSeries.from_w_series(lam, n - 1)).truncate(n - 1)
     h = Biholo(f, HoloSeries.w_var(n, exact))
@@ -954,10 +918,9 @@ def kill_f22_rotation(M, stages=None, verify=False):
     # the rotation satisfies 2i lambda'/lambda = F22 by construction; with
     # the new slice F'22 = 0 that is exactly the stage's defining equation
     ode_defect = lam.derivative() * cimag(exact) * 2 - (f22 * lam).truncate(lam.n - 1)
-    if (exact and not ode_defect.is_zero()) or (not exact and ode_defect.max_abs() > FLOAT_ASSERT_TOL):
+    if not ode_defect.vanishes():
         raise InternalInvariantError("rotation factor violates its defining equation")
-    new_f22 = M2.slice(2, 2)
-    if (exact and not new_f22.is_zero()) or (not exact and new_f22.max_abs() > FLOAT_ASSERT_TOL):
+    if not M2.slice(2, 2).vanishes():
         raise InternalInvariantError("F22 slice survived the rotation")
     return M2
 
@@ -997,8 +960,7 @@ def kill_f33_reparam(M, stages=None, verify=False):
     # assert the nonlinear reparametrization law: psi''' psi' = (3/2) psi''^2 - 3 F33 psi'^2
     lhs = psi.derivative().derivative().derivative() * psi_u
     rhs = psi_u.derivative() * psi_u.derivative() * three_halves - f33 * psi_u * psi_u * 3
-    ode_defect = lhs - rhs
-    if (exact and not ode_defect.is_zero()) or (not exact and ode_defect.max_abs() > FLOAT_ASSERT_TOL):
+    if not (lhs - rhs).vanishes():
         raise InternalInvariantError("reparametrization ODE violated")
 
     f = (HoloSeries.z_var(n - 1, exact) * HoloSeries.from_w_series(phi, n - 1)).truncate(n - 1)
@@ -1006,8 +968,7 @@ def kill_f33_reparam(M, stages=None, verify=False):
     h = Biholo(f, g)
     f42_before = M.slice(4, 2)
     M2 = _run_stage("reparam", M, h, stages, verify)
-    new_f33 = M2.slice(3, 3)
-    if (exact and not new_f33.is_zero()) or (not exact and new_f33.max_abs() > FLOAT_ASSERT_TOL):
+    if not M2.slice(3, 3).vanishes():
         raise InternalInvariantError("F33 slice survived the reparametrization")
     # transported-slice law: psi' F42 = phi^6 (F'42 o psi)
     f42_after = M2.slice(4, 2)
@@ -1017,8 +978,7 @@ def kill_f33_reparam(M, stages=None, verify=False):
         phi6 = phi * phi * phi
         phi6 = phi6 * phi6
         rhs42 = (phi6 * f42_after.compose(psi.truncate(sound))).truncate(sound)
-        d42 = lhs42 - rhs42
-        if (exact and not d42.is_zero()) or (not exact and d42.max_abs() > FLOAT_ASSERT_TOL):
+        if not (lhs42 - rhs42).vanishes():
             raise InternalInvariantError("degree-(4,2) slice transport law violated")
     return M2
 
@@ -1134,21 +1094,14 @@ def assert_normal_form(M):
     for j in range(2, n):
         defects.append(M.slice(j, 1))
     defects.append(M.slice(1, 1) - UPoly.one((n - 2) // 2, exact))
-    if n >= 8:
-        defects.append(M.slice(2, 2))
-    elif n >= 4:
+    if n >= 4:
         defects.append(M.slice(2, 2))
     if n >= 5:
         defects.append(M.slice(3, 2))
     if n >= 6:
         defects.append(M.slice(3, 3))
-    for d in defects:
-        if exact:
-            if not d.is_zero():
-                raise InternalInvariantError("surface is not in normal form")
-        else:
-            if d.max_abs() > FLOAT_ASSERT_TOL:
-                raise InternalInvariantError("surface is not in normal form")
+    if not all(d.vanishes() for d in defects):
+        raise InternalInvariantError("surface is not in normal form")
 
 
 class PipelineResult:
@@ -1245,9 +1198,7 @@ def normalize_hypersurface(M, curve=None, verify=False, stop_after=None):
     if stop_after == "rotate":
         return result(cur, False)
 
-    f32 = cur.slice(3, 2)
-    f32_bad = (exact and not f32.is_zero()) or (not exact and f32.max_abs() > FLOAT_ASSERT_TOL)
-    if f32_bad:
+    if not cur.slice(3, 2).vanishes():
         if curve is None:
             raise InternalInvariantError("automatically found curve left a chain obstruction")
         raise MathPreconditionError(

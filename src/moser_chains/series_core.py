@@ -6,14 +6,24 @@ weighted sense with
 
     weight(z) = weight(zbar) = 1,     weight(u) = weight(w) = 2.
 
-Three series containers live here:
+One sparse container, ``WeightedSeries``, holds a dict from exponent keys to
+coefficients and keeps a term while the weight of its key is at most the
+truncation order n.  Construction, comparison, truncation, addition and the
+truncated product live there once; three weightings of the key subclass it
+and add only their own mathematics:
 
-* ``Series3``  -- F(z, zbar, u), sparse dict keyed by (j, k, l) for the
-  monomial z^j zbar^k u^l, weight j + k + 2l.
-* ``HoloSeries`` -- holomorphic h(z, w), keyed by (j, l) for z^j w^l,
+* ``Series3``  -- F(z, zbar, u), keys (j, k, l) for z^j zbar^k u^l,
+  weight j + k + 2l.
+* ``HoloSeries`` -- holomorphic h(z, w), keys (j, l) for z^j w^l,
   weight j + 2l.
-* ``UPoly``    -- one-variable truncated series c_0 + c_1 t + ... (used for
-  u-slices, curve components and one-variable stage data).
+* ``UPoly``    -- one-variable truncated series c_0 + c_1 t + ..., keys the
+  integer exponent m, weight m (u-slices, curve components and
+  one-variable stage data).
+
+Substitution of series into a series (``eval_holo3``, ``eval_holo2``,
+``eval_graph``, ``eval_curve``) runs through one power-table core; each entry
+point only checks its arguments and fixes the order to which its result is
+sound.
 
 Coefficients are either exact Gaussian rationals (``GaussianRational``) or
 Python ``complex`` (numeric mode); a container never mixes the two.  Exact
@@ -27,6 +37,7 @@ the coefficient dicts.
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 
@@ -81,7 +92,7 @@ def default_order():
 
 def parse_rational(text):
     """Parse "p" or "p/q" (reduced or not) into an exact rational."""
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return _rat(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ParseError("bad rational literal: %r" % (text,))
@@ -97,11 +108,6 @@ def parse_rational(text):
         val = _rat(int(p), qi)
         return -val if neg else val
     return _rat(int(s))
-
-
-def format_rational(q):
-    """Render an exact rational as "p" or "p/q" (reduced, sign on p)."""
-    return str(q)
 
 
 class GaussianRational:
@@ -223,12 +229,8 @@ class GaussianRational:
 
     def __str__(self):
         if not self._im:
-            return format_rational(self._re)
-        return "(%s%s%si)" % (
-            format_rational(self._re),
-            "+" if self._im >= 0 else "-",
-            format_rational(abs(self._im)),
-        )
+            return str(self._re)
+        return "(%s%s%si)" % (self._re, "+" if self._im >= 0 else "-", abs(self._im))
 
 
 def gr(re, im=0):
@@ -260,13 +262,11 @@ def _check_scalar(value, exact, where):
     if exact:
         if isinstance(value, (complex, float)):
             raise InternalInvariantError(
-                "float scalar %r leaked into exact-mode %s" % (value, where)
+                "float scalar %r leaked into exact-mode %s scalar mul" % (value, where)
             )
         if isinstance(value, RATIONAL_TYPES):
             return GaussianRational(value)
         return value
-    if isinstance(value, GaussianRational):
-        return complex(value)
     return complex(value)
 
 
@@ -276,42 +276,206 @@ def scalar_abs(value):
 
 
 # ---------------------------------------------------------------------------
-# one-variable series
+# the weighted sparse series
 # ---------------------------------------------------------------------------
 
 
-class UPoly:
-    """Truncated one-variable series sum_m c_m t^m, exponents 0..n kept."""
+class WeightedSeries:
+    """Sparse truncated series: {key: coefficient}, kept while weight(key) <= n.
+
+    A subclass fixes the key shape through ``_ONE_KEY`` (the key of the
+    constant monomial) and ``_weight`` (the weighted degree of a key).  Keys
+    are exponent tuples, added entrywise when monomials multiply; a subclass
+    with other keys also overrides ``_add_keys`` and ``_negative``.
+    """
 
     __slots__ = ("n", "c", "exact")
 
+    @staticmethod
+    def _add_keys(a, b):
+        return tuple(map(operator.add, a, b))
+
+    @staticmethod
+    def _negative(key):
+        return min(key) < 0
+
     def __init__(self, n, coeffs=None, exact=True):
         if n < 0:
-            raise InternalInvariantError("UPoly with negative order %d" % n)
+            raise InternalInvariantError("%s with negative order %d" % (type(self).__name__, n))
         self.n = n
         self.exact = exact
         c = {}
         if coeffs:
-            for m, v in coeffs.items():
-                if m < 0:
-                    raise InternalInvariantError("negative exponent in UPoly")
-                if m <= n and v:
-                    c[m] = v
+            weight, negative = self._weight, self._negative
+            for key, v in coeffs.items():
+                if negative(key):
+                    raise InternalInvariantError(
+                        "negative exponent in %s key %r" % (type(self).__name__, key)
+                    )
+                if weight(key) <= n and v:
+                    c[key] = v
         self.c = c
 
-    # -- constructors ------------------------------------------------------
+    # -- constructors ------------------------------------------------------------
 
     @classmethod
     def zero(cls, n, exact=True):
         return cls(n, None, exact)
 
     @classmethod
-    def const(cls, n, value, exact=True):
-        return cls(n, {0: value}, exact)
+    def one(cls, n, exact=True):
+        return cls(n, {cls._ONE_KEY: cone(exact)}, exact)
+
+    # -- basics ------------------------------------------------------------------
+
+    def coeff(self, *exponents):
+        """Coefficient of the monomial with these exponents (zero if absent)."""
+        key = exponents[0] if len(exponents) == 1 else exponents
+        return self.c.get(key, czero(self.exact))
+
+    def is_zero(self):
+        return not self.c
+
+    def vanishes(self):
+        """Zero as an internal assertion reads it: no term at all in exact
+        mode, no coefficient above FLOAT_ASSERT_TOL in numeric mode."""
+        if self.exact:
+            return not self.c
+        return self.max_abs() <= FLOAT_ASSERT_TOL
+
+    def low_weight(self):
+        """Smallest weight of a present monomial, or None if zero."""
+        return min(map(self._weight, self.c)) if self.c else None
+
+    def max_abs(self):
+        return max((scalar_abs(v) for v in self.c.values()), default=0.0)
+
+    def weight_part(self, w):
+        weight = self._weight
+        return type(self)(self.n, {k: v for k, v in self.c.items() if weight(k) == w}, self.exact)
+
+    def truncate(self, m):
+        return type(self)(min(self.n, m), self.c, self.exact)
+
+    def padded(self, m):
+        """Reinterpret as exact to weight m (caller vouches: no hidden tail)."""
+        if m < self.n:
+            return self.truncate(m)
+        return type(self)(m, self.c, self.exact)
+
+    def to_float(self):
+        return type(self)(self.n, {k: complex(v) for k, v in self.c.items()}, False)
+
+    def terms(self):
+        """Deterministic (key, coeff) iteration, sorted by key."""
+        for key in sorted(self.c):
+            yield key, self.c[key]
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.n == other.n and self.exact == other.exact and self.c == other.c
+
+    def __repr__(self):
+        parts = ["%r: %s" % (k, v) for k, v in list(self.terms())[:12]]
+        more = "" if len(self.c) <= 12 else ", ... (%d terms)" % len(self.c)
+        return "%s(n=%d, {%s%s})" % (type(self).__name__, self.n, ", ".join(parts), more)
+
+    # -- arithmetic --------------------------------------------------------------
+
+    def _binop_check(self, other):
+        if self.exact != other.exact:
+            raise InternalInvariantError("mixed exact/float %s arithmetic" % type(self).__name__)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._binop_check(other)
+        n = min(self.n, other.n)
+        weight = self._weight
+        zero = czero(self.exact)
+        c = {k: v for k, v in self.c.items() if weight(k) <= n}
+        for k, v in other.c.items():
+            if weight(k) <= n:
+                s = c.get(k, zero) + v
+                if s:
+                    c[k] = s
+                elif k in c:
+                    del c[k]
+        return type(self)(n, c, self.exact)
+
+    def __sub__(self, other):
+        return self.__add__(-other)
+
+    def __neg__(self):
+        return type(self)(self.n, {k: -v for k, v in self.c.items()}, self.exact)
+
+    def __mul__(self, other):
+        cls = type(self)
+        if isinstance(other, cls):
+            self._binop_check(other)
+            n = min(self.n, other.n)
+            weight, add_keys = self._weight, self._add_keys
+            c = {}
+            zero = czero(self.exact)
+            bs = sorted((weight(k), k, v) for k, v in other.c.items())
+            for k1, v1 in self.c.items():
+                lim = n - weight(k1)
+                if lim < 0:
+                    continue
+                for w2, k2, v2 in bs:
+                    if w2 > lim:
+                        break
+                    key = add_keys(k1, k2)
+                    s = c.get(key, zero) + v1 * v2
+                    if s:
+                        c[key] = s
+                    elif key in c:
+                        del c[key]
+            return cls(n, c, self.exact)
+        v = _check_scalar(other, self.exact, cls.__name__)
+        if not v:
+            return cls.zero(self.n, self.exact)
+        return cls(self.n, {k: w * v for k, w in self.c.items()}, self.exact)
+
+    __rmul__ = __mul__
+
+
+# The subclasses bind __mul__/__rmul__ (and Series3 also __add__) in their own
+# namespaces although they are the base's functions: perfbench/tracing.py
+# finds the methods it counts through each class's own __dict__, so each
+# class's products are counted apart.
+
+
+# ---------------------------------------------------------------------------
+# one-variable series
+# ---------------------------------------------------------------------------
+
+
+class UPoly(WeightedSeries):
+    """Truncated one-variable series sum_m c_m t^m, exponents 0..n kept."""
+
+    __slots__ = ()
+
+    _ONE_KEY = 0
+
+    @staticmethod
+    def _weight(m):
+        return m
+
+    _add_keys = staticmethod(operator.add)
+
+    @staticmethod
+    def _negative(m):
+        return m < 0
+
+    __mul__ = __rmul__ = WeightedSeries.__mul__
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
-    def one(cls, n, exact=True):
-        return cls(n, {0: cone(exact)}, exact)
+    def const(cls, n, value, exact=True):
+        return cls(n, {0: value}, exact)
 
     @classmethod
     def var(cls, n, exact=True):
@@ -319,33 +483,11 @@ class UPoly:
 
     # -- basics --------------------------------------------------------------
 
-    def coeff(self, m):
-        return self.c.get(m, czero(self.exact))
-
-    def is_zero(self):
-        return not self.c
-
-    def low_order(self):
-        """Smallest exponent with a nonzero coefficient, or None."""
-        return min(self.c) if self.c else None
-
     def degree(self):
         return max(self.c) if self.c else None
 
     def is_real(self):
-        return all(not _imag_of(v) for v in self.c.values())
-
-    def max_abs(self):
-        return max((scalar_abs(v) for v in self.c.values()), default=0.0)
-
-    def truncate(self, m):
-        return UPoly(min(self.n, m), self.c, self.exact)
-
-    def padded(self, m):
-        """Reinterpret as exact to order m (caller vouches: no hidden tail)."""
-        if m < self.n:
-            return self.truncate(m)
-        return UPoly(m, self.c, self.exact)
+        return all(not v.imag for v in self.c.values())
 
     def conjugate(self):
         return UPoly(self.n, {m: v.conjugate() for m, v in self.c.items()}, self.exact)
@@ -353,71 +495,6 @@ class UPoly:
     def real_part(self):
         half = chalf(self.exact)
         return (self + self.conjugate()) * half
-
-    def to_float(self):
-        return UPoly(self.n, {m: complex(v) for m, v in self.c.items()}, False)
-
-    def __eq__(self, other):
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        return self.n == other.n and self.exact == other.exact and self.c == other.c
-
-    def __repr__(self):
-        terms = ", ".join("%d: %s" % (m, self.c[m]) for m in sorted(self.c))
-        return "UPoly(n=%d, {%s})" % (self.n, terms)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _binop_check(self, other):
-        if self.exact != other.exact:
-            raise InternalInvariantError("mixed exact/float UPoly arithmetic")
-
-    def __add__(self, other):
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        self._binop_check(other)
-        n = min(self.n, other.n)
-        c = {m: v for m, v in self.c.items() if m <= n}
-        for m, v in other.c.items():
-            if m <= n:
-                s = c.get(m, czero(self.exact)) + v
-                if s:
-                    c[m] = s
-                elif m in c:
-                    del c[m]
-        return UPoly(n, c, self.exact)
-
-    def __sub__(self, other):
-        return self.__add__(-other)
-
-    def __neg__(self):
-        return UPoly(self.n, {m: -v for m, v in self.c.items()}, self.exact)
-
-    def __mul__(self, other):
-        if isinstance(other, UPoly):
-            self._binop_check(other)
-            n = min(self.n, other.n)
-            c = {}
-            bs = sorted(other.c.items())
-            for m1, v1 in self.c.items():
-                if m1 > n:
-                    continue
-                for m2, v2 in bs:
-                    m = m1 + m2
-                    if m > n:
-                        break
-                    s = c.get(m, czero(self.exact)) + v1 * v2
-                    if s:
-                        c[m] = s
-                    elif m in c:
-                        del c[m]
-            return UPoly(n, c, self.exact)
-        v = _check_scalar(other, self.exact, "UPoly scalar mul")
-        if not v:
-            return UPoly.zero(self.n, self.exact)
-        return UPoly(self.n, {m: w * v for m, w in self.c.items()}, self.exact)
-
-    __rmul__ = __mul__
 
     def shifted(self, s):
         """Multiply by t^s."""
@@ -549,49 +626,27 @@ class UPoly:
         return acc
 
 
-def _imag_of(v):
-    return v.imag
-
-
 # ---------------------------------------------------------------------------
 # three-variable graph series
 # ---------------------------------------------------------------------------
 
 
-def weight3(key):
-    j, k, l = key
-    return j + k + 2 * l
-
-
-class Series3:
+class Series3(WeightedSeries):
     """Sparse F(z, zbar, u), keys (j, k, l), kept while j + k + 2l <= n."""
 
-    __slots__ = ("n", "c", "exact")
+    __slots__ = ()
 
-    def __init__(self, n, coeffs=None, exact=True):
-        if n < 0:
-            raise InternalInvariantError("Series3 with negative order %d" % n)
-        self.n = n
-        self.exact = exact
-        c = {}
-        if coeffs:
-            for key, v in coeffs.items():
-                j, k, l = key
-                if j < 0 or k < 0 or l < 0:
-                    raise InternalInvariantError("negative exponent in Series3 key %r" % (key,))
-                if j + k + 2 * l <= n and v:
-                    c[key] = v
-        self.c = c
+    _ONE_KEY = (0, 0, 0)
+
+    @staticmethod
+    def _weight(key):
+        j, k, l = key
+        return j + k + 2 * l
+
+    __add__ = WeightedSeries.__add__
+    __mul__ = __rmul__ = WeightedSeries.__mul__
 
     # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n, exact=True):
-        return cls(n, None, exact)
-
-    @classmethod
-    def one(cls, n, exact=True):
-        return cls(n, {(0, 0, 0): cone(exact)}, exact)
 
     @classmethod
     def z_var(cls, n, exact=True):
@@ -616,33 +671,9 @@ class Series3:
 
     # -- basics -----------------------------------------------------------------
 
-    def coeff(self, j, k, l):
-        return self.c.get((j, k, l), czero(self.exact))
-
-    def is_zero(self):
-        return not self.c
-
-    def low_weight(self):
-        """Smallest weight of a present monomial, or None if zero."""
-        return min(map(weight3, self.c)) if self.c else None
-
-    def max_abs(self):
-        return max((scalar_abs(v) for v in self.c.values()), default=0.0)
-
-    def weight_part(self, w):
-        return Series3(self.n, {k: v for k, v in self.c.items() if weight3(k) == w}, self.exact)
-
     def up_to_weight(self, w):
-        return Series3(self.n, {k: v for k, v in self.c.items() if weight3(k) <= w}, self.exact)
-
-    def truncate(self, m):
-        return Series3(min(self.n, m), self.c, self.exact)
-
-    def padded(self, m):
-        """Reinterpret as exact to weight m (caller vouches: polynomial)."""
-        if m < self.n:
-            return self.truncate(m)
-        return Series3(m, self.c, self.exact)
+        weight = self._weight
+        return Series3(self.n, {k: v for k, v in self.c.items() if weight(k) <= w}, self.exact)
 
     def conj(self):
         """The series of conj F(z,zbar,u): swap z/zbar, conjugate coefficients."""
@@ -680,13 +711,8 @@ class Series3:
                 )
 
     def assert_zero(self, where="series"):
-        if self.exact:
-            if self.c:
-                raise InternalInvariantError("%s does not vanish identically" % where)
-        else:
-            m = self.max_abs()
-            if m > FLOAT_ASSERT_TOL:
-                raise InternalInvariantError("%s does not vanish (max %.3e)" % (where, m))
+        if not self.vanishes():
+            raise InternalInvariantError("%s does not vanish (max %.3e)" % (where, self.max_abs()))
 
     def slice_jk(self, j, k):
         """The u-series F_{j,k}(u), sound to u-order floor((n-j-k)/2)."""
@@ -704,86 +730,12 @@ class Series3:
     def pure_u_part(self):
         return self.slice_jk(0, 0)
 
-    def to_float(self):
-        return Series3(self.n, {k: complex(v) for k, v in self.c.items()}, False)
-
-    def terms(self):
-        """Deterministic (key, coeff) iteration, sorted by (j, k, l)."""
-        for key in sorted(self.c):
-            yield key, self.c[key]
-
     def evaluate(self, z, zb, u):
         """Plain evaluation at scalars (numeric use)."""
         total = czero(self.exact)
         for (j, k, l), v in self.c.items():
             total = total + v * (z ** j) * (zb ** k) * (u ** l)
         return total
-
-    def __eq__(self, other):
-        if not isinstance(other, Series3):
-            return NotImplemented
-        return self.n == other.n and self.exact == other.exact and self.c == other.c
-
-    def __repr__(self):
-        parts = ["%r: %s" % (k, v) for k, v in list(self.terms())[:12]]
-        more = "" if len(self.c) <= 12 else ", ... (%d terms)" % len(self.c)
-        return "Series3(n=%d, {%s%s})" % (self.n, ", ".join(parts), more)
-
-    # -- arithmetic ----------------------------------------------------------------
-
-    def _binop_check(self, other):
-        if self.exact != other.exact:
-            raise InternalInvariantError("mixed exact/float Series3 arithmetic")
-
-    def __add__(self, other):
-        if not isinstance(other, Series3):
-            return NotImplemented
-        self._binop_check(other)
-        n = min(self.n, other.n)
-        c = {k: v for k, v in self.c.items() if weight3(k) <= n}
-        for k, v in other.c.items():
-            if weight3(k) <= n:
-                s = c.get(k, czero(self.exact)) + v
-                if s:
-                    c[k] = s
-                elif k in c:
-                    del c[k]
-        return Series3(n, c, self.exact)
-
-    def __sub__(self, other):
-        return self.__add__(-other)
-
-    def __neg__(self):
-        return Series3(self.n, {k: -v for k, v in self.c.items()}, self.exact)
-
-    def __mul__(self, other):
-        if isinstance(other, Series3):
-            self._binop_check(other)
-            n = min(self.n, other.n)
-            c = {}
-            zero = czero(self.exact)
-            bs = sorted(((weight3(k), k, v) for k, v in other.c.items()))
-            for (j1, k1, l1), v1 in self.c.items():
-                w1 = j1 + k1 + 2 * l1
-                if w1 > n:
-                    continue
-                lim = n - w1
-                for w2, (j2, k2, l2), v2 in bs:
-                    if w2 > lim:
-                        break
-                    key = (j1 + j2, k1 + k2, l1 + l2)
-                    s = c.get(key, zero) + v1 * v2
-                    if s:
-                        c[key] = s
-                    elif key in c:
-                        del c[key]
-            return Series3(n, c, self.exact)
-        v = _check_scalar(other, self.exact, "Series3 scalar mul")
-        if not v:
-            return Series3.zero(self.n, self.exact)
-        return Series3(self.n, {k: w * v for k, w in self.c.items()}, self.exact)
-
-    __rmul__ = __mul__
 
     # -- calculus --------------------------------------------------------------------
 
@@ -801,38 +753,19 @@ class Series3:
 # ---------------------------------------------------------------------------
 
 
-def weight2(key):
-    j, l = key
-    return j + 2 * l
-
-
-class HoloSeries:
+class HoloSeries(WeightedSeries):
     """Sparse holomorphic h(z, w), keys (j, l), kept while j + 2l <= n."""
 
-    __slots__ = ("n", "c", "exact")
+    __slots__ = ()
 
-    def __init__(self, n, coeffs=None, exact=True):
-        if n < 0:
-            raise InternalInvariantError("HoloSeries with negative order %d" % n)
-        self.n = n
-        self.exact = exact
-        c = {}
-        if coeffs:
-            for key, v in coeffs.items():
-                j, l = key
-                if j < 0 or l < 0:
-                    raise InternalInvariantError("negative exponent in HoloSeries key %r" % (key,))
-                if j + 2 * l <= n and v:
-                    c[key] = v
-        self.c = c
+    _ONE_KEY = (0, 0)
 
-    @classmethod
-    def zero(cls, n, exact=True):
-        return cls(n, None, exact)
+    @staticmethod
+    def _weight(key):
+        j, l = key
+        return j + 2 * l
 
-    @classmethod
-    def one(cls, n, exact=True):
-        return cls(n, {(0, 0): cone(exact)}, exact)
+    __mul__ = __rmul__ = WeightedSeries.__mul__
 
     @classmethod
     def z_var(cls, n, exact=True):
@@ -851,111 +784,6 @@ class HoloSeries:
         """Reinterpret a one-variable series p(t) as p(w)."""
         return cls(n, {(0, m): v for m, v in p.c.items()}, p.exact)
 
-    def coeff(self, j, l):
-        return self.c.get((j, l), czero(self.exact))
-
-    def is_zero(self):
-        return not self.c
-
-    def low_weight(self):
-        return min(map(weight2, self.c)) if self.c else None
-
-    def max_abs(self):
-        return max((scalar_abs(v) for v in self.c.values()), default=0.0)
-
-    def truncate(self, m):
-        return HoloSeries(min(self.n, m), self.c, self.exact)
-
-    def padded(self, m):
-        if m < self.n:
-            return self.truncate(m)
-        return HoloSeries(m, self.c, self.exact)
-
-    def weight_part(self, w):
-        return HoloSeries(self.n, {k: v for k, v in self.c.items() if weight2(k) == w}, self.exact)
-
-    def conj_coeffs(self):
-        """Coefficient-wise conjugate (represents conj(h(zbar, wbar)))."""
-        return HoloSeries(self.n, {k: v.conjugate() for k, v in self.c.items()}, self.exact)
-
-    def to_float(self):
-        return HoloSeries(self.n, {k: complex(v) for k, v in self.c.items()}, False)
-
-    def z_slice(self, j):
-        """The w-series of z^j, sound to w-order floor((n-j)/2)."""
-        order = (self.n - j) // 2
-        if order < 0:
-            raise InternalInvariantError("z-slice %d outside truncation order %d" % (j, self.n))
-        return UPoly(order, {l: v for (jj, l), v in self.c.items() if jj == j}, self.exact)
-
-    def terms(self):
-        for key in sorted(self.c):
-            yield key, self.c[key]
-
-    def __eq__(self, other):
-        if not isinstance(other, HoloSeries):
-            return NotImplemented
-        return self.n == other.n and self.exact == other.exact and self.c == other.c
-
-    def __repr__(self):
-        parts = ["%r: %s" % (k, v) for k, v in list(self.terms())[:12]]
-        more = "" if len(self.c) <= 12 else ", ... (%d terms)" % len(self.c)
-        return "HoloSeries(n=%d, {%s%s})" % (self.n, ", ".join(parts), more)
-
-    def _binop_check(self, other):
-        if self.exact != other.exact:
-            raise InternalInvariantError("mixed exact/float HoloSeries arithmetic")
-
-    def __add__(self, other):
-        if not isinstance(other, HoloSeries):
-            return NotImplemented
-        self._binop_check(other)
-        n = min(self.n, other.n)
-        c = {k: v for k, v in self.c.items() if weight2(k) <= n}
-        for k, v in other.c.items():
-            if weight2(k) <= n:
-                s = c.get(k, czero(self.exact)) + v
-                if s:
-                    c[k] = s
-                elif k in c:
-                    del c[k]
-        return HoloSeries(n, c, self.exact)
-
-    def __sub__(self, other):
-        return self.__add__(-other)
-
-    def __neg__(self):
-        return HoloSeries(self.n, {k: -v for k, v in self.c.items()}, self.exact)
-
-    def __mul__(self, other):
-        if isinstance(other, HoloSeries):
-            self._binop_check(other)
-            n = min(self.n, other.n)
-            c = {}
-            zero = czero(self.exact)
-            bs = sorted(((weight2(k), k, v) for k, v in other.c.items()))
-            for (j1, l1), v1 in self.c.items():
-                w1 = j1 + 2 * l1
-                if w1 > n:
-                    continue
-                lim = n - w1
-                for w2, (j2, l2), v2 in bs:
-                    if w2 > lim:
-                        break
-                    key = (j1 + j2, l1 + l2)
-                    s = c.get(key, zero) + v1 * v2
-                    if s:
-                        c[key] = s
-                    elif key in c:
-                        del c[key]
-            return HoloSeries(n, c, self.exact)
-        v = _check_scalar(other, self.exact, "HoloSeries scalar mul")
-        if not v:
-            return HoloSeries.zero(self.n, self.exact)
-        return HoloSeries(self.n, {k: w * v for k, w in self.c.items()}, self.exact)
-
-    __rmul__ = __mul__
-
     def diff_z(self):
         c = {(j - 1, l): v * j for (j, l), v in self.c.items() if j >= 1}
         return HoloSeries(max(self.n - 1, 0), c, self.exact)
@@ -966,25 +794,30 @@ class HoloSeries:
 
 
 # ---------------------------------------------------------------------------
-# substitution engines
+# substitution
 # ---------------------------------------------------------------------------
 
 
-def _tail_bound(series_n, arg_lows, polynomial):
-    """Sound output weight given the argument low-weights.
+def _tail_bound(F, zs, ws, polynomial):
+    """Weight to which F(zs, ..., ws) is sound.
 
-    A monomial of the substituted series beyond its truncation (weight
-    > series_n) produces output of weight at least min over the "corner"
-    distributions of the exponents; ``polynomial=True`` asserts there is no
-    such tail (the series is a complete polynomial) and lifts the bound.
+    The result is sound to the arguments' orders.  A monomial of F beyond its
+    truncation (weight > F.n) would add output of weight at least the
+    smallest "corner" distribution of its exponents over the arguments' low
+    weights, which caps the order one below that; ``polynomial=True`` asserts
+    there is no such tail (F is a complete polynomial) and lifts the cap.
     """
-    if polynomial:
-        return None
-    tail = series_n + 1
-    z_low, w_low = arg_lows
-    corner_z = z_low * tail
-    corner_w = w_low * ((tail + 1) // 2)
-    return min(corner_z, corner_w) - 1
+    z_low, w_low = zs.low_weight(), ws.low_weight()
+    if z_low == 0 or w_low == 0:
+        raise InternalInvariantError("substitution argument with a constant term")
+    order = min(zs.n, ws.n)
+    if not polynomial:
+        tail = F.n + 1
+        if z_low is not None:
+            order = min(order, z_low * tail - 1)
+        if w_low is not None:
+            order = min(order, w_low * ((tail + 1) // 2) - 1)
+    return order
 
 
 def _resolve_order(natural, n_out, what):
@@ -997,8 +830,44 @@ def _resolve_order(natural, n_out, what):
     return n_out
 
 
+def _substitute(F, args, n):
+    """F(args[0], args[1], ...) to weight n, one argument per key exponent.
+
+    Each argument gets a table of its powers.  The terms of F are grouped by
+    all but their last exponent, so a group costs one product of table
+    entries and one product with a combination of powers of the last
+    argument.  The result has the type of the arguments.
+    """
+    cls, exact = type(args[0]), F.exact
+    res = cls.zero(n, exact)
+    if F.is_zero():
+        return res
+    groups = {}
+    for key, v in F.c.items():
+        groups.setdefault(key[:-1], []).append((key[-1], v))
+    tables = []
+    for i, arg in enumerate(args):
+        pows = [cls.one(n, exact)]
+        for _ in range(max(key[i] for key in F.c)):
+            pows.append(pows[-1] * arg)
+        tables.append(pows)
+    *outer, last = tables
+    for head, pairs in sorted(groups.items()):
+        prod = outer[0][head[0]]
+        for pows, e in zip(outer[1:], head[1:]):
+            prod = prod * pows[e]
+        if prod.is_zero():
+            continue
+        inner = cls.zero(n, exact)
+        for l, v in pairs:
+            inner = inner + last[l] * v
+        res = res + prod * inner
+    return res
+
+
 def eval_holo3(h, zs, ws, n_out=None, polynomial=False):
-    """h(zs, ws) for a holomorphic h and Series3 arguments.
+    """h(zs, ws) for a holomorphic h; zs and ws are both Series3, or both
+    HoloSeries (composition of holomorphic maps), and so is the result.
 
     Requires low-weight(zs) >= 1 and low-weight(ws) >= 1; the result order is
     clipped to what is actually sound given h's truncation unless
@@ -1007,83 +876,13 @@ def eval_holo3(h, zs, ws, n_out=None, polynomial=False):
     exact = zs.exact
     if ws.exact != exact or h.exact != exact:
         raise InternalInvariantError("mixed exact/float substitution")
-    z_low = zs.low_weight() or (10 * (h.n + zs.n + ws.n) + 1)
-    w_low = ws.low_weight() or (10 * (h.n + zs.n + ws.n) + 1)
-    if z_low < 1 or w_low < 1:
-        raise InternalInvariantError("substitution argument with a constant term")
-    natural = min(zs.n, ws.n)
-    bound = _tail_bound(h.n, (z_low, w_low), polynomial)
-    if bound is not None:
-        natural = min(natural, bound)
-    n = _resolve_order(natural, n_out, "holomorphic substitution")
-
-    cols = {}
-    for (j, l), v in h.c.items():
-        cols.setdefault(j, []).append((l, v))
-    if not cols:
-        return Series3.zero(n, exact)
-    max_l = max((l for pairs in cols.values() for l, _ in pairs), default=0)
-    w_pows = [Series3.one(n, exact)]
-    for _ in range(max_l):
-        w_pows.append(w_pows[-1] * ws)
-
-    res = Series3.zero(n, exact)
-    z_pow = Series3.one(n, exact)
-    for j in range(0, max(cols) + 1):
-        if j > 0:
-            z_pow = z_pow * zs
-            if z_pow.is_zero():
-                break
-        pairs = cols.get(j)
-        if not pairs:
-            continue
-        inner = Series3.zero(n, exact)
-        for l, v in pairs:
-            inner = inner + w_pows[l] * v
-        res = res + z_pow * inner
-    return res
+    n = _resolve_order(_tail_bound(h, zs, ws, polynomial), n_out, "holomorphic substitution")
+    return _substitute(h, (zs, ws), n)
 
 
-def eval_holo2(h, zs, ws, n_out=None, polynomial=False):
-    """h(zs, ws) with HoloSeries arguments (holomorphic composition)."""
-    exact = zs.exact
-    if ws.exact != exact or h.exact != exact:
-        raise InternalInvariantError("mixed exact/float substitution")
-    z_low = zs.low_weight() or (10 * (h.n + zs.n + ws.n) + 1)
-    w_low = ws.low_weight() or (10 * (h.n + zs.n + ws.n) + 1)
-    if z_low < 1 or w_low < 1:
-        raise InternalInvariantError("substitution argument with a constant term")
-    natural = min(zs.n, ws.n)
-    bound = _tail_bound(h.n, (z_low, w_low), polynomial)
-    if bound is not None:
-        natural = min(natural, bound)
-    n = _resolve_order(natural, n_out, "holomorphic composition")
-
-    cols = {}
-    for (j, l), v in h.c.items():
-        cols.setdefault(j, []).append((l, v))
-    if not cols:
-        return HoloSeries.zero(n, exact)
-    max_l = max((l for pairs in cols.values() for l, _ in pairs), default=0)
-    w_pows = [HoloSeries.one(n, exact)]
-    for _ in range(max_l):
-        w_pows.append(w_pows[-1] * ws)
-
-    res = HoloSeries.zero(n, exact)
-    z_pow = HoloSeries.one(n, exact)
-    for j in range(0, max(cols) + 1):
-        if j > 0:
-            z_pow = z_pow * zs
-            if z_pow.is_zero():
-                break
-        pairs = cols.get(j)
-        if not pairs:
-            continue
-        inner = HoloSeries.zero(n, exact)
-        for l, v in pairs:
-            inner = inner + w_pows[l] * v
-        res = res + z_pow * inner
-    return res
+# A name of its own for composition with HoloSeries arguments: normalize.py
+# imports it, and perfbench/tracing.py reports calls under each name.
+eval_holo2 = eval_holo3
 
 
 def eval_graph(F, zs, us, n_out=None, polynomial=False):
@@ -1097,48 +896,8 @@ def eval_graph(F, zs, us, n_out=None, polynomial=False):
         raise InternalInvariantError("mixed exact/float substitution")
     if exact and not us.is_real():
         raise InternalInvariantError("graph substitution needs a real u-argument")
-    zsb = zs.conj()
-    z_low = zs.low_weight() or (10 * (F.n + zs.n + us.n) + 1)
-    u_low = us.low_weight() or (10 * (F.n + zs.n + us.n) + 1)
-    if z_low < 1 or u_low < 1:
-        raise InternalInvariantError("substitution argument with a constant term")
-    natural = min(zs.n, us.n)
-    bound = _tail_bound(F.n, (z_low, u_low), polynomial)
-    if bound is not None:
-        natural = min(natural, bound)
-    n = _resolve_order(natural, n_out, "graph substitution")
-
-    cols = {}
-    max_l = 0
-    for (j, k, l), v in F.c.items():
-        cols.setdefault((j, k), []).append((l, v))
-        if l > max_l:
-            max_l = l
-    if not cols:
-        return Series3.zero(n, exact)
-    u_pows = [Series3.one(n, exact)]
-    for _ in range(max_l):
-        u_pows.append(u_pows[-1] * us)
-
-    max_j = max(j for j, _ in cols)
-    max_k = max(k for _, k in cols)
-    z_pows = [Series3.one(n, exact)]
-    for _ in range(max_j):
-        z_pows.append(z_pows[-1] * zs)
-    zb_pows = [Series3.one(n, exact)]
-    for _ in range(max_k):
-        zb_pows.append(zb_pows[-1] * zsb)
-
-    res = Series3.zero(n, exact)
-    for (j, k), pairs in sorted(cols.items()):
-        pair_prod = z_pows[j] * zb_pows[k]
-        if pair_prod.is_zero():
-            continue
-        inner = Series3.zero(n, exact)
-        for l, v in pairs:
-            inner = inner + u_pows[l] * v
-        res = res + pair_prod * inner
-    return res
+    n = _resolve_order(_tail_bound(F, zs, us, polynomial), n_out, "graph substitution")
+    return _substitute(F, (zs, zs.conj(), us), n)
 
 
 def eval_curve(F, phi, n_out=None, polynomial=False):
@@ -1146,36 +905,13 @@ def eval_curve(F, phi, n_out=None, polynomial=False):
     exact = F.exact
     if phi.exact != exact:
         raise InternalInvariantError("mixed exact/float substitution")
-    phib = phi.conjugate()
     natural = phi.n
     if not polynomial:
         natural = min(natural, (F.n + 2) // 2 - 1)
     n = _resolve_order(natural, n_out, "curve substitution")
     if phi.coeff(0):
         raise InternalInvariantError("curve substitution needs phi(0) = 0")
-
-    cols = {}
-    for (j, k, l), v in F.c.items():
-        cols.setdefault((j, k), []).append((l, v))
-    if not cols:
-        return UPoly.zero(n, exact)
-    max_j = max(j for j, _ in cols)
-    max_k = max(k for _, k in cols)
-    p_pows = [UPoly.one(n, exact)]
-    for _ in range(max_j):
-        p_pows.append(p_pows[-1] * phi)
-    pb_pows = [UPoly.one(n, exact)]
-    for _ in range(max_k):
-        pb_pows.append(pb_pows[-1] * phib)
-
-    res = UPoly.zero(n, exact)
-    for (j, k), pairs in sorted(cols.items()):
-        pair_prod = p_pows[j] * pb_pows[k]
-        if pair_prod.is_zero():
-            continue
-        for l, v in pairs:
-            res = res + pair_prod.shifted(l) * v
-    return res
+    return _substitute(F, (phi, phi.conjugate(), UPoly.var(n, exact)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -1183,8 +919,13 @@ def eval_curve(F, phi, n_out=None, polynomial=False):
 # ---------------------------------------------------------------------------
 
 
+def is_json_count(value, least=0):
+    """True for a JSON integer >= least; JSON true/false do not count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def _coeff_to_json(v):
-    return {"re": format_rational(v.real), "im": format_rational(v.imag)}
+    return {"re": str(v.real), "im": str(v.imag)}
 
 
 def _coeff_from_json(obj, where):
@@ -1213,7 +954,7 @@ def series3_from_json(obj):
     if "trunc_order" not in obj:
         raise ParseError("series object lacks trunc_order")
     n = obj["trunc_order"]
-    if not isinstance(n, int) or n < 0:
+    if not is_json_count(n):
         raise ParseError("bad trunc_order: %r" % (n,))
     raw = obj.get("coeffs", [])
     if not isinstance(raw, list):
@@ -1226,7 +967,7 @@ def series3_from_json(obj):
             j, k, l = entry["j"], entry["k"], entry["l"]
         except KeyError:
             raise ParseError("coefficient entry missing j/k/l: %r" % (entry,))
-        if not all(isinstance(e, int) and e >= 0 for e in (j, k, l)):
+        if not all(is_json_count(e) for e in (j, k, l)):
             raise ParseError("bad exponents in entry: %r" % (entry,))
         key = (j, k, l)
         if key in c:
@@ -1257,7 +998,7 @@ def holo_from_json(raw, n, where="map component"):
             j, l = entry["j"], entry["l"]
         except KeyError:
             raise ParseError("entry missing j/l in %s: %r" % (where, entry))
-        if not all(isinstance(e, int) and e >= 0 for e in (j, l)):
+        if not all(is_json_count(e) for e in (j, l)):
             raise ParseError("bad exponents in %s: %r" % (where, entry))
         if (j, l) in c:
             raise ParseError("duplicate monomial (%d,%d) in %s" % (j, l, where))

@@ -124,6 +124,12 @@ class TestBiholo:
         again = Biholo.from_json(h.to_json())
         assert again.f == h.f and again.g == h.g
 
+    def test_json_rejects_booleans(self):
+        blob = Biholo.identity(6).to_json()
+        for field, bad in (("trunc_order", True), ("f", [{"j": True, "l": 0, "re": "1"}])):
+            with pytest.raises(ParseError):
+                Biholo.from_json(dict(blob, **{field: bad}))
+
 
 class TestTransversalCurve:
     def test_complete_puts_curve_on_surface(self):
@@ -367,7 +373,7 @@ class TestPunctual:
         # unknown/equation counts for the three weights
         expected = {3: (8, 6), 4: (10, 9), 5: (12, 12)}
         for delta, (n_unknowns, n_rows) in expected.items():
-            f_keys, g_keys, monos, columns = _punctual_system(delta, delta)
+            f_keys, g_keys, monos, columns = _punctual_system(delta)
             assert len(columns) == n_unknowns
             assert len(columns[0]) == n_rows
 

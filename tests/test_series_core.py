@@ -20,8 +20,8 @@ from moser_chains.series_core import (
     eval_graph,
     eval_holo2,
     eval_holo3,
-    format_rational,
     gr,
+    holo_from_json,
     parse_rational,
     series3_from_json,
     series3_to_json,
@@ -103,14 +103,14 @@ class TestRationalText:
         assert parse_rational(5) == 5
 
     def test_parse_errors(self):
-        for bad in ("1.5", "a", "1/0", "", "1/-2", None, [1]):
+        for bad in ("1.5", "a", "1/0", "", "1/-2", None, [1], True, False):
             with pytest.raises(ParseError):
                 parse_rational(bad)
 
     def test_format_roundtrip(self, rng):
         for _ in range(100):
             q = rand_rat(rng, num=40, den=12)
-            assert parse_rational(format_rational(q)) == q
+            assert parse_rational(str(q)) == q
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +289,17 @@ class TestSeries3:
             Series3.one(4) + Series3.one(4).to_float()
 
 
+class TestVanishes:
+    def test_float_mode_uses_the_assertion_tolerance(self):
+        assert Series3(6, {(1, 1, 0): 1e-9 + 0j, (0, 0, 1): -1e-10j}, exact=False).vanishes()
+        assert not Series3(6, {(1, 1, 0): 1e-9 + 0j, (2, 0, 0): 1e-6 + 0j}, exact=False).vanishes()
+        assert UPoly.zero(4, exact=False).vanishes()
+
+    def test_exact_mode_needs_exact_zero(self):
+        assert not UPoly(4, {2: gr(Fraction(1, 10 ** 30))}).vanishes()
+        assert HoloSeries.zero(4).vanishes()
+
+
 # ---------------------------------------------------------------------------
 # substitution engines
 # ---------------------------------------------------------------------------
@@ -341,6 +352,60 @@ class TestSubstitution:
             F.padded(8), Series3.z_var(8), Series3.u_var(8), n_out=8, polynomial=True
         )
         assert out == Series3(8, {(1, 1, 0): gr(1)})
+
+        h = HoloSeries(4, {(2, 0): gr(1)})
+        with pytest.raises(InternalInvariantError):
+            eval_holo3(h, Series3.z_var(8), Series3.u_var(8), n_out=8)
+        out = eval_holo3(h, Series3.z_var(8), Series3.u_var(8), n_out=8, polynomial=True)
+        assert out == Series3(8, {(2, 0, 0): gr(1)})
+
+        with pytest.raises(InternalInvariantError):
+            eval_holo2(h, HoloSeries.z_var(8), HoloSeries.w_var(8), n_out=8)
+        out = eval_holo2(h, HoloSeries.z_var(8), HoloSeries.w_var(8), n_out=8, polynomial=True)
+        assert out == HoloSeries(8, {(2, 0): gr(1)})
+
+        # a curve in F of order 6 is sound to t-order 3 only
+        with pytest.raises(InternalInvariantError):
+            eval_curve(F, UPoly.var(5), n_out=5)
+        assert eval_curve(F, UPoly.var(5), n_out=5, polynomial=True) == UPoly(5, {2: gr(1)})
+
+    def test_constant_term_argument_rejected(self):
+        F = Series3.hermitian_square(6)
+        with pytest.raises(InternalInvariantError):
+            eval_graph(F, Series3.z_var(6) + Series3.one(6), Series3.u_var(6))
+        with pytest.raises(InternalInvariantError):
+            eval_holo3(HoloSeries.w_var(6), Series3.z_var(6), Series3.u_var(6) + Series3.one(6))
+
+    def test_truncation_consistency_random(self, rng):
+        # with polynomial=True the order-n result is the order-(n+2) one truncated
+        n, m = 6, 8
+
+        def high(cls):
+            # a random series of cls with every term of weight >= 2
+            series = rand_series3(rng, m, terms=3)
+            if cls is HoloSeries:
+                series = HoloSeries(m, {(j + k, l): v for (j, k, l), v in series.c.items()})
+            return sum((series.weight_part(w) for w in range(2, m + 1)), cls.zero(m))
+
+        for _ in range(8):
+            F = rand_series3(rng, m, terms=6)
+            h = HoloSeries(m, {(j + k, l): v for (j, k, l), v in F.c.items()})
+            a = rand_gr(rng, nonzero=True)
+            zs3 = Series3.z_var(m) * a + high(Series3)
+            ws3 = Series3.u_var(m) + high(Series3)
+            zs2 = HoloSeries.z_var(m) * a + high(HoloSeries)
+            ws2 = HoloSeries.w_var(m) + high(HoloSeries)
+            us = Series3.u_var(m) + rand_real_series3(rng, m, terms=3, min_weight=2)
+            phi = UPoly.var(m) * a + rand_upoly(rng, m).shifted(2)
+            for entry, G, args in (
+                (eval_holo3, h, (zs3, ws3)),
+                (eval_holo2, h, (zs2, ws2)),
+                (eval_graph, F, (zs3, us)),
+                (eval_curve, F, (phi,)),
+            ):
+                low = entry(G, *args, n_out=n, polynomial=True)
+                full = entry(G, *args, n_out=n + 2, polynomial=True)
+                assert low == full.truncate(n)
 
     def test_holo_composition(self):
         # f(z, w) = z + w^2 composed with (z, w) -> (z + w, w)
@@ -418,6 +483,17 @@ class TestJson:
                     ],
                 }
             )
+        # JSON true/false are not integers or rationals
+        for bad in (
+            {"trunc_order": True, "coeffs": []},
+            {"trunc_order": 6, "coeffs": [{"j": True, "k": True, "l": 0, "re": True}]},
+            {"trunc_order": 6, "coeffs": [{"j": 1, "k": 1, "l": False, "re": "1"}]},
+            {"trunc_order": 6, "coeffs": [{"j": 1, "k": 1, "l": 0, "re": "1", "im": True}]},
+        ):
+            with pytest.raises(ParseError):
+                series3_from_json(bad)
+        with pytest.raises(ParseError):
+            holo_from_json([{"j": True, "l": 0, "re": "1"}], 6)
 
 
 class TestDefaultOrder:
