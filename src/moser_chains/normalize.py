@@ -32,6 +32,7 @@ from .errors import (
 from .linalg import solve
 from .series_core import (
     GaussianRational,
+    GraphTable,
     HoloSeries,
     Series3,
     UPoly,
@@ -409,11 +410,16 @@ def _transform_ingredients(M, h, polynomial=False):
 
 
 def graph_transform(M, h):
-    """Express the image h(M) as a graph; returns (surface, zmap, umap).
+    """Express the image h(M) as a graph; returns (surface, P, Q).
 
     Contract: h fixes the origin, f_z(0) != 0, g_z(0) = 0, and the image
     graph's u-part must stay transversal (u-coefficient of Re g(z, u+iF)
-    nonzero).  zmap/umap are the new coordinates as series over the source.
+    nonzero).  P and Q are the new z and u coordinates as series over the
+    source.
+
+    The image is solved weight by weight; every step substitutes into the
+    same arguments, so the powers of the inverse coordinates and of (P, Q)
+    are built once per call, in one GraphTable each.
     """
     if M.exact != h.exact:
         raise InternalInvariantError("surface/map mode mismatch")
@@ -440,14 +446,15 @@ def graph_transform(M, h):
     else:
         us_inv = (uv - eval_graph(q2, zs_inv, uv)) * (one / sigma)
 
+    inverse, forward = GraphTable(zs_inv, us_inv, n), GraphTable(P, Q, n)
     S = R
     out = Series3.zero(n, exact)
     for nu in range(1, n + 1):
         s_nu = S.weight_part(nu)
         if s_nu.is_zero():
             continue
-        f_nu = eval_graph(s_nu, zs_inv, us_inv)
-        S = S - eval_graph(f_nu, P, Q)
+        f_nu = inverse(s_nu)
+        S = S - forward(f_nu)
         out = out + f_nu
     S.assert_zero("graph transform recursion remainder")
     out.assert_real("transformed graph")
@@ -650,8 +657,9 @@ _PUNCTUAL_CACHE = {}
 def _punctual_system(delta):
     """Probe matrix of the core expression for homogeneous (f, g) at delta.
 
-    Returns (f_keys, g_keys, columns) where the columns run over the real
-    and imaginary parts of each f/g coefficient, exact rationals.
+    Returns (f_keys, g_keys, monos, columns): monos are the weight-delta
+    monomials whose Re/Im parts make the rows, and the columns run over the
+    real and imaginary parts of each f/g coefficient, exact rationals.
     """
     key = delta
     if key in _PUNCTUAL_CACHE:
@@ -1031,6 +1039,20 @@ def find_chain_curve(M):
     Requires an exact surface of the shape z zbar + (weight >= 6).  The curve
     coefficients c_m (m >= 3; c_2 = 0 on such surfaces) are solved order by
     order from the straightening residual's affine response.
+
+    Step m runs the subpipeline on the surface truncated to order 2m+1, with
+    the curve c_3..c_{m-1} carried to t-order m.  That is sound:
+
+    * the u^q coefficient of F_{3,2} has weight 5 + 2q, so c_m is read off
+      the weight-(2m+1) coefficient q = m-2;
+    * the subpipeline maps (straighten, harmonics, levi, absorb, rotate)
+      substitute arguments of weight >= 1 in z and >= 2 in w, so they never
+      lower weight: input terms above weight 2m+1 cannot reach it;
+    * so coefficients q <= m-2 of F_{3,2} from the order-(2m+1) run equal
+      those of the full-order run.
+
+    normalize_hypersurface still checks the full-order slice(3, 2) after the
+    rotation, which certifies the found chain on every call.
     """
     if not M.exact:
         raise MathPreconditionError("chain finding runs in exact arithmetic only")
@@ -1041,11 +1063,10 @@ def find_chain_curve(M):
         raise MathPreconditionError(
             "chain finding needs a surface normalized through weight 5"
         )
-    order = n // 2
     mmax = (n - 1) // 2
     coeffs = {}
     for m in range(3, mmax + 1):
-        f32 = _f32_slice_through_subpipeline(M, UPoly(order, coeffs))
+        f32 = _f32_slice_through_subpipeline(M.with_order(2 * m + 1), UPoly(m, coeffs))
         for q in range(m - 2):
             if f32.coeff(q):
                 raise InternalInvariantError(
@@ -1064,7 +1085,7 @@ def find_chain_curve(M):
         if sol is None:
             raise InternalInvariantError("chain correction system inconsistent")
         coeffs[m] = GaussianRational(sol[0], sol[1])
-    return UPoly(order, coeffs)
+    return UPoly(n // 2, coeffs)
 
 
 # ---------------------------------------------------------------------------

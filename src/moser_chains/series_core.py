@@ -21,9 +21,11 @@ and add only their own mathematics:
   one-variable stage data).
 
 Substitution of series into a series (``eval_holo3``, ``eval_holo2``,
-``eval_graph``, ``eval_curve``) runs through one power-table core; each entry
-point only checks its arguments and fixes the order to which its result is
-sound.
+``eval_graph``, ``eval_curve``) runs through one core over a table of the
+arguments' powers; each entry point only checks its arguments and fixes the
+order to which its result is sound.  A table holds the powers at one order
+and can be shared by several substitutions into the same arguments at that
+order (``GraphTable``); each entry point builds a fresh one.
 
 Coefficients are either exact Gaussian rationals (``GaussianRational``) or
 Python ``complex`` (numeric mode); a container never mixes the two.  Exact
@@ -64,7 +66,7 @@ except ImportError:  # pragma: no cover
 #: scalar types accepted as exact *real* rationals
 RATIONAL_TYPES = (int, Fraction, type(_rat(0)))
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
 # Tolerance used by *internal* consistency assertions in numeric mode (the
 # exact mode asserts exact zero).  User-facing accuracy statements use their
@@ -830,37 +832,61 @@ def _resolve_order(natural, n_out, what):
     return n_out
 
 
-def _substitute(F, args, n):
-    """F(args[0], args[1], ...) to weight n, one argument per key exponent.
+class PowerTable:
+    """Powers of substitution arguments at one order n, built on demand.
 
-    Each argument gets a table of its powers.  The terms of F are grouped by
-    all but their last exponent, so a group costs one product of table
-    entries and one product with a combination of powers of the last
-    argument.  The result has the type of the arguments.
+    ``power(i, e)`` is args[i]**e and ``head(key)`` the product of the powers
+    that all but the last exponent of a key name (zs^j conj(zs)^k for a graph
+    key (j, k, l)).  Both are kept once built, so substitutions that share a
+    table build each power and each head product once.
     """
-    cls, exact = type(args[0]), F.exact
+
+    __slots__ = ("args", "n", "pows", "heads")
+
+    def __init__(self, args, n):
+        self.args = args
+        self.n = n
+        one = type(args[0]).one(n, args[0].exact)
+        self.pows = [[one] for _ in args]
+        self.heads = {}
+
+    def power(self, i, e):
+        pows = self.pows[i]
+        while len(pows) <= e:
+            pows.append(pows[-1] * self.args[i])
+        return pows[e]
+
+    def head(self, key):
+        prod = self.heads.get(key)
+        if prod is None:
+            prod = self.power(0, key[0])
+            for i, e in enumerate(key[1:], 1):
+                prod = prod * self.power(i, e)
+            self.heads[key] = prod
+        return prod
+
+
+def _substitute(F, table):
+    """F(args[0], args[1], ...) to the table's order, one argument per key
+    exponent.
+
+    The terms of F are grouped by all but their last exponent, so a group
+    costs one head product of the table and one product with a combination of
+    powers of the last argument.  The result has the type of the arguments.
+    """
+    n, last = table.n, len(table.args) - 1
+    cls, exact = type(table.args[0]), F.exact
     res = cls.zero(n, exact)
-    if F.is_zero():
-        return res
     groups = {}
     for key, v in F.c.items():
         groups.setdefault(key[:-1], []).append((key[-1], v))
-    tables = []
-    for i, arg in enumerate(args):
-        pows = [cls.one(n, exact)]
-        for _ in range(max(key[i] for key in F.c)):
-            pows.append(pows[-1] * arg)
-        tables.append(pows)
-    *outer, last = tables
     for head, pairs in sorted(groups.items()):
-        prod = outer[0][head[0]]
-        for pows, e in zip(outer[1:], head[1:]):
-            prod = prod * pows[e]
+        prod = table.head(head)
         if prod.is_zero():
             continue
         inner = cls.zero(n, exact)
         for l, v in pairs:
-            inner = inner + last[l] * v
+            inner = inner + table.power(last, l) * v
         res = res + prod * inner
     return res
 
@@ -877,12 +903,46 @@ def eval_holo3(h, zs, ws, n_out=None, polynomial=False):
     if ws.exact != exact or h.exact != exact:
         raise InternalInvariantError("mixed exact/float substitution")
     n = _resolve_order(_tail_bound(h, zs, ws, polynomial), n_out, "holomorphic substitution")
-    return _substitute(h, (zs, ws), n)
+    return _substitute(h, PowerTable((zs, ws), n))
 
 
 # A name of its own for composition with HoloSeries arguments: normalize.py
 # imports it, and perfbench/tracing.py reports calls under each name.
 eval_holo2 = eval_holo3
+
+
+def _graph_order(F, zs, us, n_out, polynomial):
+    """Check the arguments of F(zs, conj(zs), us); the weight to compute to."""
+    exact = zs.exact
+    if us.exact != exact or F.exact != exact:
+        raise InternalInvariantError("mixed exact/float substitution")
+    if exact and not us.is_real():
+        raise InternalInvariantError("graph substitution needs a real u-argument")
+    return _resolve_order(_tail_bound(F, zs, us, polynomial), n_out, "graph substitution")
+
+
+class GraphTable(PowerTable):
+    """The powers of zs, conj(zs) and us at order n, for substituting several
+    series F into the same graph arguments.
+
+    Calling the table is ``eval_graph(F, zs, us)`` with the table's powers:
+    the same checks run, and F(zs, conj(zs), us) must be sound to exactly the
+    table's order.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, zs, us, n):
+        super().__init__((zs, zs.conj(), us), n)
+
+    def __call__(self, F):
+        zs, _, us = self.args
+        n = _graph_order(F, zs, us, None, False)
+        if n != self.n:
+            raise InternalInvariantError(
+                "graph substitution sound to weight %d through a table of order %d" % (n, self.n)
+            )
+        return _substitute(F, self)
 
 
 def eval_graph(F, zs, us, n_out=None, polynomial=False):
@@ -891,13 +951,7 @@ def eval_graph(F, zs, us, n_out=None, polynomial=False):
     The second slot always receives the conjugate of the first -- every
     geometric use has that shape -- which keeps reality automatic.
     """
-    exact = zs.exact
-    if us.exact != exact or F.exact != exact:
-        raise InternalInvariantError("mixed exact/float substitution")
-    if exact and not us.is_real():
-        raise InternalInvariantError("graph substitution needs a real u-argument")
-    n = _resolve_order(_tail_bound(F, zs, us, polynomial), n_out, "graph substitution")
-    return _substitute(F, (zs, zs.conj(), us), n)
+    return _substitute(F, GraphTable(zs, us, _graph_order(F, zs, us, n_out, polynomial)))
 
 
 def eval_curve(F, phi, n_out=None, polynomial=False):
@@ -911,7 +965,7 @@ def eval_curve(F, phi, n_out=None, polynomial=False):
     n = _resolve_order(natural, n_out, "curve substitution")
     if phi.coeff(0):
         raise InternalInvariantError("curve substitution needs phi(0) = 0")
-    return _substitute(F, (phi, phi.conjugate(), UPoly.var(n, exact)), n)
+    return _substitute(F, PowerTable((phi, phi.conjugate(), UPoly.var(n, exact)), n))
 
 
 # ---------------------------------------------------------------------------
@@ -970,6 +1024,10 @@ def series3_from_json(obj):
         if not all(is_json_count(e) for e in (j, k, l)):
             raise ParseError("bad exponents in entry: %r" % (entry,))
         key = (j, k, l)
+        if j + k + 2 * l > n:
+            raise ParseError(
+                "monomial (%d,%d,%d) has weight %d above trunc_order %d" % (key + (j + k + 2 * l, n))
+            )
         if key in c:
             raise ParseError("duplicate monomial (%d,%d,%d)" % key)
         c[key] = _coeff_from_json(entry, "series")
@@ -1000,6 +1058,10 @@ def holo_from_json(raw, n, where="map component"):
             raise ParseError("entry missing j/l in %s: %r" % (where, entry))
         if not all(is_json_count(e) for e in (j, l)):
             raise ParseError("bad exponents in %s: %r" % (where, entry))
+        if j + 2 * l > n:
+            raise ParseError(
+                "monomial (%d,%d) in %s has weight %d above order %d" % (j, l, where, j + 2 * l, n)
+            )
         if (j, l) in c:
             raise ParseError("duplicate monomial (%d,%d) in %s" % (j, l, where))
         c[(j, l)] = _coeff_from_json(entry, where)

@@ -32,6 +32,7 @@ from moser_chains.normalize import (
     straighten_curve,
     transform_curve,
     translate_to_point,
+    _f32_slice_through_subpipeline,
     _punctual_system,
 )
 from moser_chains.series_core import (
@@ -58,10 +59,10 @@ def perturbed_sphere(n, *terms):
     return Hypersurface(F)
 
 
-def rand_surface(rng, n=8, terms=10):
+def rand_surface(rng, n=8, terms=10, min_weight=1):
     """Random Levi nondegenerate real polynomial graph."""
     while True:
-        pert = rand_real_series3(rng, n, terms=terms, min_weight=1)
+        pert = rand_real_series3(rng, n, terms=terms, min_weight=min_weight)
         M = Hypersurface((Series3.hermitian_square(n) + pert).truncate(n))
         if M.levi_coefficient():
             return M
@@ -129,6 +130,14 @@ class TestBiholo:
         for field, bad in (("trunc_order", True), ("f", [{"j": True, "l": 0, "re": "1"}])):
             with pytest.raises(ParseError):
                 Biholo.from_json(dict(blob, **{field: bad}))
+
+    def test_json_rejects_monomials_above_order(self):
+        # f is carried to weight n - 1, g to weight n
+        blob = Biholo.identity(6).to_json()
+        Biholo.from_json(dict(blob, f=[{"j": 1, "l": 0, "re": "1"}, {"j": 1, "l": 2, "re": "1"}]))
+        for field, bad in (("f", {"j": 0, "l": 3, "re": "1"}), ("g", {"j": 1, "l": 3, "re": "1"})):
+            with pytest.raises(ParseError):
+                Biholo.from_json(dict(blob, **{field: blob[field] + [bad]}))
 
 
 class TestTransversalCurve:
@@ -549,6 +558,24 @@ class TestChain:
         with pytest.raises(MathPreconditionError):
             find_chain_curve(M)
 
+    @pytest.mark.parametrize("n, seed", [(10, 11), (12, 12)])
+    def test_truncated_chain_steps_match_full_order(self, n, seed):
+        # find_chain_curve solves c_m on the surface truncated to order 2m+1;
+        # the F_{3,2} coefficients it reads there are the full-order ones
+        M = rand_surface(random.Random(seed), n, terms=40, min_weight=2)
+        M = normalize_hypersurface(M, stop_after="punctual").surface
+        chain = find_chain_curve(M)
+        mmax = (n - 1) // 2
+        for m in range(3, mmax + 1):
+            solved = UPoly(m, {k: v for k, v in chain.c.items() if k < m})
+            low = _f32_slice_through_subpipeline(M.with_order(2 * m + 1), solved)
+            full = _f32_slice_through_subpipeline(M, solved.padded(n // 2))
+            for q in range(m - 1):
+                assert low.coeff(q) == full.coeff(q)
+        f32 = _f32_slice_through_subpipeline(M, chain)
+        assert all(not f32.coeff(q) for q in range(mmax - 1))
+        assert any(chain.coeff(m) for m in range(3, mmax + 1))
+
     def test_found_chain_is_verified_by_full_run(self, rng):
         for _ in range(3):
             M = rand_surface(rng, terms=8)
@@ -580,6 +607,26 @@ class TestPipeline:
             assert res.completed
             assert_normal_form(res.surface)
             assert all(s.residual_zero for s in res.stages)
+
+    def test_truncation_consistency(self, rng):
+        # the order-8 normal form is the order-10 one truncated to 8, and the
+        # chains agree through c_3.  Only surfaces without weight-1 terms:
+        # the shear u -> u - nu z/2 - conj(nu) zb/2 lowers weight, so there
+        # input terms above the order legitimately change the result.  Stage
+        # lists are not compared: a stage whose map only acts above weight 8
+        # is a no-op at the lower order.
+        lo_n, hi_n = 8, 10
+        chains = []
+        for _ in range(5):
+            M = rand_surface(rng, hi_n, terms=30, min_weight=2)
+            hi = normalize_hypersurface(M)
+            lo = normalize_hypersurface(M.with_order(lo_n))
+            assert lo.completed and hi.completed
+            assert lo.surface.series == hi.surface.series.truncate(lo_n)
+            for m in range(3, (lo_n - 1) // 2 + 1):
+                assert lo.chain_curve.phi.coeff(m) == hi.chain_curve.phi.coeff(m)
+                chains.append(lo.chain_curve.phi.coeff(m))
+        assert any(chains)
 
     def test_stop_after(self):
         M = m_eps(gr("1/10"))

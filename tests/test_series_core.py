@@ -12,6 +12,7 @@ from conftest import rand_gr, rand_rat, rand_series3, rand_real_series3, rand_up
 from moser_chains.errors import InternalInvariantError, ParseError
 from moser_chains.series_core import (
     GaussianRational,
+    GraphTable,
     HoloSeries,
     Series3,
     UPoly,
@@ -103,7 +104,7 @@ class TestRationalText:
         assert parse_rational(5) == 5
 
     def test_parse_errors(self):
-        for bad in ("1.5", "a", "1/0", "", "1/-2", None, [1], True, False):
+        for bad in ("1.5", "a", "1/0", "", "1/-2", None, [1], True, False, "\u0661\u0662"):
             with pytest.raises(ParseError):
                 parse_rational(bad)
 
@@ -407,6 +408,31 @@ class TestSubstitution:
                 full = entry(G, *args, n_out=n + 2, polynomial=True)
                 assert low == full.truncate(n)
 
+    def test_shared_graph_table(self, rng):
+        # one table serves several F at its order, extending its powers as a
+        # later F needs higher ones; each result is eval_graph's
+        n = 8
+        zs = Series3.z_var(n) * rand_gr(rng, nonzero=True) + rand_series3(rng, n, terms=4)
+        zs = zs - Series3.monomial(n, 0, 0, 0, zs.coeff(0, 0, 0))
+        us = Series3.u_var(n) + rand_real_series3(rng, n, terms=3, min_weight=2)
+        table = GraphTable(zs, us, n)
+        built = []
+        for top in (2, 5, 8):
+            F = rand_series3(rng, top, terms=8).padded(n)
+            assert table(F) == eval_graph(F, zs, us)
+            built.append(sum(map(len, table.pows)))
+        assert built == sorted(set(built))
+        # a series sound to another order than the table's is refused
+        with pytest.raises(InternalInvariantError):
+            table(rand_series3(rng, n - 2, terms=4))
+        with pytest.raises(InternalInvariantError):
+            GraphTable(zs, us, n - 2)(rand_series3(rng, n, terms=4))
+        # and eval_graph's argument checks still run
+        with pytest.raises(InternalInvariantError):
+            GraphTable(zs, us * gr(0, 1), n)(Series3.hermitian_square(n))
+        with pytest.raises(InternalInvariantError):
+            table(Series3.hermitian_square(n).to_float())
+
     def test_holo_composition(self):
         # f(z, w) = z + w^2 composed with (z, w) -> (z + w, w)
         n = 8
@@ -494,6 +520,15 @@ class TestJson:
                 series3_from_json(bad)
         with pytest.raises(ParseError):
             holo_from_json([{"j": True, "l": 0, "re": "1"}], 6)
+        # a monomial above the truncation order is an error, not dropped:
+        # the shear lowers weight, so it could change the normal form
+        with pytest.raises(ParseError):
+            series3_from_json({"trunc_order": 8, "coeffs": [{"j": 9, "k": 1, "l": 0, "re": "1", "im": "0"}]})
+        with pytest.raises(ParseError):
+            holo_from_json([{"j": 1, "l": 3, "re": "1"}], 6)
+        # digits other than ASCII ones are not rational literals
+        with pytest.raises(ParseError):
+            series3_from_json({"trunc_order": 6, "coeffs": [{"j": 1, "k": 1, "l": 0, "re": "\u0661\u0662"}]})
 
 
 class TestDefaultOrder:
