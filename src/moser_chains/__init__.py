@@ -12,7 +12,6 @@ from .series_core import (
     HoloSeries,
     Series3,
     UPoly,
-    default_order,
     gr,
 )
 from .normalize import (
@@ -44,7 +43,6 @@ __all__ = [
     "Series3",
     "TransversalCurve",
     "UPoly",
-    "default_order",
     "find_chain_curve",
     "fundamental_identity_residual",
     "graph_transform",

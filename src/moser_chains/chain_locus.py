@@ -13,10 +13,11 @@ the 2-jets of chains of the sphere through the origin.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import InternalInvariantError
 from .lie_jets import RPoly, prolong2
 from .linalg import rank
-from .series_core import _rat
 from .sphere_isotropy import FIELD_NAMES, intrinsic_fields
 
 _FIBER_ORIGIN = {"u": 0, "x": 0, "y": 0}
@@ -59,8 +60,8 @@ def orbit_matrix():
 
 def sigma0_jet(x1, y1):
     """The unique isotropy-degenerate (x2, y2) over a given 1-jet."""
-    x1 = _rat(x1) if isinstance(x1, int) else x1
-    y1 = _rat(y1) if isinstance(y1, int) else y1
+    x1 = Fraction(x1) if isinstance(x1, int) else x1
+    y1 = Fraction(y1) if isinstance(y1, int) else y1
     return (
         -2 * x1 * x1 * y1 - 2 * y1 * y1 * y1,
         2 * x1 * y1 * y1 + 2 * x1 * x1 * x1,

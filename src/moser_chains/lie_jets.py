@@ -20,8 +20,9 @@ implements, over exact rational coefficients:
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import InternalInvariantError
-from .series_core import _rat
 
 VAR_NAMES = ("u", "x", "y", "x1", "y1", "x2", "y2", "x3", "y3", "a2", "b2")
 VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
@@ -39,7 +40,7 @@ _ZERO_KEY = (0,) * NVARS
 def _as_rat(v):
     if isinstance(v, float):
         raise InternalInvariantError("RPoly coefficients must be exact rationals")
-    return _rat(v) if isinstance(v, int) else v
+    return Fraction(v) if isinstance(v, int) else v
 
 
 class RPoly:
@@ -72,7 +73,7 @@ class RPoly:
     def var(cls, name, power=1):
         key = [0] * NVARS
         key[VAR_INDEX[name]] = power
-        return cls({tuple(key): _rat(1)})
+        return cls({tuple(key): Fraction(1)})
 
     # -- basics ----------------------------------------------------------------
 
@@ -80,7 +81,7 @@ class RPoly:
         return not self.c
 
     def constant_term(self):
-        return self.c.get(_ZERO_KEY, _rat(0))
+        return self.c.get(_ZERO_KEY, Fraction(0))
 
     def uses_var(self, name):
         i = VAR_INDEX[name]
@@ -125,7 +126,7 @@ class RPoly:
         if isinstance(other, RPoly):
             c = dict(self.c)
             for key, v in other.c.items():
-                s = c.get(key, _rat(0)) + v
+                s = c.get(key, Fraction(0)) + v
                 if s:
                     c[key] = s
                 elif key in c:
@@ -156,7 +157,7 @@ class RPoly:
                         raise InternalInvariantError(
                             "polynomial degree blew past %d" % MAX_DEGREE
                         )
-                    s = c.get(key, _rat(0)) + v1 * v2
+                    s = c.get(key, Fraction(0)) + v1 * v2
                     if s:
                         c[key] = s
                     elif key in c:
@@ -178,7 +179,7 @@ class RPoly:
             e = key[i]
             if e:
                 nk = key[:i] + (e - 1,) + key[i + 1 :]
-                c[nk] = c.get(nk, _rat(0)) + v * e
+                c[nk] = c.get(nk, Fraction(0)) + v * e
         return RPoly(c)
 
     def subs(self, mapping):
@@ -208,7 +209,7 @@ class RPoly:
 
     def evaluate(self, point):
         """Evaluate at a full point {name: rational}; missing names are 0."""
-        total = _rat(0)
+        total = Fraction(0)
         vals = [_as_rat(point.get(name, 0)) for name in VAR_NAMES]
         for key, coeff in self.c.items():
             term = coeff

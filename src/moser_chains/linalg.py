@@ -1,9 +1,8 @@
-"""Small dense linear algebra over exact fields (and floats).
+"""Small dense linear algebra over exact fields.
 
 Everything here works on lists of lists whose entries support +, -, *, /
-and truthiness (rationals, GaussianRational, complex).  Exact entries use
-first-nonzero pivoting so results are deterministic; numeric entries can ask
-for partial (max-magnitude) pivoting.
+and truthiness (rationals, GaussianRational).  The pivot is the first
+nonzero entry of its column, so results are deterministic.
 
 Only what the package needs: reduced row echelon form, rank, a particular
 solution with free variables pinned to zero, and a nullspace basis.
@@ -14,11 +13,7 @@ from __future__ import annotations
 from .errors import InternalInvariantError
 
 
-def _magnitude(e):
-    return abs(complex(e))
-
-
-def rref(rows, pivoting="first"):
+def rref(rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns)."""
     rows = [list(r) for r in rows]
     m = len(rows)
@@ -28,15 +23,7 @@ def rref(rows, pivoting="first"):
     for c in range(ncols):
         if r == m:
             break
-        if pivoting == "partial":
-            best = 0.0
-            piv = None
-            for i in range(r, m):
-                mag = _magnitude(rows[i][c])
-                if mag > best:
-                    best, piv = mag, i
-        else:
-            piv = next((i for i in range(r, m) if rows[i][c]), None)
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
@@ -52,14 +39,14 @@ def rref(rows, pivoting="first"):
 
 
 def rank(rows):
-    """Exact rank (first-nonzero pivoting; entries must be exact)."""
+    """Rank of A."""
     if not rows:
         return 0
     _, pivot_cols = rref(rows)
     return len(pivot_cols)
 
 
-def solve(rows, rhs, pivoting="first"):
+def solve(rows, rhs):
     """One solution of A x = b with free variables set to zero.
 
     Returns the solution list, or None if the system is inconsistent.
@@ -68,7 +55,7 @@ def solve(rows, rhs, pivoting="first"):
         return []
     ncols = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivot_cols = rref(aug, pivoting)
+    red, pivot_cols = rref(aug)
     if ncols in pivot_cols:
         return None  # pivot in the augmented column: inconsistent
     zero = rows[0][0] - rows[0][0]
@@ -81,7 +68,7 @@ def solve(rows, rhs, pivoting="first"):
 
 
 def nullspace(rows):
-    """Basis of the kernel of A (exact entries)."""
+    """Basis of the kernel of A."""
     if not rows:
         return []
     ncols = len(rows[0])

@@ -31,15 +31,15 @@ from .errors import (
 )
 from .linalg import solve
 from .series_core import (
+    HALF,
+    I_UNIT,
+    ONE,
+    ZERO,
     GaussianRational,
     GraphTable,
     HoloSeries,
     Series3,
     UPoly,
-    chalf,
-    cimag,
-    cone,
-    czero,
     eval_curve,
     eval_graph,
     eval_holo2,
@@ -47,14 +47,16 @@ from .series_core import (
     holo_from_json,
     holo_to_json,
     is_json_count,
-    scalar_abs,
     series3_from_json,
     series3_to_json,
 )
 
 
-def _nonzero(v, exact):
-    return bool(v) if exact else scalar_abs(v) > 0.0
+def _reject_floats(what, *series):
+    """ParseError if a coefficient is a float: the pipeline is exact only."""
+    for s in series:
+        if any(isinstance(v, (float, complex)) for v in s.c.values()):
+            raise ParseError("%s has a float coefficient; coefficients must be exact" % what)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +67,8 @@ def _nonzero(v, exact):
 class Hypersurface:
     """A rigid graph v = F(z, zbar, u) through the origin.
 
-    F must be a real series (Hermitian coefficient symmetry) with F(0) = 0.
+    F must be a real series (Hermitian coefficient symmetry) with F(0) = 0
+    and exact coefficients (``GaussianRational``, ``int`` or ``Fraction``).
     The coefficient data is treated as an exact polynomial surface; the
     truncation order n says up to which weight transforms of it are computed.
     """
@@ -74,6 +77,7 @@ class Hypersurface:
 
     def __init__(self, series, check=True):
         if check:
+            _reject_floats("graph function", series)
             if series.coeff(0, 0, 0):
                 raise MathPreconditionError("graph function must vanish at the origin")
             series.assert_real("graph function")
@@ -83,13 +87,9 @@ class Hypersurface:
     def n(self):
         return self.series.n
 
-    @property
-    def exact(self):
-        return self.series.exact
-
     @classmethod
-    def sphere(cls, n, exact=True):
-        return cls(Series3.hermitian_square(n, exact), check=False)
+    def sphere(cls, n):
+        return cls(Series3.hermitian_square(n), check=False)
 
     @classmethod
     def from_json(cls, obj):
@@ -102,9 +102,6 @@ class Hypersurface:
     def to_json(self):
         return series3_to_json(self.series)
 
-    def to_float(self):
-        return Hypersurface(self.series.to_float(), check=False)
-
     def with_order(self, n):
         """Same polynomial surface, re-truncated/padded to order n."""
         return Hypersurface(self.series.padded(n) if n >= self.n else self.series.truncate(n), check=False)
@@ -114,10 +111,6 @@ class Hypersurface:
 
     def levi_coefficient(self):
         return self.series.coeff(1, 1, 0)
-
-    def value_at(self, z0, u0):
-        """F(z0, conj z0, u0) for scalars."""
-        return self.series.evaluate(z0, z0.conjugate(), u0)
 
     def __eq__(self, other):
         if not isinstance(other, Hypersurface):
@@ -139,20 +132,15 @@ class Biholo:
     __slots__ = ("f", "g")
 
     def __init__(self, f, g):
-        if f.exact != g.exact:
-            raise InternalInvariantError("mixed exact/float map components")
+        _reject_floats("map", f, g)
         if f.coeff(0, 0) or g.coeff(0, 0):
             raise MathPreconditionError("map must fix the origin")
         self.f = f
         self.g = g
 
-    @property
-    def exact(self):
-        return self.f.exact
-
     @classmethod
-    def identity(cls, n, exact=True):
-        return cls(HoloSeries.z_var(n - 1, exact), HoloSeries.w_var(n, exact))
+    def identity(cls, n):
+        return cls(HoloSeries.z_var(n - 1), HoloSeries.w_var(n))
 
     def compose(self, inner):
         """self after inner (apply inner first)."""
@@ -165,9 +153,6 @@ class Biholo:
             inner_f = inner_f.padded(inner.g.n)
         zg = eval_holo2(self.g, inner_f, inner.g)
         return Biholo(zf, zg)
-
-    def to_float(self):
-        return Biholo(self.f.to_float(), self.g.to_float())
 
     def to_json(self):
         return {
@@ -200,41 +185,32 @@ class TransversalCurve:
     __slots__ = ("phi", "psi")
 
     def __init__(self, phi, psi):
-        if phi.exact != psi.exact:
-            raise InternalInvariantError("mixed exact/float curve components")
+        _reject_floats("curve", phi, psi)
         if phi.coeff(0) or psi.coeff(0):
             raise MathPreconditionError("curve must start at the origin")
         self.phi = phi
         self.psi = psi
 
-    @property
-    def exact(self):
-        return self.phi.exact
-
     @classmethod
     def complete(cls, M, phi):
         """Complete a z-component into a curve on M: psi = t + i F along it."""
-        exact = M.exact
-        if phi.exact != exact:
-            raise InternalInvariantError("curve/surface mode mismatch")
         order = M.n // 2
         phi = phi.padded(order) if phi.n < order else phi.truncate(order)
         if phi.coeff(0):
             raise MathPreconditionError("curve z-component must vanish at t = 0")
         height = eval_curve(M.series, phi)
-        psi = UPoly.var(order, exact) + height.truncate(order) * cimag(exact)
+        psi = UPoly.var(order) + height.truncate(order) * I_UNIT
         return cls(phi, psi)
 
     def validate_on(self, M):
         """Check Re psi = t and Im psi = F along the curve."""
-        exact = self.exact
-        t = UPoly.var(self.psi.n, exact)
+        t = UPoly.var(self.psi.n)
         re_psi = self.psi.real_part()
         height = eval_curve(M.series, self.phi)
-        im_psi = (self.psi - re_psi) * (-cimag(exact))
+        im_psi = (self.psi - re_psi) * (-I_UNIT)
         defect = re_psi - t
         defect2 = im_psi - height.truncate(im_psi.n)
-        if not defect.vanishes() or not defect2.vanishes():
+        if not defect.is_zero() or not defect2.is_zero():
             raise MathPreconditionError("curve does not lie on the hypersurface")
 
     def __repr__(self):
@@ -261,7 +237,7 @@ class Stage:
 # ---------------------------------------------------------------------------
 
 
-def isotropy_map(lam, alpha, r, n, exact=True):
+def isotropy_map(lam, alpha, r, n):
     """The sphere automorphism with parameters (lambda, alpha, r).
 
         z' = lambda (z + alpha w) / d,   w' = lambda conj(lambda) w / d,
@@ -269,43 +245,34 @@ def isotropy_map(lam, alpha, r, n, exact=True):
 
     expanded to weights n-1 / n.  lambda != 0 is required; r must be real.
     """
-    if exact:
-        if isinstance(lam, complex) or isinstance(alpha, complex):
-            raise InternalInvariantError("float parameters in exact isotropy map")
-        lam = lam if isinstance(lam, GaussianRational) else GaussianRational(lam)
-        alpha = alpha if isinstance(alpha, GaussianRational) else GaussianRational(alpha)
-        if isinstance(r, GaussianRational):
-            if not r.is_real():
-                raise MathPreconditionError("isotropy parameter r must be real")
-            r = r.real
-    else:
-        lam = complex(lam)
-        alpha = complex(alpha)
-        r = float(r)
-    if not _nonzero(lam, exact):
+    lam = lam if isinstance(lam, GaussianRational) else GaussianRational(lam)
+    alpha = alpha if isinstance(alpha, GaussianRational) else GaussianRational(alpha)
+    if isinstance(r, GaussianRational):
+        if not r.is_real():
+            raise MathPreconditionError("isotropy parameter r must be real")
+        r = r.real
+    if not lam:
         raise MathPreconditionError("isotropy parameter lambda must be nonzero")
 
-    i_unit = cimag(exact)
     abs2 = alpha * alpha.conjugate()
     # the geometric-series denominator
     b = HoloSeries(
         n,
         {
-            (1, 0): i_unit * alpha.conjugate() * 2,
-            (0, 1): abs2 * i_unit + r,
+            (1, 0): I_UNIT * alpha.conjugate() * 2,
+            (0, 1): abs2 * I_UNIT + r,
         },
-        exact,
     )
-    inv_d = HoloSeries.one(n, exact)
-    power = HoloSeries.one(n, exact)
+    inv_d = HoloSeries.one(n)
+    power = HoloSeries.one(n)
     for _ in range(n):
         power = power * b
         if power.is_zero():
             break
         inv_d = inv_d + power
-    zpart = HoloSeries.z_var(n, exact) + HoloSeries.w_var(n, exact) * alpha
+    zpart = HoloSeries.z_var(n) + HoloSeries.w_var(n) * alpha
     f = (zpart * inv_d * lam).truncate(n - 1)
-    g = (HoloSeries.w_var(n, exact) * inv_d * (lam * lam.conjugate())).truncate(n)
+    g = (HoloSeries.w_var(n) * inv_d * (lam * lam.conjugate())).truncate(n)
     return Biholo(f, g)
 
 
@@ -321,38 +288,31 @@ def translate_to_point(M, z0, u0, v0=None):
     it is validated against F(z0, conj z0, u0).
     """
     F = M.series
-    exact = F.exact
-    if exact:
-        if isinstance(z0, complex) or isinstance(u0, (float, complex)):
-            raise InternalInvariantError("float point on an exact surface")
-        z0 = z0 if isinstance(z0, GaussianRational) else GaussianRational(z0)
-        if isinstance(u0, GaussianRational):
-            if not u0.is_real():
-                raise MathPreconditionError("u-coordinate must be real")
-            u0 = u0.real
-    else:
-        z0 = complex(z0)
-        u0 = float(u0)
+    if isinstance(z0, complex) or isinstance(u0, (float, complex)):
+        raise InternalInvariantError("float point on an exact surface")
+    z0 = z0 if isinstance(z0, GaussianRational) else GaussianRational(z0)
+    if isinstance(u0, GaussianRational):
+        if not u0.is_real():
+            raise MathPreconditionError("u-coordinate must be real")
+        u0 = u0.real
     z0b = z0.conjugate()
     height = F.evaluate(z0, z0b, u0)
     if v0 is not None:
-        diff = height - (v0 if not exact else (v0 if isinstance(v0, GaussianRational) else GaussianRational(v0)))
-        if not UPoly.const(0, diff, exact).vanishes():
+        if height - (v0 if isinstance(v0, GaussianRational) else GaussianRational(v0)):
             raise MathPreconditionError("point is not on the hypersurface")
 
     n = F.n
-    zero = czero(exact)
     acc = {}
     max_j = max((j for (j, _, _) in F.c), default=0)
     max_k = max((k for (_, k, _) in F.c), default=0)
     max_l = max((l for (_, _, l) in F.c), default=0)
-    z_pows = [cone(exact)]
+    z_pows = [ONE]
     for _ in range(max_j):
         z_pows.append(z_pows[-1] * z0)
-    zb_pows = [cone(exact)]
+    zb_pows = [ONE]
     for _ in range(max_k):
         zb_pows.append(zb_pows[-1] * z0b)
-    u_pows = [cone(exact) if exact else 1.0]
+    u_pows = [ONE]
     for _ in range(max_l):
         u_pows.append(u_pows[-1] * u0)
 
@@ -368,15 +328,14 @@ def translate_to_point(M, z0, u0, v0=None):
                     if l - q:
                         coeff = coeff * u_pows[l - q]
                     key = (s, t, q)
-                    cur = acc.get(key, zero) + coeff
-                    if _nonzero(cur, exact):
+                    cur = acc.get(key, ZERO) + coeff
+                    if cur:
                         acc[key] = cur
                     elif key in acc:
                         del acc[key]
-    const = acc.pop((0, 0, 0), zero) - height
-    if _nonzero(const, exact) and exact:
+    if acc.pop((0, 0, 0), ZERO) - height:
         raise InternalInvariantError("translated constant term failed to cancel")
-    out = Series3(n, acc, exact)
+    out = Series3(n, acc)
     out.assert_real("translated graph")
     return Hypersurface(out, check=False)
 
@@ -389,9 +348,8 @@ def translate_to_point(M, z0, u0, v0=None):
 def _transform_ingredients(M, h, polynomial=False):
     F = M.series
     n = F.n
-    exact = F.exact
-    zv = Series3.z_var(n, exact)
-    big_w = Series3.u_var(n, exact) + F * cimag(exact)
+    zv = Series3.z_var(n)
+    big_w = Series3.u_var(n) + F * I_UNIT
     P = eval_holo3(h.f, zv, big_w, polynomial=polynomial)
     if P.n < n:
         # f is carried to weight n-1 only; the missing weight-n slice of P
@@ -402,11 +360,10 @@ def _transform_ingredients(M, h, polynomial=False):
     E = eval_holo3(h.g, zv, big_w, polynomial=polynomial)
     if E.n < n:
         raise MathPreconditionError("map w-component truncated below the surface order")
-    half = chalf(exact)
-    minus_half_i = cimag(exact) * half * (-1)
-    Q = (E + E.conj()) * half
+    minus_half_i = I_UNIT * HALF * (-1)
+    Q = (E + E.conj()) * HALF
     R = (E - E.conj()) * minus_half_i
-    return n, exact, P, Q, R
+    return n, P, Q, R
 
 
 def graph_transform(M, h):
@@ -421,34 +378,31 @@ def graph_transform(M, h):
     same arguments, so the powers of the inverse coordinates and of (P, Q)
     are built once per call, in one GraphTable each.
     """
-    if M.exact != h.exact:
-        raise InternalInvariantError("surface/map mode mismatch")
-    if _nonzero(h.g.coeff(1, 0), M.exact):
+    if h.g.coeff(1, 0):
         raise MathPreconditionError("graph transform needs g_z(0) = 0")
-    if not _nonzero(h.f.coeff(1, 0), M.exact):
+    if not h.f.coeff(1, 0):
         raise MathPreconditionError("graph transform needs f_z(0) != 0")
     if h.f.n < M.n - 1:
         raise MathPreconditionError("map z-component truncated below the surface order")
 
-    n, exact, P, Q, R = _transform_ingredients(M, h)
+    n, P, Q, R = _transform_ingredients(M, h)
     Q.assert_real("transformed u-coordinate")
     sigma = Q.coeff(0, 0, 1)
-    if not _nonzero(sigma, exact) or (not exact and scalar_abs(sigma) < 1e-12):
+    if not sigma:
         raise MathPreconditionError("image is not a graph over (z, u): u-part degenerates")
     lam = P.coeff(1, 0, 0)
 
-    one = cone(exact)
-    zs_inv = Series3.z_var(n, exact) * (one / lam)
-    q2 = Q.weight_part(2) - Series3.monomial(n, 0, 0, 1, sigma, exact)
-    uv = Series3.u_var(n, exact)
+    zs_inv = Series3.z_var(n) * (ONE / lam)
+    q2 = Q.weight_part(2) - Series3.monomial(n, 0, 0, 1, sigma)
+    uv = Series3.u_var(n)
     if q2.is_zero():
-        us_inv = uv * (one / sigma)
+        us_inv = uv * (ONE / sigma)
     else:
-        us_inv = (uv - eval_graph(q2, zs_inv, uv)) * (one / sigma)
+        us_inv = (uv - eval_graph(q2, zs_inv, uv)) * (ONE / sigma)
 
     inverse, forward = GraphTable(zs_inv, us_inv, n), GraphTable(P, Q, n)
     S = R
-    out = Series3.zero(n, exact)
+    out = Series3.zero(n)
     for nu in range(1, n + 1):
         s_nu = S.weight_part(nu)
         if s_nu.is_zero():
@@ -458,7 +412,7 @@ def graph_transform(M, h):
         out = out + f_nu
     S.assert_zero("graph transform recursion remainder")
     out.assert_real("transformed graph")
-    if _nonzero(out.coeff(0, 0, 0), exact) and exact:
+    if out.coeff(0, 0, 0):
         raise InternalInvariantError("transformed graph gained a constant term")
     return Hypersurface(out, check=False), P, Q
 
@@ -472,7 +426,7 @@ def fundamental_identity_residual(M, h, M_target, polynomial=False):
     the solver's internals).
     """
     n = min(M.n, M_target.n)
-    _, exact, P, Q, R = _transform_ingredients(M.with_order(n), h, polynomial=polynomial)
+    _, P, Q, R = _transform_ingredients(M.with_order(n), h, polynomial=polynomial)
     composed = eval_graph(M_target.series, P, Q, polynomial=polynomial)
     return (composed - R).truncate(n)
 
@@ -509,34 +463,28 @@ def adapt_chart(M, stages=None, verify=False):
     stages = [] if stages is None else stages
     F = M.series
     n = F.n
-    exact = F.exact
-    one = cone(exact)
-    i_unit = cimag(exact)
-    half = chalf(exact)
 
     # -- shear: kill the z-linear coefficient exactly ------------------------
     alpha = F.coeff(1, 0, 0)
-    if _nonzero(alpha, exact):
+    if alpha:
         c = F.coeff(0, 0, 1)
-        nu = (alpha * 2) / (c + i_unit)
+        nu = (alpha * 2) / (c + I_UNIT)
         nub = nu.conjugate()
         shift = Series3(
             n,
-            {(0, 0, 1): one, (1, 0, 0): -(nu * half), (0, 1, 0): -(nub * half)},
-            exact,
+            {(0, 0, 1): ONE, (1, 0, 0): -(nu * HALF), (0, 1, 0): -(nub * HALF)},
         )
         harm = Series3(
             n,
-            {(1, 0, 0): nu * (i_unit * (-1)) * half, (0, 1, 0): nub * i_unit * half},
-            exact,
+            {(1, 0, 0): nu * (I_UNIT * (-1)) * HALF, (0, 1, 0): nub * I_UNIT * HALF},
         )
-        F1 = eval_graph(F, Series3.z_var(n, exact), shift, n_out=n, polynomial=True) + harm
+        F1 = eval_graph(F, Series3.z_var(n), shift, n_out=n, polynomial=True) + harm
         F1.assert_real("sheared graph")
-        if _nonzero(F1.coeff(1, 0, 0), exact) and exact:
+        if F1.coeff(1, 0, 0):
             raise InternalInvariantError("w-shear failed to kill the z-linear term")
         h = Biholo(
-            HoloSeries.z_var(n - 1, exact),
-            HoloSeries(n, {(0, 1): one, (1, 0): nu}, exact),
+            HoloSeries.z_var(n - 1),
+            HoloSeries(n, {(0, 1): ONE, (1, 0): nu}),
         )
         M2 = Hypersurface(F1, check=False)
         ok = None
@@ -552,50 +500,43 @@ def adapt_chart(M, stages=None, verify=False):
 
     # -- tilt: kill the u-linear coefficient ---------------------------------
     c = F.coeff(0, 0, 1)
-    if _nonzero(c, exact):
+    if c:
         h = Biholo(
-            HoloSeries.z_var(n - 1, exact),
-            HoloSeries(n, {(0, 1): one - i_unit * c}, exact),
+            HoloSeries.z_var(n - 1),
+            HoloSeries(n, {(0, 1): ONE - I_UNIT * c}),
         )
         M = _run_stage("tilt", M, h, stages, verify)
         F = M.series
-        if _nonzero(F.coeff(0, 0, 1), exact) and exact:
+        if F.coeff(0, 0, 1):
             raise InternalInvariantError("w-tilt failed to kill the u-linear term")
 
     # -- bend: kill the z^2 harmonic ------------------------------------------
     beta = F.coeff(2, 0, 0)
-    if _nonzero(beta, exact):
-        zeta = beta * i_unit * (-2)
+    if beta:
+        zeta = beta * I_UNIT * (-2)
         h = Biholo(
-            HoloSeries.z_var(n - 1, exact),
-            HoloSeries(n, {(0, 1): one, (2, 0): zeta}, exact),
+            HoloSeries.z_var(n - 1),
+            HoloSeries(n, {(0, 1): ONE, (2, 0): zeta}),
         )
         M = _run_stage("bend", M, h, stages, verify)
         F = M.series
-        if _nonzero(F.coeff(2, 0, 0), exact) and exact:
+        if F.coeff(2, 0, 0):
             raise InternalInvariantError("w-bend failed to kill the z^2 term")
 
     # -- scale: normalize the Levi coefficient --------------------------------
     e = F.coeff(1, 1, 0)
-    if exact:
-        if not e:
-            raise LeviDegenerateError("Levi form vanishes at the origin")
-        degenerate = False
-    else:
-        degenerate = scalar_abs(e) < 1e-10
-        if degenerate:
-            raise LeviDegenerateError("Levi form numerically degenerate at the origin")
-    if e != one:
+    if not e:
+        raise LeviDegenerateError("Levi form vanishes at the origin")
+    if e != ONE:
         h = Biholo(
-            HoloSeries.z_var(n - 1, exact),
-            HoloSeries(n, {(0, 1): one / e}, exact),
+            HoloSeries.z_var(n - 1),
+            HoloSeries(n, {(0, 1): ONE / e}),
         )
         M = _run_stage("scale", M, h, stages, verify)
         F = M.series
 
-    if exact:
-        if F.low_weight() not in (2,) or F.weight_part(2) != Series3.hermitian_square(n, exact):
-            raise InternalInvariantError("adapted chart postcondition failed")
+    if F.low_weight() not in (2,) or F.weight_part(2) != Series3.hermitian_square(n):
+        raise InternalInvariantError("adapted chart postcondition failed")
     return M
 
 
@@ -604,7 +545,7 @@ def adapt_chart(M, stages=None, verify=False):
 # ---------------------------------------------------------------------------
 
 
-def core_expression(f, g, n, exact=True):
+def core_expression(f, g, n):
     """Re{ i g + 2 zbar f } restricted to the model graph w = u + i z zbar.
 
     This is the linearization of the graph transform around the model
@@ -613,14 +554,14 @@ def core_expression(f, g, n, exact=True):
     homogeneous of weights (delta-1, delta).  f and g are treated as
     complete polynomials, whatever their stored truncation order.
     """
-    zv = Series3.z_var(n, exact)
-    w0 = Series3.u_var(n, exact) + Series3.hermitian_square(n, exact) * cimag(exact)
-    acc = Series3.zero(n, exact)
+    zv = Series3.z_var(n)
+    w0 = Series3.u_var(n) + Series3.hermitian_square(n) * I_UNIT
+    acc = Series3.zero(n)
     if not g.is_zero():
-        acc = acc + eval_holo3(g, zv, w0, n_out=n, polynomial=True) * cimag(exact)
+        acc = acc + eval_holo3(g, zv, w0, n_out=n, polynomial=True) * I_UNIT
     if not f.is_zero():
-        acc = acc + Series3.zbar_var(n, exact) * eval_holo3(f, zv, w0, n_out=n, polynomial=True) * 2
-    return (acc + acc.conj()) * chalf(exact)
+        acc = acc + Series3.zbar_var(n) * eval_holo3(f, zv, w0, n_out=n, polynomial=True) * 2
+    return (acc + acc.conj()) * HALF
 
 
 def _weight_monomials(delta):
@@ -668,11 +609,9 @@ def _punctual_system(delta):
     g_keys = _holo_keys(delta)
     monos = _weight_monomials(delta)
     columns = []
-    one = cone(True)
-    i_unit = cimag(True)
     for which, keys in (("f", f_keys), ("g", g_keys)):
         for jk in keys:
-            for val in (one, i_unit):
+            for val in (ONE, I_UNIT):
                 if which == "f":
                     f = HoloSeries(delta - 1, {jk: val})
                     g = HoloSeries.zero(delta)
@@ -685,16 +624,12 @@ def _punctual_system(delta):
     return _PUNCTUAL_CACHE[key]
 
 
-def _solve_punctual(delta, target, exact):
+def _solve_punctual(delta, target):
     """Solve core_expression(f, g) = target for homogeneous (f, g)."""
     f_keys, g_keys, monos, columns = _punctual_system(delta)
     rhs = _series_rows(target, monos)
-    if exact:
-        mat = [[col[r] for col in columns] for r in range(len(rhs))]
-        sol = solve(mat, rhs)
-    else:
-        mat = [[complex(col[r]) for col in columns] for r in range(len(rhs))]
-        sol = solve(mat, [complex(v) for v in rhs], pivoting="partial")
+    mat = [[col[r] for col in columns] for r in range(len(rhs))]
+    sol = solve(mat, rhs)
     if sol is None:
         raise InternalInvariantError(
             "weight-%d correction system is inconsistent" % delta
@@ -707,11 +642,8 @@ def _solve_punctual(delta, target, exact):
         for jk in keys:
             re_part, im_part = sol[idx], sol[idx + 1]
             idx += 2
-            if exact:
-                val = GaussianRational(re_part, 0) + GaussianRational(im_part, 0) * cimag(True)
-            else:
-                val = complex(re_part) + complex(im_part) * 1j
-            if _nonzero(val, exact):
+            val = GaussianRational(re_part, 0) + GaussianRational(im_part, 0) * I_UNIT
+            if val:
                 store[jk] = val
     return fc, gc
 
@@ -721,21 +653,19 @@ def punctual_normalize(M, stages=None, verify=False):
     stages = [] if stages is None else stages
     F = M.series
     n = F.n
-    exact = F.exact
     if n < 6:
         raise MathPreconditionError("punctual normalization needs order >= 6")
-    if exact and F.up_to_weight(2) != Series3.hermitian_square(n, exact).up_to_weight(2):
+    if F.up_to_weight(2) != Series3.hermitian_square(n).up_to_weight(2):
         raise MathPreconditionError("punctual normalization needs an adapted chart")
-    one = cone(exact)
     for delta in (3, 4, 5):
         target = M.series.weight_part(delta)
         if target.is_zero():
             continue
-        fc, gc = _solve_punctual(delta, target, exact)
-        f = HoloSeries.z_var(n - 1, exact) + HoloSeries(n - 1, fc, exact)
-        g = HoloSeries.w_var(n, exact) + HoloSeries(n, gc, exact)
+        fc, gc = _solve_punctual(delta, target)
+        f = HoloSeries.z_var(n - 1) + HoloSeries(n - 1, fc)
+        g = HoloSeries.w_var(n) + HoloSeries(n, gc)
         M = _run_stage("punctual%d" % delta, M, Biholo(f, g), stages, verify)
-        if not M.series.weight_part(delta).vanishes():
+        if not M.series.weight_part(delta).is_zero():
             raise InternalInvariantError(
                 "weight-%d normalization left a remainder" % delta
             )
@@ -750,10 +680,9 @@ def punctual_normalize(M, stages=None, verify=False):
 def _map_along_curve(h_component, phi, psi):
     """h(phi(t), psi(t)) for an exact polynomial map component h."""
     n = min(phi.n, psi.n)
-    exact = phi.exact
-    res = UPoly.zero(n, exact)
-    phi_pows = {0: UPoly.one(n, exact)}
-    psi_pows = {0: UPoly.one(n, exact)}
+    res = UPoly.zero(n)
+    phi_pows = {0: UPoly.one(n)}
+    psi_pows = {0: UPoly.one(n)}
     for (j, l), v in h_component.c.items():
         if j not in phi_pows:
             base = phi_pows[max(phi_pows)]
@@ -778,7 +707,7 @@ def transform_curve(curve, h):
     phi_raw = _map_along_curve(h.f, curve.phi, curve.psi)
     psi_raw = _map_along_curve(h.g, curve.phi, curve.psi)
     s = psi_raw.real_part()
-    if not _nonzero(s.coeff(1), curve.exact):
+    if not s.coeff(1):
         raise MathPreconditionError("transformed curve loses transversality")
     tau = s.reversion()
     return TransversalCurve(phi_raw.compose(tau), psi_raw.compose(tau))
@@ -793,17 +722,16 @@ def straighten_curve(M, curve, stages=None, verify=False):
     stages = [] if stages is None else stages
     curve.validate_on(M)
     n = M.n
-    exact = M.exact
     trivial_phi = curve.phi.is_zero()
-    trivial_psi = curve.psi == UPoly.var(curve.psi.n, exact)
+    trivial_psi = curve.psi == UPoly.var(curve.psi.n)
     if trivial_phi and trivial_psi:
         return M
     tau = curve.psi.reversion()
     phi_of = curve.phi.compose(tau)
-    f = HoloSeries.z_var(n - 1, exact) - HoloSeries.from_w_series(phi_of, n - 1)
+    f = HoloSeries.z_var(n - 1) - HoloSeries.from_w_series(phi_of, n - 1)
     g = HoloSeries.from_w_series(tau, n)
     M2 = _run_stage("straighten", M, Biholo(f, g), stages, verify)
-    if not M2.series.pure_u_part().vanishes():
+    if not M2.series.pure_u_part().is_zero():
         raise InternalInvariantError("straightened curve is not the u-axis")
     return M2
 
@@ -818,38 +746,33 @@ def kill_harmonics(M, stages=None, verify=False):
     stages = [] if stages is None else stages
     F = M.series
     n = F.n
-    exact = F.exact
-    if _nonzero(F.coeff(1, 0, 0), exact) or _nonzero(F.coeff(0, 0, 1), exact) or _nonzero(
-        F.coeff(2, 0, 0), exact
-    ):
+    if F.coeff(1, 0, 0) or F.coeff(0, 0, 1) or F.coeff(2, 0, 0):
         raise MathPreconditionError("harmonic killing needs an adapted chart")
-    if not F.pure_u_part().vanishes():
+    if not F.pure_u_part().is_zero():
         raise MathPreconditionError("harmonic killing needs a straightened u-axis")
 
     harm = HoloSeries(
-        n, {(j, l): v for (j, k, l), v in F.c.items() if k == 0 and j >= 1}, exact
+        n, {(j, l): v for (j, k, l), v in F.c.items() if k == 0 and j >= 1}
     )
     if harm.is_zero():
         return M
-    i_unit = cimag(exact)
     # invert omega = u + i F(z, 0, u) for u = T(z, omega)
-    zv = HoloSeries.z_var(n, exact)
-    T = HoloSeries.w_var(n, exact)
+    zv = HoloSeries.z_var(n)
+    T = HoloSeries.w_var(n)
     for _ in range(n):
-        T_next = HoloSeries.w_var(n, exact) - eval_holo2(harm, zv, T, n_out=n) * i_unit
+        T_next = HoloSeries.w_var(n) - eval_holo2(harm, zv, T, n_out=n) * I_UNIT
         if T_next == T:
             break
         T = T_next
     else:
-        if exact:
-            raise InternalInvariantError("harmonic inversion did not stabilize")
-    g_corr = eval_holo2(harm, zv, T, n_out=n) * (i_unit * (-2))
-    if exact and g_corr != (T - HoloSeries.w_var(n, exact)) * 2:
+        raise InternalInvariantError("harmonic inversion did not stabilize")
+    g_corr = eval_holo2(harm, zv, T, n_out=n) * (I_UNIT * (-2))
+    if g_corr != (T - HoloSeries.w_var(n)) * 2:
         raise InternalInvariantError("harmonic inversion identity failed")
-    h = Biholo(HoloSeries.z_var(n - 1, exact), HoloSeries.w_var(n, exact) + g_corr)
+    h = Biholo(HoloSeries.z_var(n - 1), HoloSeries.w_var(n) + g_corr)
     M2 = _run_stage("harmonics", M, h, stages, verify)
     leftover = Series3(
-        n, {key: v for key, v in M2.series.c.items() if key[0] == 0 or key[1] == 0}, exact
+        n, {key: v for key, v in M2.series.c.items() if key[0] == 0 or key[1] == 0}
     )
     leftover.assert_zero("harmonic slices after harmonic killing")
     return M2
@@ -864,20 +787,18 @@ def normalize_levi(M, stages=None, verify=False):
     """Scale z by 1/sqrt(F_{1,1}(u)) so the Levi slice becomes constant 1."""
     stages = [] if stages is None else stages
     n = M.n
-    exact = M.exact
     f11 = M.slice(1, 1)
-    one = cone(exact)
-    if not UPoly.const(0, f11.coeff(0) - one, exact).vanishes():
+    if f11.coeff(0) - ONE:
         raise MathPreconditionError("Levi slice must start at 1")
-    if exact and not f11.is_real():
+    if not f11.is_real():
         raise InternalInvariantError("Levi slice is not real")
-    if f11 == UPoly.one(f11.n, exact):
+    if f11 == UPoly.one(f11.n):
         return M
     root = f11.sqrt()
-    f = (HoloSeries.z_var(n - 1, exact) * HoloSeries.from_w_series(root, n - 1)).truncate(n - 1)
-    h = Biholo(f, HoloSeries.w_var(n, exact))
+    f = (HoloSeries.z_var(n - 1) * HoloSeries.from_w_series(root, n - 1)).truncate(n - 1)
+    h = Biholo(f, HoloSeries.w_var(n))
     M2 = _run_stage("levi", M, h, stages, verify)
-    if not (M2.slice(1, 1) - UPoly.one((n - 2) // 2, exact)).vanishes():
+    if not (M2.slice(1, 1) - UPoly.one((n - 2) // 2)).is_zero():
         raise InternalInvariantError("Levi slice not normalized to 1")
     return M2
 
@@ -887,19 +808,17 @@ def absorb_k1(M, stages=None, verify=False):
     stages = [] if stages is None else stages
     F = M.series
     n = F.n
-    exact = F.exact
     lam_corr = HoloSeries(
-        n - 1, {(j, l): v for (j, k, l), v in F.c.items() if k == 1 and j >= 2}, exact
+        n - 1, {(j, l): v for (j, k, l), v in F.c.items() if k == 1 and j >= 2}
     )
     if lam_corr.is_zero():
         return M
-    f = HoloSeries.z_var(n - 1, exact) + lam_corr
-    h = Biholo(f, HoloSeries.w_var(n, exact))
+    f = HoloSeries.z_var(n - 1) + lam_corr
+    h = Biholo(f, HoloSeries.w_var(n))
     M2 = _run_stage("absorb", M, h, stages, verify)
     leftover = Series3(
         n,
         {key: v for key, v in M2.series.c.items() if (key[1] == 1 and key[0] >= 2) or (key[0] == 1 and key[1] >= 2)},
-        exact,
     )
     leftover.assert_zero("degree-one slices after absorption")
     return M2
@@ -909,26 +828,25 @@ def kill_f22_rotation(M, stages=None, verify=False):
     """Rotate z by the unit factor lambda(u) that removes the F_{2,2} slice."""
     stages = [] if stages is None else stages
     n = M.n
-    exact = M.exact
     f22 = M.slice(2, 2)
     if f22.is_zero():
         return M
-    if exact and not f22.is_real():
+    if not f22.is_real():
         raise InternalInvariantError("F22 slice is not real")
-    minus_half_i = cimag(exact) * chalf(exact) * (-1)
+    minus_half_i = I_UNIT * HALF * (-1)
     lam = (f22.integrate() * minus_half_i).exp()
-    unit_defect = lam * lam.conjugate() - UPoly.one(lam.n, exact)
-    if not unit_defect.vanishes():
+    unit_defect = lam * lam.conjugate() - UPoly.one(lam.n)
+    if not unit_defect.is_zero():
         raise InternalInvariantError("rotation factor is not unitary")
-    f = (HoloSeries.z_var(n - 1, exact) * HoloSeries.from_w_series(lam, n - 1)).truncate(n - 1)
-    h = Biholo(f, HoloSeries.w_var(n, exact))
+    f = (HoloSeries.z_var(n - 1) * HoloSeries.from_w_series(lam, n - 1)).truncate(n - 1)
+    h = Biholo(f, HoloSeries.w_var(n))
     M2 = _run_stage("rotate", M, h, stages, verify)
     # the rotation satisfies 2i lambda'/lambda = F22 by construction; with
     # the new slice F'22 = 0 that is exactly the stage's defining equation
-    ode_defect = lam.derivative() * cimag(exact) * 2 - (f22 * lam).truncate(lam.n - 1)
-    if not ode_defect.vanishes():
+    ode_defect = lam.derivative() * I_UNIT * 2 - (f22 * lam).truncate(lam.n - 1)
+    if not ode_defect.is_zero():
         raise InternalInvariantError("rotation factor violates its defining equation")
-    if not M2.slice(2, 2).vanishes():
+    if not M2.slice(2, 2).is_zero():
         raise InternalInvariantError("F22 slice survived the rotation")
     return M2
 
@@ -942,41 +860,39 @@ def kill_f33_reparam(M, stages=None, verify=False):
     """
     stages = [] if stages is None else stages
     n = M.n
-    exact = M.exact
     f33 = M.slice(3, 3)
     if f33.is_zero():
         return M
-    if exact and not f33.is_real():
+    if not f33.is_real():
         raise InternalInvariantError("F33 slice is not real")
     eta_order = f33.n + 2
-    one = cone(exact)
-    three_halves = chalf(exact) * 3
-    eta = {0: one}
+    three_halves = HALF * 3
+    eta = {0: ONE}
     for m in range(0, eta_order - 1):
         # eta_{m+2} = (3/2) (F33 * eta)_m / ((m+1)(m+2))
-        acc = czero(exact)
+        acc = ZERO
         for j, fv in f33.c.items():
             if j <= m and (m - j) in eta:
                 acc = acc + fv * eta[m - j]
         acc = acc * three_halves
-        if _nonzero(acc, exact):
+        if acc:
             eta[m + 2] = acc / ((m + 1) * (m + 2))
-    eta = UPoly(eta_order, eta, exact)
+    eta = UPoly(eta_order, eta)
     phi = eta.inverse()
     psi_u = phi * phi
     psi = psi_u.integrate()
     # assert the nonlinear reparametrization law: psi''' psi' = (3/2) psi''^2 - 3 F33 psi'^2
     lhs = psi.derivative().derivative().derivative() * psi_u
     rhs = psi_u.derivative() * psi_u.derivative() * three_halves - f33 * psi_u * psi_u * 3
-    if not (lhs - rhs).vanishes():
+    if not (lhs - rhs).is_zero():
         raise InternalInvariantError("reparametrization ODE violated")
 
-    f = (HoloSeries.z_var(n - 1, exact) * HoloSeries.from_w_series(phi, n - 1)).truncate(n - 1)
+    f = (HoloSeries.z_var(n - 1) * HoloSeries.from_w_series(phi, n - 1)).truncate(n - 1)
     g = HoloSeries.from_w_series(psi, n)
     h = Biholo(f, g)
     f42_before = M.slice(4, 2)
     M2 = _run_stage("reparam", M, h, stages, verify)
-    if not M2.slice(3, 3).vanishes():
+    if not M2.slice(3, 3).is_zero():
         raise InternalInvariantError("F33 slice survived the reparametrization")
     # transported-slice law: psi' F42 = phi^6 (F'42 o psi)
     f42_after = M2.slice(4, 2)
@@ -986,7 +902,7 @@ def kill_f33_reparam(M, stages=None, verify=False):
         phi6 = phi * phi * phi
         phi6 = phi6 * phi6
         rhs42 = (phi6 * f42_after.compose(psi.truncate(sound))).truncate(sound)
-        if not (lhs42 - rhs42).vanishes():
+        if not (lhs42 - rhs42).is_zero():
             raise InternalInvariantError("degree-(4,2) slice transport law violated")
     return M2
 
@@ -1018,17 +934,14 @@ def _chain_response(m):
         return _CHAIN_RESPONSE_CACHE[m]
     n_probe = 2 * m + 1
     sphere = Hypersurface.sphere(n_probe)
-    one = cone(True)
-    i_unit = cimag(True)
-    half = chalf(True)
     r_one = _f32_slice_through_subpipeline(
-        sphere, UPoly(n_probe // 2, {m: one})
+        sphere, UPoly(n_probe // 2, {m: ONE})
     ).coeff(m - 2)
     r_i = _f32_slice_through_subpipeline(
-        sphere, UPoly(n_probe // 2, {m: i_unit})
+        sphere, UPoly(n_probe // 2, {m: I_UNIT})
     ).coeff(m - 2)
-    kappa = (r_one + i_unit * r_i) * half
-    mu = (r_one - i_unit * r_i) * half
+    kappa = (r_one + I_UNIT * r_i) * HALF
+    mu = (r_one - I_UNIT * r_i) * HALF
     _CHAIN_RESPONSE_CACHE[m] = (kappa, mu)
     return kappa, mu
 
@@ -1036,7 +949,7 @@ def _chain_response(m):
 def find_chain_curve(M):
     """The z-component of the chain through the origin with flat 1-jet.
 
-    Requires an exact surface of the shape z zbar + (weight >= 6).  The curve
+    Requires a surface of the shape z zbar + (weight >= 6).  The curve
     coefficients c_m (m >= 3; c_2 = 0 on such surfaces) are solved order by
     order from the straightening residual's affine response.
 
@@ -1054,8 +967,6 @@ def find_chain_curve(M):
     normalize_hypersurface still checks the full-order slice(3, 2) after the
     rotation, which certifies the found chain on every call.
     """
-    if not M.exact:
-        raise MathPreconditionError("chain finding runs in exact arithmetic only")
     F = M.series
     n = F.n
     low = (F - Series3.hermitian_square(n)).low_weight()
@@ -1078,7 +989,7 @@ def find_chain_curve(M):
         kappa, mu = _chain_response(m)
         # r0 + kappa conj(c) + mu c = 0, c = x + iy
         a = kappa + mu
-        b = (mu - kappa) * cimag(True)
+        b = (mu - kappa) * I_UNIT
         rows = [[a.real, b.real], [a.imag, b.imag]]
         rhs = [-r0.real, -r0.imag]
         sol = solve(rows, rhs)
@@ -1108,20 +1019,19 @@ PIPELINE_STEPS = (
 def assert_normal_form(M):
     """Check the normal-form shape: the model term plus constrained weight >= 6."""
     n = M.n
-    exact = M.exact
     defects = []
     for j in range(0, n + 1):
         defects.append(M.slice(j, 0))
     for j in range(2, n):
         defects.append(M.slice(j, 1))
-    defects.append(M.slice(1, 1) - UPoly.one((n - 2) // 2, exact))
+    defects.append(M.slice(1, 1) - UPoly.one((n - 2) // 2))
     if n >= 4:
         defects.append(M.slice(2, 2))
     if n >= 5:
         defects.append(M.slice(3, 2))
     if n >= 6:
         defects.append(M.slice(3, 3))
-    if not all(d.vanishes() for d in defects):
+    if not all(d.is_zero() for d in defects):
         raise InternalInvariantError("surface is not in normal form")
 
 
@@ -1143,7 +1053,7 @@ class PipelineResult:
     def composite_map(self):
         """All stage maps composed (applied left to right)."""
         if not self.stages:
-            return Biholo.identity(self.surface.n, self.surface.exact)
+            return Biholo.identity(self.surface.n)
         total = self.stages[0].map
         for stage in self.stages[1:]:
             total = stage.map.compose(total)
@@ -1171,7 +1081,6 @@ def normalize_hypersurface(M, curve=None, verify=False, stop_after=None):
         raise MathPreconditionError("normalization needs truncation order >= 6")
     stages = []
     chain = None
-    exact = M.exact
 
     def result(surface, completed):
         return PipelineResult(M, surface, stages, chain, completed)
@@ -1183,11 +1092,6 @@ def normalize_hypersurface(M, curve=None, verify=False, stop_after=None):
         cur = punctual_normalize(cur, stages, verify)
         if stop_after == "punctual":
             return result(cur, False)
-        if not exact:
-            raise MathPreconditionError(
-                "automatic chain finding needs an exact surface; "
-                "pass an explicit curve in numeric mode"
-            )
         chain = TransversalCurve.complete(cur, find_chain_curve(cur))
         cur = straighten_curve(cur, chain, stages, verify)
         if stop_after == "straighten":
@@ -1219,7 +1123,7 @@ def normalize_hypersurface(M, curve=None, verify=False, stop_after=None):
     if stop_after == "rotate":
         return result(cur, False)
 
-    if not cur.slice(3, 2).vanishes():
+    if not cur.slice(3, 2).is_zero():
         if curve is None:
             raise InternalInvariantError("automatically found curve left a chain obstruction")
         raise MathPreconditionError(

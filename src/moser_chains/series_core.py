@@ -27,10 +27,9 @@ order to which its result is sound.  A table holds the powers at one order
 and can be shared by several substitutions into the same arguments at that
 order (``GraphTable``); each entry point builds a fresh one.
 
-Coefficients are either exact Gaussian rationals (``GaussianRational``) or
-Python ``complex`` (numeric mode); a container never mixes the two.  Exact
-arithmetic uses ``gmpy2.mpq`` when available and ``fractions.Fraction``
-otherwise -- identical semantics, gmpy2 is just faster.
+Coefficients are exact Gaussian rationals (``GaussianRational``, two
+``fractions.Fraction`` parts).  The series code uses only ``+ - * /``,
+``conjugate`` and truthiness of its scalars, so a zero test is exact.
 
 All containers are immutable in practice: every operation returns a new
 object and exact zeros are stripped, so equality of content is equality of
@@ -40,62 +39,22 @@ the coefficient dicts.
 from __future__ import annotations
 
 import operator
-import os
 import re
 
 from fractions import Fraction
 
 from .errors import InternalInvariantError, ParseError
 
-try:  # pragma: no cover - exercised implicitly by whichever env runs
-    from gmpy2 import mpq as _mpq
-
-    def _rat(p=0, q=None):
-        if q is None:
-            return _mpq(p)
-        return _mpq(p, q)
-
-except ImportError:  # pragma: no cover
-
-    def _rat(p=0, q=None):
-        if q is None:
-            return Fraction(p)
-        return Fraction(p, q)
-
-
 #: scalar types accepted as exact *real* rationals
-RATIONAL_TYPES = (int, Fraction, type(_rat(0)))
+RATIONAL_TYPES = (int, Fraction)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
-
-# Tolerance used by *internal* consistency assertions in numeric mode (the
-# exact mode asserts exact zero).  User-facing accuracy statements use their
-# own, documented tolerances.
-FLOAT_ASSERT_TOL = 1e-7
-
-
-def default_order():
-    """Working truncation order: MOSER_CHAINS_ORDER env var, default 6.
-
-    Values below 6 are rejected -- the normal form itself lives in weights
-    up to 6, so nothing meaningful can be computed below that.
-    """
-    raw = os.environ.get("MOSER_CHAINS_ORDER")
-    if raw is None:
-        return 6
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParseError("MOSER_CHAINS_ORDER must be an integer, got %r" % raw)
-    if n < 6:
-        raise ParseError("MOSER_CHAINS_ORDER must be >= 6, got %d" % n)
-    return n
 
 
 def parse_rational(text):
     """Parse "p" or "p/q" (reduced or not) into an exact rational."""
     if isinstance(text, int) and not isinstance(text, bool):
-        return _rat(text)
+        return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ParseError("bad rational literal: %r" % (text,))
     s = text.strip().lstrip("+")
@@ -107,17 +66,16 @@ def parse_rational(text):
         qi = int(q)
         if qi == 0:
             raise ParseError("zero denominator in rational literal %r" % (text,))
-        val = _rat(int(p), qi)
+        val = Fraction(int(p), qi)
         return -val if neg else val
-    return _rat(int(s))
+    return Fraction(int(s))
 
 
 class GaussianRational:
     """Exact complex number  re + i*im  with rational real/imaginary parts.
 
-    Mirrors the part of the ``complex`` interface the series code relies on
-    (arithmetic, ``conjugate``, ``real``/``imag``, truthiness), so containers
-    can hold either kind without branching.
+    Offers the part of the ``complex`` interface the series code relies on:
+    arithmetic, ``conjugate``, ``real``/``imag`` and truthiness.
     """
 
     __slots__ = ("_re", "_im")
@@ -125,8 +83,8 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
             raise InternalInvariantError("GaussianRational parts must be exact rationals")
-        self._re = re if isinstance(re, RATIONAL_TYPES[2:]) else _rat(re)
-        self._im = im if isinstance(im, RATIONAL_TYPES[2:]) else _rat(im)
+        self._re = re if isinstance(re, Fraction) else Fraction(re)
+        self._im = im if isinstance(im, Fraction) else Fraction(im)
 
     @property
     def real(self):
@@ -154,7 +112,7 @@ class GaussianRational:
 
     def __hash__(self):
         if not self._im:
-            return hash(Fraction(self._re.numerator, self._re.denominator))
+            return hash(self._re)
         return hash((self._re, self._im))
 
     def __neg__(self):
@@ -244,37 +202,19 @@ def gr(re, im=0):
     return GaussianRational(re, im)
 
 
-def czero(exact):
-    return GaussianRational() if exact else 0j
+# Shared scalars; a GaussianRational is never changed in place.
+ZERO = GaussianRational()
+ONE = GaussianRational(1)
+I_UNIT = GaussianRational(0, 1)
+HALF = GaussianRational(Fraction(1, 2))
 
 
-def cone(exact):
-    return GaussianRational(1) if exact else (1 + 0j)
-
-
-def cimag(exact):
-    return GaussianRational(0, 1) if exact else 1j
-
-
-def chalf(exact):
-    return GaussianRational(_rat(1, 2)) if exact else (0.5 + 0j)
-
-
-def _check_scalar(value, exact, where):
-    if exact:
-        if isinstance(value, (complex, float)):
-            raise InternalInvariantError(
-                "float scalar %r leaked into exact-mode %s scalar mul" % (value, where)
-            )
-        if isinstance(value, RATIONAL_TYPES):
-            return GaussianRational(value)
-        return value
-    return complex(value)
-
-
-def scalar_abs(value):
-    """|value| as a float, for either coefficient domain."""
-    return abs(complex(value))
+def _check_scalar(value, where):
+    if isinstance(value, (complex, float)):
+        raise InternalInvariantError("float scalar %r in %s scalar mul" % (value, where))
+    if isinstance(value, RATIONAL_TYPES):
+        return GaussianRational(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +231,7 @@ class WeightedSeries:
     with other keys also overrides ``_add_keys`` and ``_negative``.
     """
 
-    __slots__ = ("n", "c", "exact")
+    __slots__ = ("n", "c")
 
     @staticmethod
     def _add_keys(a, b):
@@ -301,11 +241,10 @@ class WeightedSeries:
     def _negative(key):
         return min(key) < 0
 
-    def __init__(self, n, coeffs=None, exact=True):
+    def __init__(self, n, coeffs=None):
         if n < 0:
             raise InternalInvariantError("%s with negative order %d" % (type(self).__name__, n))
         self.n = n
-        self.exact = exact
         c = {}
         if coeffs:
             weight, negative = self._weight, self._negative
@@ -321,52 +260,39 @@ class WeightedSeries:
     # -- constructors ------------------------------------------------------------
 
     @classmethod
-    def zero(cls, n, exact=True):
-        return cls(n, None, exact)
+    def zero(cls, n):
+        return cls(n, None)
 
     @classmethod
-    def one(cls, n, exact=True):
-        return cls(n, {cls._ONE_KEY: cone(exact)}, exact)
+    def one(cls, n):
+        return cls(n, {cls._ONE_KEY: ONE})
 
     # -- basics ------------------------------------------------------------------
 
     def coeff(self, *exponents):
         """Coefficient of the monomial with these exponents (zero if absent)."""
         key = exponents[0] if len(exponents) == 1 else exponents
-        return self.c.get(key, czero(self.exact))
+        return self.c.get(key, ZERO)
 
     def is_zero(self):
         return not self.c
-
-    def vanishes(self):
-        """Zero as an internal assertion reads it: no term at all in exact
-        mode, no coefficient above FLOAT_ASSERT_TOL in numeric mode."""
-        if self.exact:
-            return not self.c
-        return self.max_abs() <= FLOAT_ASSERT_TOL
 
     def low_weight(self):
         """Smallest weight of a present monomial, or None if zero."""
         return min(map(self._weight, self.c)) if self.c else None
 
-    def max_abs(self):
-        return max((scalar_abs(v) for v in self.c.values()), default=0.0)
-
     def weight_part(self, w):
         weight = self._weight
-        return type(self)(self.n, {k: v for k, v in self.c.items() if weight(k) == w}, self.exact)
+        return type(self)(self.n, {k: v for k, v in self.c.items() if weight(k) == w})
 
     def truncate(self, m):
-        return type(self)(min(self.n, m), self.c, self.exact)
+        return type(self)(min(self.n, m), self.c)
 
     def padded(self, m):
         """Reinterpret as exact to weight m (caller vouches: no hidden tail)."""
         if m < self.n:
             return self.truncate(m)
-        return type(self)(m, self.c, self.exact)
-
-    def to_float(self):
-        return type(self)(self.n, {k: complex(v) for k, v in self.c.items()}, False)
+        return type(self)(m, self.c)
 
     def terms(self):
         """Deterministic (key, coeff) iteration, sorted by key."""
@@ -376,7 +302,7 @@ class WeightedSeries:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.n == other.n and self.exact == other.exact and self.c == other.c
+        return self.n == other.n and self.c == other.c
 
     def __repr__(self):
         parts = ["%r: %s" % (k, v) for k, v in list(self.terms())[:12]]
@@ -385,41 +311,33 @@ class WeightedSeries:
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _binop_check(self, other):
-        if self.exact != other.exact:
-            raise InternalInvariantError("mixed exact/float %s arithmetic" % type(self).__name__)
-
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        self._binop_check(other)
         n = min(self.n, other.n)
         weight = self._weight
-        zero = czero(self.exact)
         c = {k: v for k, v in self.c.items() if weight(k) <= n}
         for k, v in other.c.items():
             if weight(k) <= n:
-                s = c.get(k, zero) + v
+                s = c.get(k, ZERO) + v
                 if s:
                     c[k] = s
                 elif k in c:
                     del c[k]
-        return type(self)(n, c, self.exact)
+        return type(self)(n, c)
 
     def __sub__(self, other):
         return self.__add__(-other)
 
     def __neg__(self):
-        return type(self)(self.n, {k: -v for k, v in self.c.items()}, self.exact)
+        return type(self)(self.n, {k: -v for k, v in self.c.items()})
 
     def __mul__(self, other):
         cls = type(self)
         if isinstance(other, cls):
-            self._binop_check(other)
             n = min(self.n, other.n)
             weight, add_keys = self._weight, self._add_keys
             c = {}
-            zero = czero(self.exact)
             bs = sorted((weight(k), k, v) for k, v in other.c.items())
             for k1, v1 in self.c.items():
                 lim = n - weight(k1)
@@ -429,16 +347,16 @@ class WeightedSeries:
                     if w2 > lim:
                         break
                     key = add_keys(k1, k2)
-                    s = c.get(key, zero) + v1 * v2
+                    s = c.get(key, ZERO) + v1 * v2
                     if s:
                         c[key] = s
                     elif key in c:
                         del c[key]
-            return cls(n, c, self.exact)
-        v = _check_scalar(other, self.exact, cls.__name__)
+            return cls(n, c)
+        v = _check_scalar(other, cls.__name__)
         if not v:
-            return cls.zero(self.n, self.exact)
-        return cls(self.n, {k: w * v for k, w in self.c.items()}, self.exact)
+            return cls.zero(self.n)
+        return cls(self.n, {k: w * v for k, w in self.c.items()})
 
     __rmul__ = __mul__
 
@@ -476,12 +394,12 @@ class UPoly(WeightedSeries):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, n, value, exact=True):
-        return cls(n, {0: value}, exact)
+    def const(cls, n, value):
+        return cls(n, {0: value})
 
     @classmethod
-    def var(cls, n, exact=True):
-        return cls(n, {1: cone(exact)}, exact)
+    def var(cls, n):
+        return cls(n, {1: ONE})
 
     # -- basics --------------------------------------------------------------
 
@@ -492,26 +410,21 @@ class UPoly(WeightedSeries):
         return all(not v.imag for v in self.c.values())
 
     def conjugate(self):
-        return UPoly(self.n, {m: v.conjugate() for m, v in self.c.items()}, self.exact)
+        return UPoly(self.n, {m: v.conjugate() for m, v in self.c.items()})
 
     def real_part(self):
-        half = chalf(self.exact)
-        return (self + self.conjugate()) * half
-
-    def shifted(self, s):
-        """Multiply by t^s."""
-        return UPoly(self.n, {m + s: v for m, v in self.c.items()}, self.exact)
+        return (self + self.conjugate()) * HALF
 
     # -- calculus ------------------------------------------------------------
 
     def derivative(self):
         c = {m - 1: v * m for m, v in self.c.items() if m >= 1}
-        return UPoly(max(self.n - 1, 0), c, self.exact)
+        return UPoly(max(self.n - 1, 0), c)
 
     def integrate(self):
         """Antiderivative vanishing at 0; gains one sound order."""
         c = {m + 1: v / (m + 1) for m, v in self.c.items()}
-        return UPoly(self.n + 1, c, self.exact)
+        return UPoly(self.n + 1, c)
 
     # -- composition and inverses ---------------------------------------------
 
@@ -519,10 +432,9 @@ class UPoly(WeightedSeries):
         """self(other(t)); requires other(0) = 0."""
         if other.coeff(0):
             raise InternalInvariantError("UPoly.compose needs arg(0) = 0")
-        self._binop_check(other)
         n = min(self.n, other.n)
-        res = UPoly.const(n, self.coeff(0), self.exact) if self.coeff(0) else UPoly.zero(n, self.exact)
-        pw = UPoly.one(n, self.exact)
+        res = UPoly.const(n, self.coeff(0)) if self.coeff(0) else UPoly.zero(n)
+        pw = UPoly.one(n)
         top = self.degree()
         if top is None:
             return res
@@ -541,25 +453,23 @@ class UPoly(WeightedSeries):
         a1 = self.coeff(1)
         if not a1:
             raise InternalInvariantError("reversion needs a nonzero linear coefficient")
-        one = cone(self.exact)
-        inv = {1: one / a1}
+        inv = {1: ONE / a1}
         for m in range(2, self.n + 1):
-            partial = UPoly(m, inv, self.exact)
+            partial = UPoly(m, inv)
             comp = self.truncate(m).compose(partial)
             resid = comp.coeff(m)
             if resid:
                 inv[m] = -resid / a1
-        return UPoly(self.n, inv, self.exact)
+        return UPoly(self.n, inv)
 
     def inverse(self):
         """Multiplicative inverse; needs c0 != 0."""
         a0 = self.coeff(0)
         if not a0:
             raise InternalInvariantError("UPoly.inverse needs a unit constant term")
-        one = cone(self.exact)
-        b = {0: one / a0}
+        b = {0: ONE / a0}
         for m in range(1, self.n + 1):
-            acc = czero(self.exact)
+            acc = ZERO
             for j in range(1, m + 1):
                 aj = self.c.get(j)
                 if aj:
@@ -568,26 +478,18 @@ class UPoly(WeightedSeries):
                         acc = acc + aj * bm
             if acc:
                 b[m] = -acc / a0
-        return UPoly(self.n, b, self.exact)
+        return UPoly(self.n, b)
 
     def sqrt(self):
-        """Square root branch with s(0) near 1.
+        """The square root with s(0) = 1 of a series with constant term 1.
 
-        Exact mode insists on constant term exactly 1 (so the result stays
-        rational); float mode accepts any constant term with positive real
-        part and takes the principal square root.
+        Any other constant term is refused: its square root is in general
+        not a Gaussian rational.
         """
-        c0 = self.coeff(0)
-        if self.exact:
-            if c0 != cone(True):
-                raise InternalInvariantError("UPoly.sqrt needs constant term 1")
-            s0 = cone(True)
-        else:
-            if complex(c0).real <= 0.0:
-                raise InternalInvariantError("UPoly.sqrt needs Re c0 > 0")
-            s0 = complex(c0) ** 0.5
-        double = s0 + s0
-        s = {0: s0}
+        if self.coeff(0) != ONE:
+            raise InternalInvariantError("UPoly.sqrt needs constant term 1")
+        double = ONE + ONE
+        s = {0: ONE}
         for m in range(1, self.n + 1):
             acc = self.coeff(m)
             for j in range(1, m):
@@ -597,16 +499,16 @@ class UPoly(WeightedSeries):
                     acc = acc - sj * sk
             if acc:
                 s[m] = acc / double
-        return UPoly(self.n, s, self.exact)
+        return UPoly(self.n, s)
 
     def exp(self):
         """exp of a series with no constant term."""
         if self.coeff(0):
             raise InternalInvariantError("UPoly.exp needs a series with no constant term")
-        e = {0: cone(self.exact)}
+        e = {0: ONE}
         for m in range(0, self.n):
             # (m+1) e_{m+1} = sum_{j=0..m} (j+1) a_{j+1} e_{m-j}
-            acc = czero(self.exact)
+            acc = ZERO
             for j in range(0, m + 1):
                 aj = self.c.get(j + 1)
                 if aj:
@@ -615,13 +517,13 @@ class UPoly(WeightedSeries):
                         acc = acc + (aj * (j + 1)) * em
             if acc:
                 e[m + 1] = acc / (m + 1)
-        return UPoly(self.n, e, self.exact)
+        return UPoly(self.n, e)
 
     def evaluate(self, x):
         """Horner evaluation at a scalar."""
         top = self.degree()
         if top is None:
-            return czero(self.exact) if not isinstance(x, (complex, float)) else 0j
+            return ZERO
         acc = self.coeff(top)
         for m in range(top - 1, -1, -1):
             acc = acc * x + self.coeff(m)
@@ -651,70 +553,53 @@ class Series3(WeightedSeries):
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def z_var(cls, n, exact=True):
-        return cls(n, {(1, 0, 0): cone(exact)}, exact)
+    def z_var(cls, n):
+        return cls(n, {(1, 0, 0): ONE})
 
     @classmethod
-    def zbar_var(cls, n, exact=True):
-        return cls(n, {(0, 1, 0): cone(exact)}, exact)
+    def zbar_var(cls, n):
+        return cls(n, {(0, 1, 0): ONE})
 
     @classmethod
-    def u_var(cls, n, exact=True):
-        return cls(n, {(0, 0, 1): cone(exact)}, exact)
+    def u_var(cls, n):
+        return cls(n, {(0, 0, 1): ONE})
 
     @classmethod
-    def monomial(cls, n, j, k, l, coeff, exact=True):
-        return cls(n, {(j, k, l): coeff}, exact)
+    def monomial(cls, n, j, k, l, coeff):
+        return cls(n, {(j, k, l): coeff})
 
     @classmethod
-    def hermitian_square(cls, n, exact=True):
+    def hermitian_square(cls, n):
         """z zbar, the model graph."""
-        return cls(n, {(1, 1, 0): cone(exact)}, exact)
+        return cls(n, {(1, 1, 0): ONE})
 
     # -- basics -----------------------------------------------------------------
 
     def up_to_weight(self, w):
         weight = self._weight
-        return Series3(self.n, {k: v for k, v in self.c.items() if weight(k) <= w}, self.exact)
+        return Series3(self.n, {k: v for k, v in self.c.items() if weight(k) <= w})
 
     def conj(self):
         """The series of conj F(z,zbar,u): swap z/zbar, conjugate coefficients."""
         return Series3(
             self.n,
             {(k, j, l): v.conjugate() for (j, k, l), v in self.c.items()},
-            self.exact,
         )
-
-    def reality_defect(self):
-        """max |c_{jkl} - conj(c_{kjl})| as a float (0.0 iff Hermitian-real)."""
-        worst = 0.0
-        for (j, k, l), v in self.c.items():
-            d = v - self.c.get((k, j, l), czero(self.exact)).conjugate()
-            if d:
-                worst = max(worst, scalar_abs(d))
-        return worst
 
     def is_real(self):
         """Exact Hermitian reality check."""
         for (j, k, l), v in self.c.items():
-            if v != self.c.get((k, j, l), czero(self.exact)).conjugate():
+            if v != self.c.get((k, j, l), ZERO).conjugate():
                 return False
         return True
 
     def assert_real(self, where="series"):
-        if self.exact:
-            if not self.is_real():
-                raise InternalInvariantError("%s is not a real series" % where)
-        else:
-            d = self.reality_defect()
-            if d > FLOAT_ASSERT_TOL:
-                raise InternalInvariantError(
-                    "%s is not a real series (defect %.3e)" % (where, d)
-                )
+        if not self.is_real():
+            raise InternalInvariantError("%s is not a real series" % where)
 
     def assert_zero(self, where="series"):
-        if not self.vanishes():
-            raise InternalInvariantError("%s does not vanish (max %.3e)" % (where, self.max_abs()))
+        if not self.is_zero():
+            raise InternalInvariantError("%s does not vanish (%d terms left)" % (where, len(self.c)))
 
     def slice_jk(self, j, k):
         """The u-series F_{j,k}(u), sound to u-order floor((n-j-k)/2)."""
@@ -727,27 +612,17 @@ class Series3(WeightedSeries):
         for (jj, kk, l), v in self.c.items():
             if jj == j and kk == k:
                 coeffs[l] = v
-        return UPoly(order, coeffs, self.exact)
+        return UPoly(order, coeffs)
 
     def pure_u_part(self):
         return self.slice_jk(0, 0)
 
     def evaluate(self, z, zb, u):
-        """Plain evaluation at scalars (numeric use)."""
-        total = czero(self.exact)
+        """Plain evaluation at scalars."""
+        total = ZERO
         for (j, k, l), v in self.c.items():
             total = total + v * (z ** j) * (zb ** k) * (u ** l)
         return total
-
-    # -- calculus --------------------------------------------------------------------
-
-    def diff_u(self):
-        c = {(j, k, l - 1): v * l for (j, k, l), v in self.c.items() if l >= 1}
-        return Series3(max(self.n - 2, 0), c, self.exact)
-
-    def integrate_u(self):
-        c = {(j, k, l + 1): v / (l + 1) for (j, k, l), v in self.c.items()}
-        return Series3(self.n + 2, c, self.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -770,29 +645,29 @@ class HoloSeries(WeightedSeries):
     __mul__ = __rmul__ = WeightedSeries.__mul__
 
     @classmethod
-    def z_var(cls, n, exact=True):
-        return cls(n, {(1, 0): cone(exact)}, exact)
+    def z_var(cls, n):
+        return cls(n, {(1, 0): ONE})
 
     @classmethod
-    def w_var(cls, n, exact=True):
-        return cls(n, {(0, 1): cone(exact)}, exact)
+    def w_var(cls, n):
+        return cls(n, {(0, 1): ONE})
 
     @classmethod
-    def monomial(cls, n, j, l, coeff, exact=True):
-        return cls(n, {(j, l): coeff}, exact)
+    def monomial(cls, n, j, l, coeff):
+        return cls(n, {(j, l): coeff})
 
     @classmethod
     def from_w_series(cls, p, n):
         """Reinterpret a one-variable series p(t) as p(w)."""
-        return cls(n, {(0, m): v for m, v in p.c.items()}, p.exact)
+        return cls(n, {(0, m): v for m, v in p.c.items()})
 
     def diff_z(self):
         c = {(j - 1, l): v * j for (j, l), v in self.c.items() if j >= 1}
-        return HoloSeries(max(self.n - 1, 0), c, self.exact)
+        return HoloSeries(max(self.n - 1, 0), c)
 
     def diff_w(self):
         c = {(j, l - 1): v * l for (j, l), v in self.c.items() if l >= 1}
-        return HoloSeries(max(self.n - 2, 0), c, self.exact)
+        return HoloSeries(max(self.n - 2, 0), c)
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +712,8 @@ class PowerTable:
 
     ``power(i, e)`` is args[i]**e and ``head(key)`` the product of the powers
     that all but the last exponent of a key name (zs^j conj(zs)^k for a graph
-    key (j, k, l)).  Both are kept once built, so substitutions that share a
+    key (j, k, l)); a zero exponent adds no factor, and an all-zero head is
+    the series one.  Both are kept once built, so substitutions that share a
     table build each power and each head product once.
     """
 
@@ -846,7 +722,7 @@ class PowerTable:
     def __init__(self, args, n):
         self.args = args
         self.n = n
-        one = type(args[0]).one(n, args[0].exact)
+        one = type(args[0]).one(n)
         self.pows = [[one] for _ in args]
         self.heads = {}
 
@@ -859,9 +735,10 @@ class PowerTable:
     def head(self, key):
         prod = self.heads.get(key)
         if prod is None:
-            prod = self.power(0, key[0])
-            for i, e in enumerate(key[1:], 1):
-                prod = prod * self.power(i, e)
+            factors = [self.power(i, e) for i, e in enumerate(key) if e]
+            prod = factors[0] if factors else self.pows[0][0]
+            for factor in factors[1:]:
+                prod = prod * factor
             self.heads[key] = prod
         return prod
 
@@ -872,11 +749,12 @@ def _substitute(F, table):
 
     The terms of F are grouped by all but their last exponent, so a group
     costs one head product of the table and one product with a combination of
-    powers of the last argument.  The result has the type of the arguments.
+    powers of the last argument; the group with the all-zero head needs no
+    product.  The result has the type of the arguments.
     """
     n, last = table.n, len(table.args) - 1
-    cls, exact = type(table.args[0]), F.exact
-    res = cls.zero(n, exact)
+    cls = type(table.args[0])
+    res = cls.zero(n)
     groups = {}
     for key, v in F.c.items():
         groups.setdefault(key[:-1], []).append((key[-1], v))
@@ -884,10 +762,10 @@ def _substitute(F, table):
         prod = table.head(head)
         if prod.is_zero():
             continue
-        inner = cls.zero(n, exact)
+        inner = cls.zero(n)
         for l, v in pairs:
             inner = inner + table.power(last, l) * v
-        res = res + prod * inner
+        res = res + (prod * inner if any(head) else inner)
     return res
 
 
@@ -899,9 +777,6 @@ def eval_holo3(h, zs, ws, n_out=None, polynomial=False):
     clipped to what is actually sound given h's truncation unless
     ``polynomial`` declares h complete.
     """
-    exact = zs.exact
-    if ws.exact != exact or h.exact != exact:
-        raise InternalInvariantError("mixed exact/float substitution")
     n = _resolve_order(_tail_bound(h, zs, ws, polynomial), n_out, "holomorphic substitution")
     return _substitute(h, PowerTable((zs, ws), n))
 
@@ -913,10 +788,7 @@ eval_holo2 = eval_holo3
 
 def _graph_order(F, zs, us, n_out, polynomial):
     """Check the arguments of F(zs, conj(zs), us); the weight to compute to."""
-    exact = zs.exact
-    if us.exact != exact or F.exact != exact:
-        raise InternalInvariantError("mixed exact/float substitution")
-    if exact and not us.is_real():
+    if not us.is_real():
         raise InternalInvariantError("graph substitution needs a real u-argument")
     return _resolve_order(_tail_bound(F, zs, us, polynomial), n_out, "graph substitution")
 
@@ -956,20 +828,17 @@ def eval_graph(F, zs, us, n_out=None, polynomial=False):
 
 def eval_curve(F, phi, n_out=None, polynomial=False):
     """F(phi(t), conj(phi)(t), t) as a one-variable series in t."""
-    exact = F.exact
-    if phi.exact != exact:
-        raise InternalInvariantError("mixed exact/float substitution")
     natural = phi.n
     if not polynomial:
         natural = min(natural, (F.n + 2) // 2 - 1)
     n = _resolve_order(natural, n_out, "curve substitution")
     if phi.coeff(0):
         raise InternalInvariantError("curve substitution needs phi(0) = 0")
-    return _substitute(F, PowerTable((phi, phi.conjugate(), UPoly.var(n, exact)), n))
+    return _substitute(F, PowerTable((phi, phi.conjugate(), UPoly.var(n)), n))
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (exact mode only)
+# JSON serialization
 # ---------------------------------------------------------------------------
 
 
@@ -992,8 +861,6 @@ def _coeff_from_json(obj, where):
 
 def series3_to_json(F):
     """{"trunc_order": n, "coeffs": [{"j","k","l","re","im"}, ...]} sorted."""
-    if not F.exact:
-        raise InternalInvariantError("only exact series serialize to JSON")
     coeffs = []
     for (j, k, l), v in F.terms():
         entry = {"j": j, "k": k, "l": l}
@@ -1031,12 +898,10 @@ def series3_from_json(obj):
         if key in c:
             raise ParseError("duplicate monomial (%d,%d,%d)" % key)
         c[key] = _coeff_from_json(entry, "series")
-    return Series3(n, c, exact=True)
+    return Series3(n, c)
 
 
 def holo_to_json(h):
-    if not h.exact:
-        raise InternalInvariantError("only exact series serialize to JSON")
     coeffs = []
     for (j, l), v in h.terms():
         entry = {"j": j, "l": l}
@@ -1065,4 +930,4 @@ def holo_from_json(raw, n, where="map component"):
         if (j, l) in c:
             raise ParseError("duplicate monomial (%d,%d) in %s" % (j, l, where))
         c[(j, l)] = _coeff_from_json(entry, where)
-    return HoloSeries(n, c, exact=True)
+    return HoloSeries(n, c)

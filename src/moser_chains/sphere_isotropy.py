@@ -40,8 +40,6 @@ class ExtrinsicField:
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
-        if not (a.exact and b.exact):
-            raise InternalInvariantError("extrinsic fields are exact-only")
         self.a = a
         self.b = b
 

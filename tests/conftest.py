@@ -29,31 +29,26 @@ def rand_gr(rng, num=6, den=4, nonzero=False):
             return v
 
 
-def rand_upoly(rng, n, terms=4, exact=True):
+def rand_upoly(rng, n, terms=4):
     c = {}
     for _ in range(terms):
         m = rng.randint(0, n)
-        v = rand_gr(rng)
-        if exact:
-            c[m] = v
-        else:
-            c[m] = complex(v)
-    return UPoly(n, c, exact)
+        c[m] = rand_gr(rng)
+    return UPoly(n, c)
 
 
-def rand_series3(rng, n, terms=6, exact=True):
+def rand_series3(rng, n, terms=6):
     """Random sparse Series3 (not necessarily real)."""
     c = {}
     for _ in range(terms):
         j = rng.randint(0, n)
         k = rng.randint(0, n - j)
         l = rng.randint(0, (n - j - k) // 2)
-        v = rand_gr(rng)
-        c[(j, k, l)] = complex(v) if not exact else v
-    return Series3(n, c, exact)
+        c[(j, k, l)] = rand_gr(rng)
+    return Series3(n, c)
 
 
-def rand_real_series3(rng, n, terms=5, min_weight=0, exact=True):
+def rand_real_series3(rng, n, terms=5, min_weight=0):
     """Random sparse *real* (Hermitian) Series3 with weights >= min_weight."""
     c = {}
     for _ in range(terms):
@@ -72,9 +67,7 @@ def rand_real_series3(rng, n, terms=5, min_weight=0, exact=True):
         cc = c.get((k, j, l), GaussianRational())
         if (k, j, l) != (j, k, l):
             c[(k, j, l)] = cc + v.conjugate()
-    if not exact:
-        c = {key: complex(v) for key, v in c.items()}
-    return Series3(n, c, exact)
+    return Series3(n, c)
 
 
 def rand_rpoly(rng, names=("u", "x", "y"), max_deg=3, terms=3):

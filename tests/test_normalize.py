@@ -2,6 +2,8 @@
 
 import random
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import rand_gr, rand_rat, rand_real_series3
@@ -36,11 +38,11 @@ from moser_chains.normalize import (
     _punctual_system,
 )
 from moser_chains.series_core import (
+    ONE,
     GaussianRational,
     HoloSeries,
     Series3,
     UPoly,
-    cone,
     gr,
 )
 
@@ -75,7 +77,7 @@ def rand_surface(rng, n=8, terms=10, min_weight=1):
 
 class TestHypersurface:
     def test_rejects_constant_term(self):
-        F = Series3.monomial(6, 0, 0, 0, cone(True)) + Series3.hermitian_square(6)
+        F = Series3.monomial(6, 0, 0, 0, ONE) + Series3.hermitian_square(6)
         with pytest.raises(MathPreconditionError):
             Hypersurface(F)
 
@@ -96,7 +98,21 @@ class TestHypersurface:
     def test_value_at(self):
         M = sphere(6)
         z0 = gr("1/2", "1/3")
-        assert M.value_at(z0, gr(2).real) == (z0 * z0.conjugate())
+        assert M.series.evaluate(z0, z0.conjugate(), gr(2).real) == (z0 * z0.conjugate())
+
+    def test_constructors_reject_float_coefficients(self):
+        # int and Fraction coefficients are exact and stay accepted
+        exact = {(1, 1, 0): 1, (2, 2, 0): Fraction(1, 2)}
+        Hypersurface(Series3(8, exact))
+        for bad in (0.5, 0.5 + 0j):
+            with pytest.raises(ParseError):
+                Hypersurface(Series3(8, {**exact, (3, 3, 0): bad}))
+            with pytest.raises(ParseError):
+                Biholo(HoloSeries(7, {(1, 0): bad}), HoloSeries.w_var(8))
+            with pytest.raises(ParseError):
+                Biholo(HoloSeries.z_var(7), HoloSeries(8, {(0, 1): gr(1), (0, 2): bad}))
+            with pytest.raises(ParseError):
+                TransversalCurve(UPoly(4, {2: bad}), UPoly.var(4))
 
 
 class TestBiholo:
@@ -260,14 +276,6 @@ class TestGraphTransform:
         wrong = Hypersurface(img.series + Series3.monomial(8, 2, 2, 1, gr("1/13")), check=False)
         resid = fundamental_identity_residual(M, h, wrong)
         assert not resid.is_zero()
-
-    def test_float_agrees_with_exact(self, rng):
-        M = rand_surface(rng, terms=6)
-        h = rand_contract_map(rng, 8)
-        img, _, _ = graph_transform(M, h)
-        img_f, _, _ = graph_transform(M.to_float(), h.to_float())
-        diff = img_f.series - img.series.to_float()
-        assert diff.max_abs() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -653,18 +661,22 @@ class TestPipeline:
         n = img.n
         assert img.series == res.surface.series.truncate(n)
 
-    def test_float_pipeline_matches_exact(self):
-        M = m_eps(gr("1/3"))
-        wrong = TransversalCurve.complete(M, UPoly(4, {2: gr("1/7")}))
-        res = normalize_hypersurface(
-            M.to_float(),
-            curve=TransversalCurve(wrong.phi.to_float(), wrong.psi.to_float()),
-            verify=True,
-            stop_after="rotate",
-        )
-        got = res.surface.slice(3, 2).coeff(0)
-        assert abs(got - complex(-4.0 / 7.0)) < 1e-12
-
     def test_float_auto_mode_rejected(self):
-        with pytest.raises(MathPreconditionError):
-            normalize_hypersurface(m_eps(gr("1/3")).to_float())
+        # a float surface is refused when it is built, with the documented
+        # error class, before any stage runs
+        with pytest.raises(ParseError):
+            F = Series3(8, {(1, 1, 0): 1 + 0j, (2, 2, 0): 0.5 + 0j, (3, 3, 0): 0.25 + 0j})
+            normalize_hypersurface(Hypersurface(F))
+
+    def test_sphere_images_normalize_to_sphere(self):
+        # h(sphere) is equivalent to the sphere, so its normal form is
+        # exactly z zbar: an oracle with no tolerance and no reference data
+        c3 = {}
+        for seed, n in ((0, 8), (1, 8), (2, 8), (3, 8), (0, 10)):
+            h = rand_contract_map(random.Random(seed), n)
+            M, _, _ = graph_transform(sphere(n), h)
+            res = normalize_hypersurface(M)
+            assert res.completed
+            assert res.surface == sphere(n)
+            c3[seed, n] = res.chain_curve.phi.coeff(3)
+        assert c3[0, 8] == c3[0, 10]
