@@ -27,9 +27,10 @@ order to which its result is sound.  A table holds the powers at one order
 and can be shared by several substitutions into the same arguments at that
 order (``GraphTable``); each entry point builds a fresh one.
 
-Coefficients are exact Gaussian rationals (``GaussianRational``, two
-``fractions.Fraction`` parts).  The series code uses only ``+ - * /``,
-``conjugate`` and truthiness of its scalars, so a zero test is exact.
+Coefficients are exact Gaussian rationals (``GaussianRational``, stored as
+three integers (a, b, d) for (a + ib)/d in lowest terms).  The series code
+uses only ``+ - * /``, ``conjugate`` and truthiness of its scalars, so a zero
+test is exact.
 
 All containers are immutable in practice: every operation returns a new
 object and exact zeros are stripped, so equality of content is equality of
@@ -42,6 +43,7 @@ import operator
 import re
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import InternalInvariantError, ParseError
 
@@ -74,93 +76,111 @@ def parse_rational(text):
 class GaussianRational:
     """Exact complex number  re + i*im  with rational real/imaginary parts.
 
+    Stored as three integers (a, b, d) meaning (a + ib)/d, with d > 0 and
+    gcd(a, b, d) = 1, so every value has exactly one representation (zero is
+    (0, 0, 1)).  Each operation does its integer arithmetic and reduces once;
+    results are built by ``_make``, which skips the checks of ``__init__``.
+
     Offers the part of the ``complex`` interface the series code relies on:
-    arithmetic, ``conjugate``, ``real``/``imag`` and truthiness.
+    arithmetic, ``conjugate``, ``real``/``imag`` (as ``Fraction``) and
+    truthiness.  ``int`` and ``Fraction`` operands mix in freely and compare
+    and hash like the equal Gaussian rational.
     """
 
-    __slots__ = ("_re", "_im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
             raise InternalInvariantError("GaussianRational parts must be exact rationals")
-        self._re = re if isinstance(re, Fraction) else Fraction(re)
-        self._im = im if isinstance(im, Fraction) else Fraction(im)
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        # over the least common denominator the triple is already reduced
+        dr, di = re.denominator, im.denominator
+        d = dr // gcd(dr, di) * di
+        self._a = re.numerator * (d // dr)
+        self._b = im.numerator * (d // di)
+        self._d = d
 
     @property
     def real(self):
-        return self._re
+        return Fraction(self._a, self._d)
 
     @property
     def imag(self):
-        return self._im
+        return Fraction(self._b, self._d)
 
     def conjugate(self):
-        return GaussianRational(self._re, -self._im)
+        return _make(self._a, -self._b, self._d)
 
     def is_real(self):
-        return not self._im
+        return not self._b
 
     def __bool__(self):
-        return bool(self._re) or bool(self._im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self._re == other._re and self._im == other._im
-        if isinstance(other, RATIONAL_TYPES):
-            return self._im == 0 and self._re == other
-        return NotImplemented
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._a == other._a and not self._b and self._d == other._d
 
     def __hash__(self):
-        if not self._im:
-            return hash(self._re)
-        return hash((self._re, self._im))
+        if not self._b:
+            return hash(self.real)
+        return hash((self.real, self.imag))
 
     def __neg__(self):
-        return GaussianRational(-self._re, -self._im)
+        return _make(-self._a, -self._b, self._d)
 
     def __add__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self._re + other._re, self._im + other._im)
-        if isinstance(other, RATIONAL_TYPES):
-            return GaussianRational(self._re + other, self._im)
-        return NotImplemented
+        if not isinstance(other, GaussianRational):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _sum(self._a, self._b, d1, other._a, other._b, d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self._re - other._re, self._im - other._im)
-        if isinstance(other, RATIONAL_TYPES):
-            return GaussianRational(self._re - other, self._im)
-        return NotImplemented
+        if not isinstance(other, GaussianRational):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a - other._a, self._b - other._b, d1)
+        return _sum(self._a, self._b, d1, -other._a, -other._b, d2)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self._re * other._re - self._im * other._im,
-                self._re * other._im + self._im * other._re,
-            )
-        if isinstance(other, RATIONAL_TYPES):
-            return GaussianRational(self._re * other, self._im * other)
-        return NotImplemented
+        if not isinstance(other, GaussianRational):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return GaussianRational(self._re / other, self._im / other)
-        if isinstance(other, GaussianRational):
-            d = other._re * other._re + other._im * other._im
-            if not d:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return GaussianRational(
-                (self._re * other._re + self._im * other._im) / d,
-                (self._im * other._re - self._re * other._im) / d,
-            )
-        return NotImplemented
+        if not isinstance(other, GaussianRational):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # (a1 + i b1)/d1 / ((a2 + i b2)/d2) = (a1 + i b1)(a2 - i b2) d2 / (d1 |a2 + i b2|^2)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        norm = a2 * a2 + b2 * b2
+        if not norm:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        d2 = other._d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * norm)
 
     def __rtruediv__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -182,15 +202,67 @@ class GaussianRational:
         return out
 
     def __complex__(self):
-        return complex(float(self._re), float(self._im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
-        return "GaussianRational(%s, %s)" % (self._re, self._im)
+        return "GaussianRational(%s, %s)" % (self.real, self.imag)
 
     def __str__(self):
-        if not self._im:
-            return str(self._re)
-        return "(%s%s%si)" % (self._re, "+" if self._im >= 0 else "-", abs(self._im))
+        re, im = self.real, self.imag
+        if not im:
+            return str(re)
+        return "(%s%s%si)" % (re, "+" if im >= 0 else "-", abs(im))
+
+
+def _make(a, b, d):
+    """The Gaussian rational (a + ib)/d; the caller vouches that d > 0 and
+    gcd(a, b, d) = 1."""
+    x = _new(GaussianRational)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
+
+
+_new = object.__new__
+
+
+def _reduced(a, b, d):
+    """(a + ib)/d in lowest terms, for any d > 0 (``_make`` inlined: this
+    ends almost every operation)."""
+    g = gcd(a, b, d)
+    x = _new(GaussianRational)
+    if g == 1:
+        x._a, x._b, x._d = a, b, d
+    else:
+        x._a, x._b, x._d = a // g, b // g, d // g
+    return x
+
+
+def _sum(a1, b1, d1, a2, b2, d2):
+    """(a1 + ib1)/d1 + (a2 + ib2)/d2 in lowest terms, for d1 != d2.
+
+    Over d1*d2/g with g = gcd(d1, d2), the way ``Fraction`` adds: a common
+    factor of the result can only divide g.
+    """
+    g = gcd(d1, d2)
+    if g == 1:
+        return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+    s, t = d1 // g, d2 // g
+    a, b = a1 * t + a2 * s, b1 * t + b2 * s
+    g = gcd(a, b, g)
+    if g == 1:
+        return _make(a, b, s * d2)
+    return _make(a // g, b // g, s * d2 // g)
+
+
+def _coerce(value):
+    """An int or Fraction operand as a Gaussian rational, else NotImplemented."""
+    if isinstance(value, int):
+        return _make(value, 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
+    return NotImplemented
 
 
 def gr(re, im=0):

@@ -95,6 +95,145 @@ class TestGaussianRational:
                 assert (a / b) * b == a
 
 
+class RefGaussian:
+    """Reference Gaussian rational over two ``Fraction`` parts, with the
+    formulas, the text forms and the hash of the library's scalar."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, RefGaussian):
+            return x
+        if isinstance(x, GaussianRational):
+            return RefGaussian(x.real, x.imag)
+        return RefGaussian(x)
+
+    def __add__(self, o):
+        o = RefGaussian.of(o)
+        return RefGaussian(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        o = RefGaussian.of(o)
+        return RefGaussian(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        o = RefGaussian.of(o)
+        return RefGaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        o = RefGaussian.of(o)
+        d = o.re * o.re + o.im * o.im
+        return RefGaussian((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
+
+    def __neg__(self):
+        return RefGaussian(-self.re, -self.im)
+
+    def conjugate(self):
+        return RefGaussian(self.re, -self.im)
+
+    def power(self, k):
+        base = RefGaussian(1) / self if k < 0 else self
+        out = RefGaussian(1)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def hash(self):
+        return hash(self.re) if not self.im else hash((self.re, self.im))
+
+    def str(self):
+        if not self.im:
+            return str(self.re)
+        return "(%s%s%si)" % (self.re, "+" if self.im >= 0 else "-", abs(self.im))
+
+    def repr(self):
+        return "GaussianRational(%s, %s)" % (self.re, self.im)
+
+
+class TestAgainstReference:
+    """GaussianRational against the two-Fraction reference on random draws."""
+
+    @staticmethod
+    def draw(rng):
+        """A GaussianRational, int or Fraction with mixed denominators."""
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-9, 9)
+        if kind == 1:
+            return rand_rat(rng, num=40, den=36)
+        return gr(rand_rat(rng, num=40, den=36), rand_rat(rng, num=40, den=rng.choice((1, 6, 36))))
+
+    @staticmethod
+    def same(x, ref):
+        assert isinstance(x, GaussianRational)
+        assert (x.real, x.imag) == (ref.re, ref.im)
+        assert type(x.real) is Fraction and type(x.imag) is Fraction
+        assert x == gr(ref.re, ref.im) and hash(x) == ref.hash()
+        assert str(x) == ref.str() and repr(x) == ref.repr()
+        assert complex(x) == complex(float(ref.re), float(ref.im))
+        assert bool(x) == bool(ref.re or ref.im)
+
+    def test_operations_random(self, rng):
+        for _ in range(400):
+            a = gr(rand_rat(rng, num=40, den=36), rand_rat(rng, num=40, den=36))
+            b = self.draw(rng)
+            ra, rb = RefGaussian.of(a), RefGaussian.of(b)
+            self.same(a, ra)
+            self.same(a + b, ra + rb)
+            self.same(b + a, ra + rb)
+            self.same(a - b, ra - rb)
+            self.same(b - a, rb - ra)
+            self.same(a * b, ra * rb)
+            self.same(b * a, ra * rb)
+            self.same(-a, -ra)
+            self.same(a.conjugate(), ra.conjugate())
+            if b:
+                self.same(a / b, ra / rb)
+            if a:
+                self.same(b / a, rb / ra)
+                k = rng.randint(-4, 4)
+                self.same(a ** k, ra.power(k))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    b / a
+
+    def test_equality_and_hash_with_rationals(self, rng):
+        assert hash(gr(3)) == hash(3) == hash(Fraction(3))
+        assert gr(3) == 3 and gr(3) == Fraction(3) and 3 == gr(3)
+        assert gr("-5/6") == Fraction(-5, 6) and hash(gr("-5/6")) == hash(Fraction(-5, 6))
+        assert gr(3, 1) != 3 and gr("1/2") != 1 and gr("1/2") != Fraction(1, 3)
+        assert gr(0) == 0 and hash(gr(0)) == hash(0)
+        for _ in range(200):
+            q = rand_rat(rng, num=40, den=36)
+            assert gr(q) == q and hash(gr(q)) == hash(q)
+            assert {gr(q): 1}[q] == 1
+
+    def test_canonical_form(self, rng):
+        """Equal values reached by different routes are equal and hash equal."""
+        for _ in range(200):
+            a, b = self.draw(rng), gr(rand_rat(rng, num=40, den=36, nonzero=True),
+                                     rand_rat(rng, num=40, den=36))
+            a = gr(0) + a
+            for same in ((a * b) / b, (a + b) - b, (a - b) + b, -(-a), a.conjugate().conjugate(),
+                         a * gr(1), a / 1, (a * b) * b ** -1):
+                assert same == a and hash(same) == hash(a)
+                assert str(same) == str(a) and repr(same) == repr(a)
+            assert a - a == 0 and not (a - a) and hash(a - a) == hash(0)
+
+    def test_non_rational_operands(self):
+        a = gr("1/2", 3)
+        assert a.__add__(0.5) is NotImplemented and a.__mul__(1j) is NotImplemented
+        assert a.__eq__("1/2") is NotImplemented
+        with pytest.raises(TypeError):
+            a + 0.5
+        with pytest.raises(InternalInvariantError):
+            GaussianRational(1, 0.5)
+        with pytest.raises(InternalInvariantError):
+            GaussianRational(1j)
+
+
 class TestRationalText:
     def test_parse(self):
         assert parse_rational("3") == 3
