@@ -329,6 +329,20 @@ class WeightedSeries:
                     c[key] = v
         self.c = c
 
+    @classmethod
+    def _trusted(cls, n, c):
+        """The series with order n and coefficient dict c, taken as it is.
+
+        For results whose keys are valid by construction: the caller promises
+        that every key has the subclass's shape with no negative exponent,
+        that its weight is at most n, and that no coefficient is zero.  ``c``
+        is kept, not copied.
+        """
+        series = _new(cls)
+        series.n = n
+        series.c = c
+        return series
+
     # -- constructors ------------------------------------------------------------
 
     @classmethod
@@ -396,13 +410,13 @@ class WeightedSeries:
                     c[k] = s
                 elif k in c:
                     del c[k]
-        return type(self)(n, c)
+        return self._trusted(n, c)
 
     def __sub__(self, other):
         return self.__add__(-other)
 
     def __neg__(self):
-        return type(self)(self.n, {k: -v for k, v in self.c.items()})
+        return self._trusted(self.n, {k: -v for k, v in self.c.items()})
 
     def __mul__(self, other):
         cls = type(self)
@@ -424,11 +438,11 @@ class WeightedSeries:
                         c[key] = s
                     elif key in c:
                         del c[key]
-            return cls(n, c)
+            return cls._trusted(n, c)
         v = _check_scalar(other, cls.__name__)
         if not v:
             return cls.zero(self.n)
-        return cls(self.n, {k: w * v for k, w in self.c.items()})
+        return cls._trusted(self.n, {k: w * v for k, w in self.c.items()})
 
     __rmul__ = __mul__
 
@@ -784,8 +798,8 @@ class PowerTable:
 
     ``power(i, e)`` is args[i]**e and ``head(key)`` the product of the powers
     that all but the last exponent of a key name (zs^j conj(zs)^k for a graph
-    key (j, k, l)); a zero exponent adds no factor, and an all-zero head is
-    the series one.  Both are kept once built, so substitutions that share a
+    key (j, k, l)), with its low weight (None when it is zero); a zero
+    exponent adds no factor, and an all-zero head is the series one.  Both are kept once built, so substitutions that share a
     table build each power and each head product once.
     """
 
@@ -805,14 +819,26 @@ class PowerTable:
         return pows[e]
 
     def head(self, key):
-        prod = self.heads.get(key)
-        if prod is None:
+        entry = self.heads.get(key)
+        if entry is None:
             factors = [self.power(i, e) for i, e in enumerate(key) if e]
             prod = factors[0] if factors else self.pows[0][0]
             for factor in factors[1:]:
                 prod = prod * factor
-            self.heads[key] = prod
-        return prod
+            entry = self.heads[key] = (prod, prod.low_weight())
+        return entry
+
+
+def _accumulate(acc, items, scale=None):
+    """acc[k] += v (times scale) for (k, v) in items, in place, keeping no
+    zero coefficient."""
+    get = acc.get
+    for k, v in items:
+        s = get(k, ZERO) + (v if scale is None else v * scale)
+        if s:
+            acc[k] = s
+        elif k in acc:
+            del acc[k]
 
 
 def _substitute(F, table):
@@ -820,25 +846,38 @@ def _substitute(F, table):
     exponent.
 
     The terms of F are grouped by all but their last exponent, so a group
-    costs one head product of the table and one product with a combination of
-    powers of the last argument; the group with the all-zero head needs no
-    product.  The result has the type of the arguments.
+    costs one head product of the table and one product with its inner sum
+    sum_l v_l * Q^l over powers of the last argument Q; the group with the
+    all-zero head needs no product.  The result has the type of the
+    arguments.
+
+    A head product whose lowest weight is w multiplies the inner sum, so a
+    term of the inner sum above weight n - w only makes output above the
+    order n: the inner sum is built to weight n - w only.  The inner sums and
+    the result are accumulated in place.
     """
     n, last = table.n, len(table.args) - 1
     cls = type(table.args[0])
-    res = cls.zero(n)
+    weight = cls._weight
+    res = {}
     groups = {}
     for key, v in F.c.items():
         groups.setdefault(key[:-1], []).append((key[-1], v))
     for head, pairs in sorted(groups.items()):
-        prod = table.head(head)
-        if prod.is_zero():
+        prod, low = table.head(head)
+        if low is None:
             continue
-        inner = cls.zero(n)
+        lim = n - low
+        inner = {}
         for l, v in pairs:
-            inner = inner + table.power(last, l) * v
-        res = res + (prod * inner if any(head) else inner)
-    return res
+            power = table.power(last, l).c.items()
+            _accumulate(inner, [(k, p) for k, p in power if weight(k) <= lim], v)
+        if not inner:
+            continue
+        if any(head):
+            inner = (prod * cls._trusted(n, inner)).c
+        _accumulate(res, inner.items())
+    return cls._trusted(n, res)
 
 
 def eval_holo3(h, zs, ws, n_out=None, polynomial=False):

@@ -529,6 +529,54 @@ class TestSubstitution:
                 full = entry(G, *args, n_out=n + 2, polynomial=True)
                 assert low == full.truncate(n)
 
+    @staticmethod
+    def naive_sum(G, args, n):
+        """sum of v * args[0]^e_0 * args[1]^e_1 * ... over the terms of G,
+        from plain series products at order n."""
+        cls = type(args[0])
+        args = [a.truncate(n) for a in args]
+        total = cls.zero(n)
+        for key, v in G.c.items():
+            term = cls.one(n)
+            for arg, e in zip(args, key if isinstance(key, tuple) else (key,)):
+                for _ in range(e):
+                    term = term * arg
+            total = total + term * v
+        return total
+
+    def test_naive_sum_with_low_weight_arguments(self, rng):
+        # every argument has low weight >= 2, so a head product P^j conj(P)^k
+        # starts at weight >= 2(j + k) and the weight bound of the inner sums
+        # drops terms; the result must still be the term-by-term sum
+        n = 10
+
+        def above(cls, low):
+            # a random series of cls with every term of weight >= low
+            series = rand_series3(rng, n, terms=4)
+            if cls is HoloSeries:
+                series = HoloSeries(n, {(j + k, l): v for (j, k, l), v in series.c.items()})
+            return sum((series.weight_part(w) for w in range(low, n + 1)), cls.zero(n))
+
+        for _ in range(6):
+            F = rand_series3(rng, n, terms=10)
+            h = HoloSeries(n, {(j + k, l): v for (j, k, l), v in F.c.items()})
+            a = rand_gr(rng, nonzero=True)
+            zs3 = Series3(n, {(2, 0, 0): a}) + above(Series3, 2)
+            ws3 = Series3.u_var(n) + above(Series3, 2)
+            us = Series3.u_var(n) + rand_real_series3(rng, n, terms=4, min_weight=2)
+            zs2 = HoloSeries(n, {(2, 0): a}) + above(HoloSeries, 2)
+            ws2 = HoloSeries.w_var(n) + above(HoloSeries, 3)
+            phi = UPoly(n, {2: a}) + UPoly(n, {3: gr(1)}) * rand_upoly(rng, n)
+            for entry, G, args, full in (
+                (eval_graph, F, (zs3, us), (zs3, zs3.conj(), us)),
+                (eval_holo3, h, (zs3, ws3), (zs3, ws3)),
+                (eval_holo2, h, (zs2, ws2), (zs2, ws2)),
+                (eval_curve, F, (phi,), (phi, phi.conjugate(), UPoly.var(n))),
+            ):
+                for n_out in (n, n - 3):
+                    out = entry(G, *args, n_out=n_out, polynomial=True)
+                    assert out == self.naive_sum(G, full, n_out), (entry.__name__, n_out)
+
     def test_shared_graph_table(self, rng):
         # one table serves several F at its order, extending its powers as a
         # later F needs higher ones; each result is eval_graph's
