@@ -4,13 +4,11 @@ Everything here works on lists of lists whose entries support +, -, *, /
 and truthiness (rationals, GaussianRational).  The pivot is the first
 nonzero entry of its column, so results are deterministic.
 
-Only what the package needs: reduced row echelon form, rank, a particular
-solution with free variables pinned to zero, and a nullspace basis.
+Only what the package needs: reduced row echelon form, rank, and a
+particular solution with free variables pinned to zero.
 """
 
 from __future__ import annotations
-
-from .errors import InternalInvariantError
 
 
 def rref(rows):
@@ -65,33 +63,3 @@ def solve(rows, rhs):
         x[c] = red[row_idx][ncols]
         row_idx += 1
     return x
-
-
-def nullspace(rows):
-    """Basis of the kernel of A."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivot_cols = rref(rows)
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    one = None
-    for r in red:
-        for e in r:
-            if e:
-                one = e / e
-                break
-        if one is not None:
-            break
-    if one is None:
-        # an all-zero matrix never appears in this package's call sites, and
-        # its entries alone cannot synthesize a unit for the basis vectors
-        raise InternalInvariantError("nullspace of an all-zero matrix requested")
-    zero = one - one
-    basis = []
-    for fc in free_cols:
-        v = [zero] * ncols
-        v[fc] = one
-        for row_idx, pc in enumerate(pivot_cols):
-            v[pc] = -red[row_idx][fc]
-        basis.append(v)
-    return basis

@@ -34,6 +34,7 @@ from .series_core import (
     HALF,
     I_UNIT,
     ONE,
+    RATIONAL_TYPES,
     ZERO,
     GaussianRational,
     GraphTable,
@@ -57,6 +58,25 @@ def _reject_floats(what, *series):
     for s in series:
         if any(isinstance(v, (float, complex)) for v in s.c.values()):
             raise ParseError("%s has a float coefficient; coefficients must be exact" % what)
+
+
+def _exact_scalar(value, what):
+    """value as a GaussianRational; ParseError unless it is an int, a
+    Fraction or a GaussianRational (a float or complex value is refused)."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, RATIONAL_TYPES):
+        return GaussianRational(value)
+    raise ParseError("%s must be an exact (Gaussian) rational, not %r" % (what, value))
+
+
+def _exact_real(value, what):
+    """value as a Fraction; ParseError as in ``_exact_scalar``, and
+    MathPreconditionError for a Gaussian rational that is not real."""
+    value = _exact_scalar(value, what)
+    if not value.is_real():
+        raise MathPreconditionError("%s must be real" % what)
+    return value.real
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +264,12 @@ def isotropy_map(lam, alpha, r, n):
         d  = 1 - 2i conj(alpha) z - (r + i alpha conj(alpha)) w,
 
     expanded to weights n-1 / n.  lambda != 0 is required; r must be real.
+    The parameters must be exact (``int``, ``Fraction`` or
+    ``GaussianRational``); a float or complex one raises ParseError.
     """
-    lam = lam if isinstance(lam, GaussianRational) else GaussianRational(lam)
-    alpha = alpha if isinstance(alpha, GaussianRational) else GaussianRational(alpha)
-    if isinstance(r, GaussianRational):
-        if not r.is_real():
-            raise MathPreconditionError("isotropy parameter r must be real")
-        r = r.real
+    lam = _exact_scalar(lam, "isotropy parameter lambda")
+    alpha = _exact_scalar(alpha, "isotropy parameter alpha")
+    r = _exact_real(r, "isotropy parameter r")
     if not lam:
         raise MathPreconditionError("isotropy parameter lambda must be nonzero")
 
@@ -285,20 +304,16 @@ def translate_to_point(M, z0, u0, v0=None):
     """Recenter the graph at the surface point over (z0, u0).
 
     The surface is polynomial data, so the shift is exact.  If v0 is given
-    it is validated against F(z0, conj z0, u0).
+    it is validated against F(z0, conj z0, u0).  The coordinates must be
+    exact, as in ``isotropy_map``.
     """
     F = M.series
-    if isinstance(z0, complex) or isinstance(u0, (float, complex)):
-        raise InternalInvariantError("float point on an exact surface")
-    z0 = z0 if isinstance(z0, GaussianRational) else GaussianRational(z0)
-    if isinstance(u0, GaussianRational):
-        if not u0.is_real():
-            raise MathPreconditionError("u-coordinate must be real")
-        u0 = u0.real
+    z0 = _exact_scalar(z0, "z-coordinate")
+    u0 = _exact_real(u0, "u-coordinate")
     z0b = z0.conjugate()
     height = F.evaluate(z0, z0b, u0)
     if v0 is not None:
-        if height - (v0 if isinstance(v0, GaussianRational) else GaussianRational(v0)):
+        if height - _exact_scalar(v0, "v-coordinate"):
             raise MathPreconditionError("point is not on the hypersurface")
 
     n = F.n

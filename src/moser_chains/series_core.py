@@ -739,10 +739,6 @@ class HoloSeries(WeightedSeries):
         return cls(n, {(0, 1): ONE})
 
     @classmethod
-    def monomial(cls, n, j, l, coeff):
-        return cls(n, {(j, l): coeff})
-
-    @classmethod
     def from_w_series(cls, p, n):
         """Reinterpret a one-variable series p(t) as p(w)."""
         return cls(n, {(0, m): v for m, v in p.c.items()})
@@ -799,8 +795,9 @@ class PowerTable:
     ``power(i, e)`` is args[i]**e and ``head(key)`` the product of the powers
     that all but the last exponent of a key name (zs^j conj(zs)^k for a graph
     key (j, k, l)), with its low weight (None when it is zero); a zero
-    exponent adds no factor, and an all-zero head is the series one.  Both are kept once built, so substitutions that share a
-    table build each power and each head product once.
+    exponent adds no factor, and an all-zero head is the series one.  Both
+    are kept once built, so substitutions that share a table build each
+    power and each head product once.
     """
 
     __slots__ = ("args", "n", "pows", "heads")

@@ -202,6 +202,14 @@ class TestTranslate:
             translate_to_point(sphere(8), gr(1), gr(0).real, v0=gr(5))
         ok = translate_to_point(sphere(8), gr(1), gr(0).real, v0=gr(1))
         assert ok.series.coeff(1, 0, 0) == gr(1)
+        with pytest.raises(MathPreconditionError):
+            translate_to_point(sphere(8), gr(1), gr(0, 1))
+
+    def test_rejects_float_point(self):
+        for z0, u0, v0 in ((0.5, 0, None), (0.5j, 0, None), (0, 0.5, None), (0, 0.5j, None),
+                           (1, 0, 1.0)):
+            with pytest.raises(ParseError):
+                translate_to_point(sphere(8), z0, u0, v0=v0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +340,11 @@ class TestIsotropyMap:
     def test_rejects_complex_r(self):
         with pytest.raises(MathPreconditionError):
             isotropy_map(gr(1), gr(1), gr(1, 1), 8)
+
+    def test_rejects_float_parameters(self):
+        for args in ((0.5, 0, 0), (1, 0.5j, 0), (1, 0, 0.5), (1, 0, 1j)):
+            with pytest.raises(ParseError):
+                isotropy_map(*args, 6)
 
 
 # ---------------------------------------------------------------------------
