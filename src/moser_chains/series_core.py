@@ -403,13 +403,7 @@ class WeightedSeries:
         n = min(self.n, other.n)
         weight = self._weight
         c = {k: v for k, v in self.c.items() if weight(k) <= n}
-        for k, v in other.c.items():
-            if weight(k) <= n:
-                s = c.get(k, ZERO) + v
-                if s:
-                    c[k] = s
-                elif k in c:
-                    del c[k]
+        _accumulate(c, [(k, v) for k, v in other.c.items() if weight(k) <= n])
         return self._trusted(n, c)
 
     def __sub__(self, other):
@@ -493,7 +487,7 @@ class UPoly(WeightedSeries):
         return max(self.c) if self.c else None
 
     def is_real(self):
-        return all(not v.imag for v in self.c.values())
+        return all(v.is_real() for v in self.c.values())
 
     def conjugate(self):
         return UPoly(self.n, {m: v.conjugate() for m, v in self.c.items()})
