@@ -21,7 +21,7 @@ is a proof sketch at the working order.
 
 from __future__ import annotations
 
-import math
+import functools
 
 from .errors import (
     InternalInvariantError,
@@ -79,6 +79,12 @@ def _exact_real(value, what):
     return value.real
 
 
+def _check_order(n, least, what):
+    """ParseError unless the order n is an integer >= least (a bool is not)."""
+    if not is_json_count(n, least):
+        raise ParseError("%s order must be an integer >= %d, not %r" % (what, least, n))
+
+
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
@@ -109,6 +115,7 @@ class Hypersurface:
 
     @classmethod
     def sphere(cls, n):
+        _check_order(n, 0, "sphere")
         return cls(Series3.hermitian_square(n), check=False)
 
     @classmethod
@@ -124,7 +131,7 @@ class Hypersurface:
 
     def with_order(self, n):
         """Same polynomial surface, re-truncated/padded to order n."""
-        return Hypersurface(self.series.padded(n) if n >= self.n else self.series.truncate(n), check=False)
+        return Hypersurface(self.series.padded(n), check=False)
 
     def slice(self, j, k):
         return self.series.slice_jk(j, k)
@@ -160,6 +167,7 @@ class Biholo:
 
     @classmethod
     def identity(cls, n):
+        _check_order(n, 1, "identity map")
         return cls(HoloSeries.z_var(n - 1), HoloSeries.w_var(n))
 
     def compose(self, inner):
@@ -215,7 +223,7 @@ class TransversalCurve:
     def complete(cls, M, phi):
         """Complete a z-component into a curve on M: psi = t + i F along it."""
         order = M.n // 2
-        phi = phi.padded(order) if phi.n < order else phi.truncate(order)
+        phi = phi.padded(order)
         if phi.coeff(0):
             raise MathPreconditionError("curve z-component must vanish at t = 0")
         height = eval_curve(M.series, phi)
@@ -265,8 +273,10 @@ def isotropy_map(lam, alpha, r, n):
 
     expanded to weights n-1 / n.  lambda != 0 is required; r must be real.
     The parameters must be exact (``int``, ``Fraction`` or
-    ``GaussianRational``); a float or complex one raises ParseError.
+    ``GaussianRational``) and n an integer >= 1; anything else raises
+    ParseError.
     """
+    _check_order(n, 1, "isotropy map")
     lam = _exact_scalar(lam, "isotropy parameter lambda")
     alpha = _exact_scalar(alpha, "isotropy parameter alpha")
     r = _exact_real(r, "isotropy parameter r")
@@ -301,56 +311,26 @@ def isotropy_map(lam, alpha, r, n):
 
 
 def translate_to_point(M, z0, u0, v0=None):
-    """Recenter the graph at the surface point over (z0, u0).
-
-    The surface is polynomial data, so the shift is exact.  If v0 is given
-    it is validated against F(z0, conj z0, u0).  The coordinates must be
-    exact, as in ``isotropy_map``.
+    """Recenter the graph at the surface point over (z0, u0): the result is
+    F(z0 + z, conj z0 + zbar, u0 + u) - F(z0, conj z0, u0), exact because the
+    surface is polynomial data (``eval_graph`` with ``polynomial=True``).
+    If v0 is given it is validated against F(z0, conj z0, u0).  The
+    coordinates must be exact, as in ``isotropy_map``.
     """
     F = M.series
     z0 = _exact_scalar(z0, "z-coordinate")
     u0 = _exact_real(u0, "u-coordinate")
-    z0b = z0.conjugate()
-    height = F.evaluate(z0, z0b, u0)
+    height = F.evaluate(z0, z0.conjugate(), u0)
     if v0 is not None:
         if height - _exact_scalar(v0, "v-coordinate"):
             raise MathPreconditionError("point is not on the hypersurface")
 
     n = F.n
-    acc = {}
-    max_j = max((j for (j, _, _) in F.c), default=0)
-    max_k = max((k for (_, k, _) in F.c), default=0)
-    max_l = max((l for (_, _, l) in F.c), default=0)
-    z_pows = [ONE]
-    for _ in range(max_j):
-        z_pows.append(z_pows[-1] * z0)
-    zb_pows = [ONE]
-    for _ in range(max_k):
-        zb_pows.append(zb_pows[-1] * z0b)
-    u_pows = [ONE]
-    for _ in range(max_l):
-        u_pows.append(u_pows[-1] * u0)
-
-    for (j, k, l), v in F.c.items():
-        for s in range(j + 1):
-            cjs = math.comb(j, s)
-            for t in range(k + 1):
-                ckt = math.comb(k, t)
-                for q in range(l + 1):
-                    clq = math.comb(l, q)
-                    coeff = v * (cjs * ckt * clq)
-                    coeff = coeff * z_pows[j - s] * zb_pows[k - t]
-                    if l - q:
-                        coeff = coeff * u_pows[l - q]
-                    key = (s, t, q)
-                    cur = acc.get(key, ZERO) + coeff
-                    if cur:
-                        acc[key] = cur
-                    elif key in acc:
-                        del acc[key]
-    if acc.pop((0, 0, 0), ZERO) - height:
+    one = Series3.one(n)
+    out = eval_graph(F, Series3.z_var(n) + one * z0, Series3.u_var(n) + one * u0, polynomial=True)
+    out = out - one * height
+    if out.coeff(0, 0, 0):
         raise InternalInvariantError("translated constant term failed to cancel")
-    out = Series3(n, acc)
     out.assert_real("translated graph")
     return Hypersurface(out, check=False)
 
@@ -607,9 +587,7 @@ def _series_rows(series, monos):
     return rows
 
 
-_PUNCTUAL_CACHE = {}
-
-
+@functools.cache
 def _punctual_system(delta):
     """Probe matrix of the core expression for homogeneous (f, g) at delta.
 
@@ -617,26 +595,18 @@ def _punctual_system(delta):
     monomials whose Re/Im parts make the rows, and the columns run over the
     real and imaginary parts of each f/g coefficient, exact rationals.
     """
-    key = delta
-    if key in _PUNCTUAL_CACHE:
-        return _PUNCTUAL_CACHE[key]
     f_keys = _holo_keys(delta - 1)
     g_keys = _holo_keys(delta)
     monos = _weight_monomials(delta)
-    columns = []
-    for which, keys in (("f", f_keys), ("g", g_keys)):
-        for jk in keys:
-            for val in (ONE, I_UNIT):
-                if which == "f":
-                    f = HoloSeries(delta - 1, {jk: val})
-                    g = HoloSeries.zero(delta)
-                else:
-                    f = HoloSeries.zero(delta - 1)
-                    g = HoloSeries(delta, {jk: val})
-                core = core_expression(f, g, delta)
-                columns.append(_series_rows(core, monos))
-    _PUNCTUAL_CACHE[key] = (f_keys, g_keys, monos, columns)
-    return _PUNCTUAL_CACHE[key]
+    f0, g0 = HoloSeries.zero(delta - 1), HoloSeries.zero(delta)
+    columns = [
+        _series_rows(core_expression(HoloSeries(delta - 1, {jk: val}), g0, delta), monos)
+        for jk in f_keys for val in (ONE, I_UNIT)
+    ] + [
+        _series_rows(core_expression(f0, HoloSeries(delta, {jk: val}), delta), monos)
+        for jk in g_keys for val in (ONE, I_UNIT)
+    ]
+    return f_keys, g_keys, monos, columns
 
 
 def _solve_punctual(delta, target):
@@ -692,35 +662,14 @@ def punctual_normalize(M, stages=None, verify=False):
 # ---------------------------------------------------------------------------
 
 
-def _map_along_curve(h_component, phi, psi):
-    """h(phi(t), psi(t)) for an exact polynomial map component h."""
-    n = min(phi.n, psi.n)
-    res = UPoly.zero(n)
-    phi_pows = {0: UPoly.one(n)}
-    psi_pows = {0: UPoly.one(n)}
-    for (j, l), v in h_component.c.items():
-        if j not in phi_pows:
-            base = phi_pows[max(phi_pows)]
-            for jj in range(max(phi_pows) + 1, j + 1):
-                base = base * phi
-                phi_pows[jj] = base
-        if l not in psi_pows:
-            base = psi_pows[max(psi_pows)]
-            for ll in range(max(psi_pows) + 1, l + 1):
-                base = base * psi
-                psi_pows[ll] = base
-        res = res + phi_pows[j] * psi_pows[l] * v
-    return res
-
-
 def transform_curve(curve, h):
     """Push a curve through an exact polynomial map and reparametrize by u.
 
     Only safe for maps whose components are complete polynomials (the
     adapted-chart moves are); the result is again parametrized by Re psi = t.
     """
-    phi_raw = _map_along_curve(h.f, curve.phi, curve.psi)
-    psi_raw = _map_along_curve(h.g, curve.phi, curve.psi)
+    phi_raw = eval_holo3(h.f, curve.phi, curve.psi, polynomial=True)
+    psi_raw = eval_holo3(h.g, curve.phi, curve.psi, polynomial=True)
     s = psi_raw.real_part()
     if not s.coeff(1):
         raise MathPreconditionError("transformed curve loses transversality")
@@ -926,27 +875,38 @@ def kill_f33_reparam(M, stages=None, verify=False):
 # chain finding on a surface normalized through weight 5
 # ---------------------------------------------------------------------------
 
-_CHAIN_RESPONSE_CACHE = {}
+def _straighten_through_rotation(M, curve, stages, verify=False, stop_after=None):
+    """Straighten curve to the u-axis and run the stages through the rotation;
+    returns (surface, stopped), stopped True when the checkpoint stop_after
+    was reached (the surface is then the one at it)."""
+    M = straighten_curve(M, curve, stages, verify)
+    if stop_after == "straighten":
+        return M, True
+    # the stages are looked up by name on each call, not kept in a module
+    # constant, so a wrapper on the module's names (perfbench/tracing.py) counts
+    for name, stage in (
+        ("harmonics", kill_harmonics),
+        ("levi", normalize_levi),
+        ("absorb", absorb_k1),
+        ("rotate", kill_f22_rotation),
+    ):
+        M = stage(M, stages, verify)
+        if stop_after == name:
+            return M, True
+    return M, False
 
 
 def _f32_slice_through_subpipeline(M, phi):
     """Straighten phi's completion and run the stages through the rotation;
     return the F_{3,2} slice of the result."""
-    curve = TransversalCurve.complete(M, phi)
-    stages = []
-    M1 = straighten_curve(M, curve, stages)
-    M2 = kill_harmonics(M1, stages)
-    M3 = normalize_levi(M2, stages)
-    M4 = absorb_k1(M3, stages)
-    M5 = kill_f22_rotation(M4, stages)
+    M5, _ = _straighten_through_rotation(M, TransversalCurve.complete(M, phi), [])
     return M5.slice(3, 2)
 
 
+@functools.cache
 def _chain_response(m):
     """Universal affine response (kappa, mu) of the order-(m-2) straightening
     residual to the curve coefficient c_m, measured on the model sphere."""
-    if m in _CHAIN_RESPONSE_CACHE:
-        return _CHAIN_RESPONSE_CACHE[m]
     n_probe = 2 * m + 1
     sphere = Hypersurface.sphere(n_probe)
     r_one = _f32_slice_through_subpipeline(
@@ -957,7 +917,6 @@ def _chain_response(m):
     ).coeff(m - 2)
     kappa = (r_one + I_UNIT * r_i) * HALF
     mu = (r_one - I_UNIT * r_i) * HALF
-    _CHAIN_RESPONSE_CACHE[m] = (kappa, mu)
     return kappa, mu
 
 
@@ -1086,12 +1045,16 @@ def normalize_hypersurface(M, curve=None, verify=False, stop_after=None):
     reparametrization if the curve was not actually a chain (its F_{3,2}
     obstruction survives straightening).
 
-    stop_after names a checkpoint from PIPELINE_STEPS to halt at.
+    stop_after names a checkpoint from PIPELINE_STEPS to halt at.  With a
+    supplied curve there is no "punctual" checkpoint, and asking for it
+    raises ParseError.
     """
     if stop_after is not None and stop_after not in PIPELINE_STEPS:
         raise ParseError(
             "unknown checkpoint %r; expected one of %s" % (stop_after, ", ".join(PIPELINE_STEPS))
         )
+    if curve is not None and stop_after == "punctual":
+        raise ParseError("a supplied curve skips the punctual stages; no 'punctual' checkpoint")
     if M.n < 6:
         raise MathPreconditionError("normalization needs truncation order >= 6")
     stages = []
@@ -1108,34 +1071,18 @@ def normalize_hypersurface(M, curve=None, verify=False, stop_after=None):
         if stop_after == "punctual":
             return result(cur, False)
         chain = TransversalCurve.complete(cur, find_chain_curve(cur))
-        cur = straighten_curve(cur, chain, stages, verify)
-        if stop_after == "straighten":
-            return result(cur, False)
     else:
         curve.validate_on(M)
-        mark = len(stages)
         cur = adapt_chart(M, stages, verify)
         chain = curve
-        for stage in stages[mark:]:
+        for stage in stages:
             chain = transform_curve(chain, stage.map)
         chain.validate_on(cur)
         if stop_after == "adapt":
             return result(cur, False)
-        cur = straighten_curve(cur, chain, stages, verify)
-        if stop_after == "straighten":
-            return result(cur, False)
 
-    cur = kill_harmonics(cur, stages, verify)
-    if stop_after == "harmonics":
-        return result(cur, False)
-    cur = normalize_levi(cur, stages, verify)
-    if stop_after == "levi":
-        return result(cur, False)
-    cur = absorb_k1(cur, stages, verify)
-    if stop_after == "absorb":
-        return result(cur, False)
-    cur = kill_f22_rotation(cur, stages, verify)
-    if stop_after == "rotate":
+    cur, stopped = _straighten_through_rotation(cur, chain, stages, verify, stop_after)
+    if stopped:
         return result(cur, False)
 
     if not cur.slice(3, 2).is_zero():

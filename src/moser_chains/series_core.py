@@ -23,9 +23,12 @@ and add only their own mathematics:
 Substitution of series into a series (``eval_holo3``, ``eval_holo2``,
 ``eval_graph``, ``eval_curve``) runs through one core over a table of the
 arguments' powers; each entry point only checks its arguments and fixes the
-order to which its result is sound.  A table holds the powers at one order
-and can be shared by several substitutions into the same arguments at that
-order (``GraphTable``); each entry point builds a fresh one.
+order to which its result is sound.  The pipeline has no other substitution
+code: composing maps, pushing a map along a curve and moving a surface to
+another base point all go through this core.  A table holds the powers at
+one order and can be shared by several substitutions into the same
+arguments at that order (``GraphTable``); each entry point builds a fresh
+one.
 
 Coefficients are exact Gaussian rationals (``GaussianRational``, stored as
 three integers (a, b, d) for (a + ib)/d in lowest terms).  The series code
@@ -59,18 +62,10 @@ def parse_rational(text):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ParseError("bad rational literal: %r" % (text,))
-    s = text.strip().lstrip("+")
-    if "/" in s:
-        p, q = s.split("/")
-        neg = p.startswith("-")
-        if neg:
-            p = p[1:]
-        qi = int(q)
-        if qi == 0:
-            raise ParseError("zero denominator in rational literal %r" % (text,))
-        val = Fraction(int(p), qi)
-        return -val if neg else val
-    return Fraction(int(s))
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ParseError("zero denominator in rational literal %r" % (text,))
 
 
 class GaussianRational:
@@ -759,12 +754,17 @@ def _tail_bound(F, zs, ws, polynomial):
     smallest "corner" distribution of its exponents over the arguments' low
     weights, which caps the order one below that; ``polynomial=True`` asserts
     there is no such tail (F is a complete polynomial) and lifts the cap.
+
+    An argument with a constant term is refused only for a truncated F, whose
+    unseen monomials would then reach every weight.  For a complete F it is
+    sound: all weights are >= 0, so output of weight <= n depends only on
+    argument terms of weight <= n (``translate_to_point`` relies on this).
     """
     z_low, w_low = zs.low_weight(), ws.low_weight()
-    if z_low == 0 or w_low == 0:
-        raise InternalInvariantError("substitution argument with a constant term")
     order = min(zs.n, ws.n)
     if not polynomial:
+        if z_low == 0 or w_low == 0:
+            raise InternalInvariantError("substitution argument with a constant term")
         tail = F.n + 1
         if z_low is not None:
             order = min(order, z_low * tail - 1)
@@ -872,12 +872,13 @@ def _substitute(F, table):
 
 
 def eval_holo3(h, zs, ws, n_out=None, polynomial=False):
-    """h(zs, ws) for a holomorphic h; zs and ws are both Series3, or both
-    HoloSeries (composition of holomorphic maps), and so is the result.
+    """h(zs, ws) for a holomorphic h; zs and ws are both Series3, both
+    HoloSeries (composition of holomorphic maps) or both UPoly (a map pushed
+    along a curve t |-> (zs(t), ws(t))), and so is the result.
 
-    Requires low-weight(zs) >= 1 and low-weight(ws) >= 1; the result order is
-    clipped to what is actually sound given h's truncation unless
-    ``polynomial`` declares h complete.
+    Without ``polynomial`` the arguments need low weight >= 1 and the result
+    order is clipped to what is sound given h's truncation; ``polynomial``
+    declares h complete, lifts the clip and admits constant terms.
     """
     n = _resolve_order(_tail_bound(h, zs, ws, polynomial), n_out, "holomorphic substitution")
     return _substitute(h, PowerTable((zs, ws), n))
@@ -929,14 +930,11 @@ def eval_graph(F, zs, us, n_out=None, polynomial=False):
 
 
 def eval_curve(F, phi, n_out=None, polynomial=False):
-    """F(phi(t), conj(phi)(t), t) as a one-variable series in t."""
-    natural = phi.n
-    if not polynomial:
-        natural = min(natural, (F.n + 2) // 2 - 1)
-    n = _resolve_order(natural, n_out, "curve substitution")
-    if phi.coeff(0):
-        raise InternalInvariantError("curve substitution needs phi(0) = 0")
-    return _substitute(F, PowerTable((phi, phi.conjugate(), UPoly.var(n)), n))
+    """F(phi(t), conj(phi)(t), t) as a one-variable series in t; the order
+    rule is ``_tail_bound``'s with t in the u-slot."""
+    t = UPoly.var(phi.n)
+    n = _resolve_order(_tail_bound(F, phi, t, polynomial), n_out, "curve substitution")
+    return _substitute(F, PowerTable((phi, phi.conjugate(), t), n))
 
 
 # ---------------------------------------------------------------------------
@@ -949,26 +947,47 @@ def is_json_count(value, least=0):
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
-def _coeff_to_json(v):
-    return {"re": str(v.real), "im": str(v.imag)}
+def _terms_to_json(series, fields):
+    """The sorted coefficient entries {field: exponent, ..., "re", "im"}."""
+    out = []
+    for key, v in series.terms():
+        entry = dict(zip(fields, key))
+        entry["re"], entry["im"] = str(v.real), str(v.imag)
+        out.append(entry)
+    return out
 
 
-def _coeff_from_json(obj, where):
-    if not isinstance(obj, dict):
-        raise ParseError("bad coefficient entry in %s: %r" % (where, obj))
-    re_part = parse_rational(obj.get("re", "0"))
-    im_part = parse_rational(obj.get("im", "0"))
-    return GaussianRational(re_part, im_part)
+def _terms_from_json(raw, n, cls, fields, where):
+    """The cls series of order n from a list of coefficient entries;
+    ParseError for a malformed, repeated or above-order entry."""
+    if not isinstance(raw, list):
+        raise ParseError("%s must be a list of coefficient entries" % where)
+    c = {}
+    for entry in raw:
+        if not isinstance(entry, dict):
+            raise ParseError("bad coefficient entry in %s: %r" % (where, entry))
+        try:
+            key = tuple(entry[f] for f in fields)
+        except KeyError:
+            raise ParseError("entry missing %s in %s: %r" % ("/".join(fields), where, entry))
+        if not all(is_json_count(e) for e in key):
+            raise ParseError("bad exponents in %s: %r" % (where, entry))
+        weight = cls._weight(key)
+        if weight > n:
+            raise ParseError(
+                "monomial %r in %s has weight %d above order %d" % (key, where, weight, n)
+            )
+        if key in c:
+            raise ParseError("duplicate monomial %r in %s" % (key, where))
+        c[key] = GaussianRational(
+            parse_rational(entry.get("re", "0")), parse_rational(entry.get("im", "0"))
+        )
+    return cls(n, c)
 
 
 def series3_to_json(F):
     """{"trunc_order": n, "coeffs": [{"j","k","l","re","im"}, ...]} sorted."""
-    coeffs = []
-    for (j, k, l), v in F.terms():
-        entry = {"j": j, "k": k, "l": l}
-        entry.update(_coeff_to_json(v))
-        coeffs.append(entry)
-    return {"trunc_order": F.n, "coeffs": coeffs}
+    return {"trunc_order": F.n, "coeffs": _terms_to_json(F, "jkl")}
 
 
 def series3_from_json(obj):
@@ -979,57 +998,12 @@ def series3_from_json(obj):
     n = obj["trunc_order"]
     if not is_json_count(n):
         raise ParseError("bad trunc_order: %r" % (n,))
-    raw = obj.get("coeffs", [])
-    if not isinstance(raw, list):
-        raise ParseError("coeffs must be a list")
-    c = {}
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise ParseError("bad coefficient entry: %r" % (entry,))
-        try:
-            j, k, l = entry["j"], entry["k"], entry["l"]
-        except KeyError:
-            raise ParseError("coefficient entry missing j/k/l: %r" % (entry,))
-        if not all(is_json_count(e) for e in (j, k, l)):
-            raise ParseError("bad exponents in entry: %r" % (entry,))
-        key = (j, k, l)
-        if j + k + 2 * l > n:
-            raise ParseError(
-                "monomial (%d,%d,%d) has weight %d above trunc_order %d" % (key + (j + k + 2 * l, n))
-            )
-        if key in c:
-            raise ParseError("duplicate monomial (%d,%d,%d)" % key)
-        c[key] = _coeff_from_json(entry, "series")
-    return Series3(n, c)
+    return _terms_from_json(obj.get("coeffs", []), n, Series3, "jkl", "series coeffs")
 
 
 def holo_to_json(h):
-    coeffs = []
-    for (j, l), v in h.terms():
-        entry = {"j": j, "l": l}
-        entry.update(_coeff_to_json(v))
-        coeffs.append(entry)
-    return coeffs
+    return _terms_to_json(h, "jl")
 
 
 def holo_from_json(raw, n, where="map component"):
-    if not isinstance(raw, list):
-        raise ParseError("%s must be a list of coefficient entries" % where)
-    c = {}
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise ParseError("bad coefficient entry in %s: %r" % (where, entry))
-        try:
-            j, l = entry["j"], entry["l"]
-        except KeyError:
-            raise ParseError("entry missing j/l in %s: %r" % (where, entry))
-        if not all(is_json_count(e) for e in (j, l)):
-            raise ParseError("bad exponents in %s: %r" % (where, entry))
-        if j + 2 * l > n:
-            raise ParseError(
-                "monomial (%d,%d) in %s has weight %d above order %d" % (j, l, where, j + 2 * l, n)
-            )
-        if (j, l) in c:
-            raise ParseError("duplicate monomial (%d,%d) in %s" % (j, l, where))
-        c[(j, l)] = _coeff_from_json(entry, where)
-    return HoloSeries(n, c)
+    return _terms_from_json(raw, n, HoloSeries, "jl", where)

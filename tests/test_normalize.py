@@ -16,6 +16,7 @@ from moser_chains.errors import (
 from moser_chains.normalize import (
     Biholo,
     Hypersurface,
+    PIPELINE_STEPS,
     TransversalCurve,
     adapt_chart,
     absorb_k1,
@@ -211,6 +212,24 @@ class TestTranslate:
             with pytest.raises(ParseError):
                 translate_to_point(sphere(8), z0, u0, v0=v0)
 
+    def test_pointwise_oracle(self, rng):
+        # Mt(z, zb, u) = F(z0 + z, conj(z0 + z), u0 + u) - F(z0, conj z0, u0)
+        # at random points; unlike the round trip this sees a shift of the
+        # wrong sign, which translating back would undo
+        for _ in range(4):
+            M = rand_surface(rng, terms=12)
+            F = M.series
+            z0, u0 = rand_gr(rng), rand_rat(rng)
+            Mt = translate_to_point(M, z0, u0)
+            assert Mt.n == M.n
+            base = F.evaluate(z0, z0.conjugate(), u0)
+            for _ in range(5):
+                z, u = rand_gr(rng), rand_rat(rng)
+                zz = z0 + z
+                assert Mt.series.evaluate(z, z.conjugate(), u) == (
+                    F.evaluate(zz, zz.conjugate(), u0 + u) - base
+                )
+
 
 # ---------------------------------------------------------------------------
 # the graph transform and its oracle
@@ -345,6 +364,25 @@ class TestIsotropyMap:
         for args in ((0.5, 0, 0), (1, 0.5j, 0), (1, 0, 0.5), (1, 0, 1j)):
             with pytest.raises(ParseError):
                 isotropy_map(*args, 6)
+
+
+class TestOrderArguments:
+    def test_bad_orders_raise_parse_error(self):
+        bad = (0, -1, 2.5, 6.0, True, "6", None)
+        for n in bad:
+            with pytest.raises(ParseError):
+                isotropy_map(1, 0, 0, n)
+            with pytest.raises(ParseError):
+                Biholo.identity(n)
+        for n in (-1, 2.5, True, "6"):
+            with pytest.raises(ParseError):
+                Hypersurface.sphere(n)
+
+    def test_smallest_orders_still_work(self):
+        assert isotropy_map(1, 0, 0, 1).g == HoloSeries.w_var(1)
+        assert Biholo.identity(1).f.is_zero()
+        assert Hypersurface.sphere(0).series.is_zero()
+        assert Hypersurface.sphere(6) == sphere(6)
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +693,38 @@ class TestPipeline:
         assert not res.completed
         with pytest.raises(ParseError):
             normalize_hypersurface(M, stop_after="nonsense")
+
+    def test_every_checkpoint_in_both_modes(self):
+        # every stage has work on this sphere image, and the image of the
+        # sphere's chain (the u-axis) is a chain of it to supply
+        h = rand_contract_map(random.Random(2), 8)
+        M, _, _ = graph_transform(sphere(8), h)
+        chain = transform_curve(TransversalCurve.complete(sphere(8), UPoly.zero(4)), h)
+        for curve in (None, chain):
+            full = normalize_hypersurface(M, curve=curve)
+            assert full.completed and full.surface == sphere(8)
+            for step in PIPELINE_STEPS:
+                if curve is not None and step == "punctual":
+                    continue
+                res = normalize_hypersurface(M, curve=curve, stop_after=step)
+                assert res.completed == (step == "reparam"), step
+                names = res.stage_names()
+                assert names == full.stage_names()[: len(names)], step
+                found_yet = PIPELINE_STEPS.index(step) >= PIPELINE_STEPS.index("straighten")
+                assert (res.chain_curve is not None) == (curve is not None or found_yet), step
+
+    def test_supplied_curve_has_no_punctual_checkpoint(self):
+        # a supplied curve skips the punctual stages, so that stop is refused
+        # before any stage runs, for a chain and for a curve that is none
+        M = rand_surface(random.Random(3))
+        wrong = TransversalCurve.complete(M, UPoly(4, {2: gr("1/7")}))
+        with pytest.raises(MathPreconditionError):
+            normalize_hypersurface(M, curve=wrong)
+        M_eps = m_eps(gr("1/10"))
+        axis = TransversalCurve.complete(M_eps, UPoly.zero(4))
+        for surface, curve in ((M, wrong), (M_eps, axis)):
+            with pytest.raises(ParseError):
+                normalize_hypersurface(surface, curve=curve, stop_after="punctual")
 
     def test_order_too_low(self):
         with pytest.raises(MathPreconditionError):

@@ -547,7 +547,9 @@ class TestSubstitution:
     def test_naive_sum_with_low_weight_arguments(self, rng):
         # every argument has low weight >= 2, so a head product P^j conj(P)^k
         # starts at weight >= 2(j + k) and the weight bound of the inner sums
-        # drops terms; the result must still be the term-by-term sum
+        # drops terms; the result must still be the term-by-term sum.  The
+        # same holds for a map pushed along a curve (UPoly arguments) and for
+        # arguments with a constant term, which a complete polynomial admits
         n = 10
 
         def above(cls, low):
@@ -567,11 +569,20 @@ class TestSubstitution:
             zs2 = HoloSeries(n, {(2, 0): a}) + above(HoloSeries, 2)
             ws2 = HoloSeries.w_var(n) + above(HoloSeries, 3)
             phi = UPoly(n, {2: a}) + UPoly(n, {3: gr(1)}) * rand_upoly(rng, n)
+            psi = phi.conjugate() + UPoly(n, {2: gr(1)})
+            zc = zs3 + Series3.one(n) * a
+            uc = us + Series3.one(n) * a.real
+            wc = ws3 + Series3.one(n) * a
+            phic = phi + UPoly.one(n) * a
             for entry, G, args, full in (
                 (eval_graph, F, (zs3, us), (zs3, zs3.conj(), us)),
                 (eval_holo3, h, (zs3, ws3), (zs3, ws3)),
                 (eval_holo2, h, (zs2, ws2), (zs2, ws2)),
                 (eval_curve, F, (phi,), (phi, phi.conjugate(), UPoly.var(n))),
+                (eval_holo3, h, (phi, psi), (phi, psi)),
+                (eval_graph, F, (zc, uc), (zc, zc.conj(), uc)),
+                (eval_holo3, h, (zc, wc), (zc, wc)),
+                (eval_curve, F, (phic,), (phic, phic.conjugate(), UPoly.var(n))),
             ):
                 for n_out in (n, n - 3):
                     out = entry(G, *args, n_out=n_out, polynomial=True)
