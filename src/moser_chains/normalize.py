@@ -194,7 +194,7 @@ class Biholo:
         if not isinstance(obj, dict) or "trunc_order" not in obj:
             raise ParseError("map object needs trunc_order, f and g")
         n = obj["trunc_order"]
-        if not is_json_count(n, 2):
+        if not is_json_count(n, 1):
             raise ParseError("bad map trunc_order: %r" % (n,))
         f = holo_from_json(obj.get("f", []), n - 1, "f")
         g = holo_from_json(obj.get("g", []), n, "g")
@@ -371,7 +371,12 @@ def graph_transform(M, h):
 
     The image is solved weight by weight; every step substitutes into the
     same arguments, so the powers of the inverse coordinates and of (P, Q)
-    are built once per call, in one GraphTable each.
+    are built once per call, in one GraphTable each.  When the leading part
+    of (P, Q) is the identity (lambda = 1, sigma = 1, q2 = 0), the inverse
+    coordinates are z and u themselves and each inverse step returns its
+    argument, so it is skipped; every stage after ``adapt_chart`` has that
+    shape.  Both tables substitute real series into real u-arguments, so
+    each builds its mirrored groups once (``series_core._substitute``).
     """
     if h.g.coeff(1, 0):
         raise MathPreconditionError("graph transform needs g_z(0) = 0")
@@ -395,14 +400,16 @@ def graph_transform(M, h):
     else:
         us_inv = (uv - eval_graph(q2, zs_inv, uv)) * (ONE / sigma)
 
-    inverse, forward = GraphTable(zs_inv, us_inv, n), GraphTable(P, Q, n)
+    identity = lam == ONE and sigma == ONE and q2.is_zero()
+    inverse = None if identity else GraphTable(zs_inv, us_inv, n)
+    forward = GraphTable(P, Q, n)
     S = R
     out = Series3.zero(n)
     for nu in range(1, n + 1):
         s_nu = S.weight_part(nu)
         if s_nu.is_zero():
             continue
-        f_nu = inverse(s_nu)
+        f_nu = s_nu if inverse is None else inverse(s_nu)
         S = S - forward(f_nu)
         out = out + f_nu
     S.assert_zero("graph transform recursion remainder")

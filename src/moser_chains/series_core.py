@@ -30,6 +30,15 @@ one order and can be shared by several substitutions into the same
 arguments at that order (``GraphTable``); each entry point builds a fresh
 one.
 
+A graph or curve substitution F(x, conj(x), t) has a real third argument t,
+so conjugation (swap z/zbar and conjugate the coefficients, or conjugate the
+coefficients of a curve) fixes t and swaps the first two slots.  Its table
+therefore builds conj(x)^e and x^k conj(x)^j (k < j) as conjugates of
+x^e and x^j conj(x)^k, and the group (k, j) of F as the conjugate of the
+group (j, k) whenever v_kjl = conj(v_jkl) for every l -- for a real F, every
+pair.  A pair that is not mirrored gets its own product, so the result is
+exact for any F.
+
 Coefficients are exact Gaussian rationals (``GaussianRational``, stored as
 three integers (a, b, d) for (a + ib)/d in lowest terms).  The series code
 uses only ``+ - * /``, ``conjugate`` and truthiness of its scalars, so a zero
@@ -413,6 +422,7 @@ class WeightedSeries:
             n = min(self.n, other.n)
             weight, add_keys = self._weight, self._add_keys
             c = {}
+            get = c.get
             bs = sorted((weight(k), k, v) for k, v in other.c.items())
             for k1, v1 in self.c.items():
                 lim = n - weight(k1)
@@ -422,11 +432,11 @@ class WeightedSeries:
                     if w2 > lim:
                         break
                     key = add_keys(k1, k2)
-                    s = c.get(key, ZERO) + v1 * v2
-                    if s:
-                        c[key] = s
-                    elif key in c:
-                        del c[key]
+                    s = get(key)
+                    c[key] = v1 * v2 if s is None else s + v1 * v2
+            # sums that cancelled are dropped once, after the last term
+            for key in [key for key, v in c.items() if not v]:
+                del c[key]
             return cls._trusted(n, c)
         v = _check_scalar(other, cls.__name__)
         if not v:
@@ -485,7 +495,7 @@ class UPoly(WeightedSeries):
         return all(v.is_real() for v in self.c.values())
 
     def conjugate(self):
-        return UPoly(self.n, {m: v.conjugate() for m, v in self.c.items()})
+        return UPoly._trusted(self.n, {m: v.conjugate() for m, v in self.c.items()})
 
     def real_part(self):
         return (self + self.conjugate()) * HALF
@@ -622,6 +632,10 @@ class Series3(WeightedSeries):
         j, k, l = key
         return j + k + 2 * l
 
+    @staticmethod
+    def _add_keys(a, b):
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
     __add__ = WeightedSeries.__add__
     __mul__ = __rmul__ = WeightedSeries.__mul__
 
@@ -656,9 +670,8 @@ class Series3(WeightedSeries):
 
     def conj(self):
         """The series of conj F(z,zbar,u): swap z/zbar, conjugate coefficients."""
-        return Series3(
-            self.n,
-            {(k, j, l): v.conjugate() for (j, k, l), v in self.c.items()},
+        return Series3._trusted(
+            self.n, {(k, j, l): v.conjugate() for (j, k, l), v in self.c.items()}
         )
 
     def is_real(self):
@@ -791,10 +804,16 @@ class PowerTable:
     key (j, k, l)), with its low weight (None when it is zero); a zero
     exponent adds no factor, and an all-zero head is the series one.  Both
     are kept once built, so substitutions that share a table build each
-    power and each head product once.
+    power and each head product once.  A graph or curve substitution uses
+    ``_MirrorTable``, which builds half of its powers and heads as
+    conjugates.
     """
 
     __slots__ = ("args", "n", "pows", "heads")
+
+    #: the conjugation of the arguments' class when the table mirrors
+    #: (see ``_MirrorTable``), else None
+    _conj = None
 
     def __init__(self, args, n):
         self.args = args
@@ -817,6 +836,42 @@ class PowerTable:
             for factor in factors[1:]:
                 prod = prod * factor
             entry = self.heads[key] = (prod, prod.low_weight())
+        return entry
+
+
+class _MirrorTable(PowerTable):
+    """The table of the arguments (x, conj(x), t) of a graph substitution,
+    where t is real and ``_conj`` conjugates a series of x's class.
+
+    Conjugation is a ring automorphism that fixes t and swaps x with
+    conj(x), so conj(x)^e = conj(x^e) and x^k conj(x)^j = conj(x^j conj(x)^k):
+    ``power(1, e)`` and ``head((j, k))`` for k > j are built as conjugates of
+    entries the table has, with no series product.  Conjugation keeps every
+    weight, so the low weights and the truncation agree too.
+    """
+
+    __slots__ = ("_conj",)
+
+    def __init__(self, x, t, n, conj):
+        super().__init__((x, conj(x), t), n)
+        self._conj = conj
+
+    def power(self, i, e):
+        if i != 1:
+            return super().power(i, e)
+        pows = self.pows[1]
+        while len(pows) <= e:
+            pows.append(self._conj(self.power(0, len(pows))))
+        return pows[e]
+
+    def head(self, key):
+        j, k = key
+        if k <= j:
+            return super().head(key)
+        entry = self.heads.get(key)
+        if entry is None:
+            prod, low = self.head((k, j))
+            entry = self.heads[key] = (self._conj(prod), low)
         return entry
 
 
@@ -846,21 +901,36 @@ def _substitute(F, table):
     term of the inner sum above weight n - w only makes output above the
     order n: the inner sum is built to weight n - w only.  The inner sums and
     the result are accumulated in place.
+
+    On a mirror table (arguments (x, conj(x), t) with t real) the groups
+    (j, k) and (k, j) of F with v_kjl = conj(v_jkl) -- all of them when F is
+    real -- cost one product: group (k, j) is then conj(x)^j x^k times
+    sum_l conj(v_jkl) t^l, the conjugate of group (j, k), so the conjugate
+    of group (j, k)'s product is added for it.  A group whose mirror differs
+    or is absent gets its own product, so a non-real F stays exact.
     """
     n, last = table.n, len(table.args) - 1
     cls = type(table.args[0])
     weight = cls._weight
+    conj = table._conj
     res = {}
     groups = {}
     for key, v in F.c.items():
-        groups.setdefault(key[:-1], []).append((key[-1], v))
+        groups.setdefault(key[:-1], {})[key[-1]] = v
+    mirrored = set()
+    if conj:
+        for (j, k), pairs in groups.items():
+            if j > k and groups.get((k, j)) == {l: v.conjugate() for l, v in pairs.items()}:
+                mirrored.add((j, k))
+    for j, k in mirrored:
+        del groups[k, j]
     for head, pairs in sorted(groups.items()):
         prod, low = table.head(head)
         if low is None:
             continue
         lim = n - low
         inner = {}
-        for l, v in pairs:
+        for l, v in pairs.items():
             power = table.power(last, l).c.items()
             _accumulate(inner, [(k, p) for k, p in power if weight(k) <= lim], v)
         if not inner:
@@ -868,6 +938,8 @@ def _substitute(F, table):
         if any(head):
             inner = (prod * cls._trusted(n, inner)).c
         _accumulate(res, inner.items())
+        if head in mirrored:
+            _accumulate(res, conj(cls._trusted(n, inner)).c.items())
     return cls._trusted(n, res)
 
 
@@ -896,19 +968,20 @@ def _graph_order(F, zs, us, n_out, polynomial):
     return _resolve_order(_tail_bound(F, zs, us, polynomial), n_out, "graph substitution")
 
 
-class GraphTable(PowerTable):
+class GraphTable(_MirrorTable):
     """The powers of zs, conj(zs) and us at order n, for substituting several
     series F into the same graph arguments.
 
     Calling the table is ``eval_graph(F, zs, us)`` with the table's powers:
     the same checks run, and F(zs, conj(zs), us) must be sound to exactly the
-    table's order.
+    table's order.  The powers of conj(zs) and the heads zs^j conj(zs)^k with
+    k > j are the conjugates of other entries (``_MirrorTable``).
     """
 
     __slots__ = ()
 
     def __init__(self, zs, us, n):
-        super().__init__((zs, zs.conj(), us), n)
+        super().__init__(zs, us, n, Series3.conj)
 
     def __call__(self, F):
         zs, _, us = self.args
@@ -934,7 +1007,7 @@ def eval_curve(F, phi, n_out=None, polynomial=False):
     rule is ``_tail_bound``'s with t in the u-slot."""
     t = UPoly.var(phi.n)
     n = _resolve_order(_tail_bound(F, phi, t, polynomial), n_out, "curve substitution")
-    return _substitute(F, PowerTable((phi, phi.conjugate(), t), n))
+    return _substitute(F, _MirrorTable(phi, t, n, UPoly.conjugate))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,16 @@ class TestBiholo:
         again = Biholo.from_json(h.to_json())
         assert again.f == h.f and again.g == h.g
 
+    def test_json_round_trip_smallest_orders(self):
+        # every map to_json writes reads back, down to the order-1 maps that
+        # identity and isotropy_map build
+        for n in (1, 2, 3):
+            for h in (Biholo.identity(n), isotropy_map(gr(2), gr("1/3", "1/5"), Fraction(1, 7), n)):
+                again = Biholo.from_json(h.to_json())
+                assert again.f == h.f and again.g == h.g
+        with pytest.raises(ParseError):
+            Biholo.from_json(dict(Biholo.identity(1).to_json(), trunc_order=0))
+
     def test_json_rejects_booleans(self):
         blob = Biholo.identity(6).to_json()
         for field, bad in (("trunc_order", True), ("f", [{"j": True, "l": 0, "re": "1"}])):
@@ -295,6 +305,38 @@ class TestGraphTransform:
             img, _, _ = graph_transform(M, h)
             resid = fundamental_identity_residual(M, h, img)
             assert resid.is_zero()
+
+    def test_leading_part_shapes_certified(self, rng):
+        # the inverse steps are skipped only for an identity leading part
+        # (lambda = 1, sigma = 1, q2 = 0); a leading part with lambda != 1 or
+        # sigma != 1, and the tilt w -> (1 - ic) w, whose q2 = c z zbar, must
+        # still be inverted
+        n = 8
+        c = gr("2/3")
+        u = Series3.u_var(n)
+
+        def linear(lam, sigma):
+            return Biholo(HoloSeries(n - 1, {(1, 0): lam}), HoloSeries(n, {(0, 1): sigma}))
+
+        tilt = Biholo(HoloSeries.z_var(n - 1), HoloSeries(n, {(0, 1): ONE - gr(0, 1) * c}))
+        for _ in range(3):
+            M = Hypersurface(
+                Series3.hermitian_square(n) + rand_real_series3(rng, n, terms=6, min_weight=3)
+            )
+            identity_led = Biholo(
+                HoloSeries(n - 1, {(1, 0): ONE, (2, 0): rand_gr(rng), (0, 1): rand_gr(rng)}),
+                HoloSeries(n, {(0, 1): ONE, (1, 1): rand_gr(rng), (0, 2): rand_gr(rng)}),
+            )
+            for h, lam, q_2 in (
+                (identity_led, ONE, u),
+                (linear(gr(2, 1), gr("1/3")), gr(2, 1), u * gr("1/3")),
+                (linear(ONE, gr("1/3")), ONE, u * gr("1/3")),
+                (linear(gr(2, 1), ONE), gr(2, 1), u),
+                (tilt, ONE, u + Series3.hermitian_square(n) * c),
+            ):
+                img, P, Q = graph_transform(M, h)
+                assert P.coeff(1, 0, 0) == lam and Q.weight_part(2) == q_2
+                assert fundamental_identity_residual(M, h, img).is_zero()
 
     def test_residual_detects_wrong_target(self, rng):
         M = rand_surface(rng, terms=5)

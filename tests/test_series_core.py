@@ -16,6 +16,7 @@ from moser_chains.series_core import (
     HoloSeries,
     Series3,
     UPoly,
+    WeightedSeries,
     eval_curve,
     eval_graph,
     eval_holo2,
@@ -587,6 +588,100 @@ class TestSubstitution:
                 for n_out in (n, n - 3):
                     out = entry(G, *args, n_out=n_out, polynomial=True)
                     assert out == self.naive_sum(G, full, n_out), (entry.__name__, n_out)
+
+    def test_naive_sum_with_mirrored_groups(self, rng):
+        # a graph or curve substitution takes one product for the groups
+        # (j, k) and (k, j) of F when v_kjl = conj(v_jkl) and adds its
+        # conjugate; a pair that differs in one coefficient, or a group whose
+        # mirror is absent, gets its own product.  Each result must still be
+        # the term-by-term sum, also through a shared table and with
+        # constant-term arguments
+        n = 9
+        for _ in range(4):
+            a, b = rand_gr(rng, nonzero=True), rand_gr(rng, nonzero=True)
+            real = rand_real_series3(rng, n, terms=8) + Series3(
+                n, {(2, 1, 0): a, (1, 2, 0): a.conjugate(), (2, 1, 1): b, (1, 2, 1): b.conjugate()}
+            )
+            changed = real + Series3.monomial(n, 2, 1, 1, gr(1, 1))
+            upper = Series3(n, {key: v for key, v in real.c.items() if key[0] >= key[1]})
+            lower = Series3(n, {key: v for key, v in real.c.items() if key[0] <= key[1]})
+            assert real.is_real() and not changed.is_real()
+
+            high = rand_series3(rng, n, terms=4)
+            zs = Series3.z_var(n) * a + sum(
+                (high.weight_part(w) for w in range(2, n + 1)), Series3.zero(n)
+            )
+            us = Series3.u_var(n) + rand_real_series3(rng, n, terms=3, min_weight=2)
+            phi = UPoly(n, {1: a}) + UPoly(n, {2: gr(1)}) * rand_upoly(rng, n)
+            zc = zs + Series3.one(n) * b
+            uc = us + Series3.one(n) * b.real
+            phic = phi + UPoly.one(n) * b
+            table = GraphTable(zs, us, n)
+            for F in (real, changed, upper, lower):
+                expect = self.naive_sum(F, (zs, zs.conj(), us), n)
+                assert eval_graph(F, zs, us) == expect
+                assert table(F) == expect
+                for entry, args, full in (
+                    (eval_graph, (zs, us), (zs, zs.conj(), us)),
+                    (eval_graph, (zc, uc), (zc, zc.conj(), uc)),
+                    (eval_curve, (phi,), (phi, phi.conjugate(), UPoly.var(n))),
+                    (eval_curve, (phic,), (phic, phic.conjugate(), UPoly.var(n))),
+                ):
+                    for n_out in (n, n - 3):
+                        out = entry(F, *args, n_out=n_out, polynomial=True)
+                        assert out == self.naive_sum(F, full, n_out), (entry.__name__, n_out)
+
+    def test_graph_table_mirrors_without_products(self, monkeypatch):
+        # the powers of conj(zs) and the heads zs^j conj(zs)^k with k > j are
+        # conjugates of entries the table has, so they cost no series
+        # product; with every power and head built, a real F costs one
+        # product per group (j, k) with j >= k, and breaking one mirrored
+        # pair costs one more
+        products = []
+        mul = WeightedSeries.__mul__
+
+        def counted(self, other):
+            if isinstance(other, WeightedSeries):
+                products.append(type(self))
+            return mul(self, other)
+
+        monkeypatch.setattr(Series3, "__mul__", counted)
+        n = 8
+        zs = Series3(n, {(1, 0, 0): gr(2, 1), (2, 0, 0): gr(1), (0, 1, 1): gr(0, 3)})
+        us = Series3.u_var(n) + Series3.hermitian_square(n) * gr(3)
+        table = GraphTable(zs, us, n)
+        for e in range(1, 4):
+            table.power(0, e)
+        table.power(2, 2)
+        for head in ((1, 0), (2, 0), (1, 1), (2, 1), (3, 0)):
+            table.head(head)
+        built = len(products)
+        assert built
+        mirrored = [table.power(1, e) for e in range(4)]
+        mirrored += [table.head(head)[0] for head in ((0, 1), (0, 2), (1, 2), (0, 3))]
+        assert len(products) == built
+
+        a, r = gr("1/2", -3), gr("5/7")
+        F = Series3(
+            n,
+            {
+                (1, 0, 1): a, (0, 1, 1): a.conjugate(),
+                (2, 1, 0): a * a, (1, 2, 0): (a * a).conjugate(),
+                (1, 1, 1): r, (0, 0, 2): gr(1),
+            },
+        )
+        changed = F + Series3.monomial(n, 2, 1, 0, gr(1))
+        out = table(F)
+        assert len(products) == built + 3
+        out_changed = table(changed)
+        assert len(products) == built + 3 + 4
+
+        monkeypatch.undo()
+        zb = zs.conj()
+        assert mirrored[:4] == [Series3.one(n), zb, zb * zb, zb * zb * zb]
+        assert mirrored[4:] == [zb, zb * zb, zs * zb * zb, zb * zb * zb]
+        assert out == self.naive_sum(F, (zs, zb, us), n)
+        assert out_changed == self.naive_sum(changed, (zs, zb, us), n)
 
     def test_shared_graph_table(self, rng):
         # one table serves several F at its order, extending its powers as a
