@@ -30,17 +30,6 @@ def prolonged_fields():
     return {nm: prolong2(f) for nm, f in intrinsic_fields().items()}
 
 
-def first_prolongation_table():
-    """(phi1, psi1) of each field on the jet fiber over the origin."""
-    table = {}
-    for nm, jf in prolonged_fields().items():
-        table[nm] = (
-            jf.comp["x1"].subs(_FIBER_ORIGIN),
-            jf.comp["y1"].subs(_FIBER_ORIGIN),
-        )
-    return table
-
-
 def second_prolongation_table():
     """(phi1, psi1, phi2, psi2) of each field on the jet fiber over the origin."""
     table = {}
@@ -70,12 +59,7 @@ def sigma0_jet(x1, y1):
 
 def sigma0_symbolic():
     """Sigma0 right-hand sides as polynomials in (x1, y1)."""
-    x1 = RPoly.var("x1")
-    y1 = RPoly.var("y1")
-    return (
-        -2 * x1 * x1 * y1 - 2 * y1 * y1 * y1,
-        2 * x1 * y1 * y1 + 2 * x1 * x1 * x1,
-    )
+    return sigma0_jet(RPoly.var("x1"), RPoly.var("y1"))
 
 
 def offset_matrix():

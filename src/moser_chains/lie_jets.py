@@ -87,9 +87,6 @@ class RPoly:
         i = VAR_INDEX[name]
         return any(key[i] for key in self.c)
 
-    def total_degree(self):
-        return max((sum(key) for key in self.c), default=0)
-
     def vars_used(self):
         used = set()
         for key in self.c:
@@ -244,16 +241,6 @@ class IntrinsicField:
         """Derivative of a function h(u, x, y) along the field."""
         return self.xi * h.diff("u") + self.phi * h.diff("x") + self.psi * h.diff("y")
 
-    def components(self):
-        return {"u": self.xi, "x": self.phi, "y": self.psi}
-
-    def evaluate_at(self, point):
-        return (
-            self.xi.evaluate(point),
-            self.phi.evaluate(point),
-            self.psi.evaluate(point),
-        )
-
     def __eq__(self, other):
         if not isinstance(other, IntrinsicField):
             return NotImplemented
@@ -307,13 +294,6 @@ class JetField2:
                 out = out + p * d
         return out
 
-    def evaluate_at(self, point):
-        return {name: p.evaluate(point) for name, p in self.comp.items()}
-
-    def jet_part(self):
-        """The (phi1, psi1, phi2, psi2) components."""
-        return (self.comp["x1"], self.comp["y1"], self.comp["x2"], self.comp["y2"])
-
     def __eq__(self, other):
         if not isinstance(other, JetField2):
             return NotImplemented
@@ -365,12 +345,6 @@ def prolong2(field):
             "y2": psi2,
         }
     )
-
-
-def prolong1(field):
-    """First prolongation: components (xi, phi, psi, phi1, psi1)."""
-    full = prolong2(field)
-    return {name: full.comp[name] for name in ("u", "x", "y", "x1", "y1")}
 
 
 def bracket_jet(v, w):

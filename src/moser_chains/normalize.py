@@ -480,7 +480,7 @@ def adapt_chart(M, stages=None, verify=False):
             n,
             {(1, 0, 0): nu * (I_UNIT * (-1)) * HALF, (0, 1, 0): nub * I_UNIT * HALF},
         )
-        F1 = eval_graph(F, Series3.z_var(n), shift, n_out=n, polynomial=True) + harm
+        F1 = eval_graph(F, Series3.z_var(n), shift, polynomial=True) + harm
         F1.assert_real("sheared graph")
         if F1.coeff(1, 0, 0):
             raise InternalInvariantError("w-shear failed to kill the z-linear term")
@@ -560,9 +560,9 @@ def core_expression(f, g, n):
     w0 = Series3.u_var(n) + Series3.hermitian_square(n) * I_UNIT
     acc = Series3.zero(n)
     if not g.is_zero():
-        acc = acc + eval_holo3(g, zv, w0, n_out=n, polynomial=True) * I_UNIT
+        acc = acc + eval_holo3(g, zv, w0, polynomial=True) * I_UNIT
     if not f.is_zero():
-        acc = acc + Series3.zbar_var(n) * eval_holo3(f, zv, w0, n_out=n, polynomial=True) * 2
+        acc = acc + Series3.zbar_var(n) * eval_holo3(f, zv, w0, polynomial=True) * 2
     return (acc + acc.conj()) * HALF
 
 
@@ -731,13 +731,15 @@ def kill_harmonics(M, stages=None, verify=False):
     zv = HoloSeries.z_var(n)
     T = HoloSeries.w_var(n)
     for _ in range(n):
-        T_next = HoloSeries.w_var(n) - eval_holo2(harm, zv, T, n_out=n) * I_UNIT
+        H = eval_holo2(harm, zv, T)
+        T_next = HoloSeries.w_var(n) - H * I_UNIT
         if T_next == T:
             break
         T = T_next
     else:
         raise InternalInvariantError("harmonic inversion did not stabilize")
-    g_corr = eval_holo2(harm, zv, T, n_out=n) * (I_UNIT * (-2))
+    # T is the fixed point, so H = harm(z, T) from the last pass
+    g_corr = H * (I_UNIT * (-2))
     if g_corr != (T - HoloSeries.w_var(n)) * 2:
         raise InternalInvariantError("harmonic inversion identity failed")
     h = Biholo(HoloSeries.z_var(n - 1), HoloSeries.w_var(n) + g_corr)
@@ -910,29 +912,33 @@ def _f32_slice_through_subpipeline(M, phi):
     return M5.slice(3, 2)
 
 
-@functools.cache
-def _chain_response(m):
-    """Universal affine response (kappa, mu) of the order-(m-2) straightening
-    residual to the curve coefficient c_m, measured on the model sphere."""
-    n_probe = 2 * m + 1
-    sphere = Hypersurface.sphere(n_probe)
-    r_one = _f32_slice_through_subpipeline(
-        sphere, UPoly(n_probe // 2, {m: ONE})
-    ).coeff(m - 2)
-    r_i = _f32_slice_through_subpipeline(
-        sphere, UPoly(n_probe // 2, {m: I_UNIT})
-    ).coeff(m - 2)
-    kappa = (r_one + I_UNIT * r_i) * HALF
-    mu = (r_one - I_UNIT * r_i) * HALF
-    return kappa, mu
-
-
 def find_chain_curve(M):
     """The z-component of the chain through the origin with flat 1-jet.
 
     Requires a surface of the shape z zbar + (weight >= 6).  The curve
     coefficients c_m (m >= 3; c_2 = 0 on such surfaces) are solved order by
-    order from the straightening residual's affine response.
+    order in closed form, c_m = conj(r_m) / (2m(m-1)), where r_m is the u^(m-2)
+    coefficient of the F_{3,2} slice that the subpipeline (straighten,
+    harmonics, levi, absorb, rotate) leaves for the curve c_3..c_{m-1}.
+
+    Why: to first order in the curve's z-component phi, the subpipeline
+    leaves F_{3,2} = -2 conj(phi'') on the model z zbar, with v = z zbar:
+
+    * straightening (z' = z - phi(w)) and then harmonic killing leave
+      z conj(phi)(u - iv) - z conj(phi)(u + iv) + conj, that is
+      F_{2,1} = -2i conj(phi') and no F_{3,2} term (the even powers of v
+      cancel);
+    * ``absorb_k1`` removes F_{2,1} with z' = z - 2i z^2 conj(phi')(w), and
+      the v-term of conj(phi')(u + iv) adds -2 conj(phi'') to F_{3,2};
+    * levi and rotate do not act at first order (F_{1,1} and F_{2,2} do not
+      move).
+
+    So adding c t^m to phi moves r_m by -2m(m-1) conj(c), and the c above
+    cancels it.  That move is the same on every surface of the required shape
+    and has no term of higher order in c: every stage commutes with the
+    dilation (z, w) -> (s z, s^2 w), which scales c by s^(1-2m), c_k by
+    s^(1-2k), a coefficient of F of weight d >= 6 by s^(2-d), and r_m by
+    s^(1-2m); a product of c with any other of these scales faster than r_m.
 
     Step m runs the subpipeline on the surface truncated to order 2m+1, with
     the curve c_3..c_{m-1} carried to t-order m.  That is sound:
@@ -965,18 +971,8 @@ def find_chain_curve(M):
                     "chain residual at solved order %d reappeared" % q
                 )
         r0 = f32.coeff(m - 2)
-        if not r0:
-            continue
-        kappa, mu = _chain_response(m)
-        # r0 + kappa conj(c) + mu c = 0, c = x + iy
-        a = kappa + mu
-        b = (mu - kappa) * I_UNIT
-        rows = [[a.real, b.real], [a.imag, b.imag]]
-        rhs = [-r0.real, -r0.imag]
-        sol = solve(rows, rhs)
-        if sol is None:
-            raise InternalInvariantError("chain correction system inconsistent")
-        coeffs[m] = GaussianRational(sol[0], sol[1])
+        if r0:
+            coeffs[m] = r0.conjugate() / (2 * m * (m - 1))
     return UPoly(n // 2, coeffs)
 
 

@@ -786,16 +786,6 @@ def _tail_bound(F, zs, ws, polynomial):
     return order
 
 
-def _resolve_order(natural, n_out, what):
-    if n_out is None:
-        return natural
-    if natural < n_out:
-        raise InternalInvariantError(
-            "%s only sound to weight %d, %d requested" % (what, natural, n_out)
-        )
-    return n_out
-
-
 class PowerTable:
     """Powers of substitution arguments at one order n, built on demand.
 
@@ -943,7 +933,7 @@ def _substitute(F, table):
     return cls._trusted(n, res)
 
 
-def eval_holo3(h, zs, ws, n_out=None, polynomial=False):
+def eval_holo3(h, zs, ws, polynomial=False):
     """h(zs, ws) for a holomorphic h; zs and ws are both Series3, both
     HoloSeries (composition of holomorphic maps) or both UPoly (a map pushed
     along a curve t |-> (zs(t), ws(t))), and so is the result.
@@ -952,8 +942,7 @@ def eval_holo3(h, zs, ws, n_out=None, polynomial=False):
     order is clipped to what is sound given h's truncation; ``polynomial``
     declares h complete, lifts the clip and admits constant terms.
     """
-    n = _resolve_order(_tail_bound(h, zs, ws, polynomial), n_out, "holomorphic substitution")
-    return _substitute(h, PowerTable((zs, ws), n))
+    return _substitute(h, PowerTable((zs, ws), _tail_bound(h, zs, ws, polynomial)))
 
 
 # A name of its own for composition with HoloSeries arguments: normalize.py
@@ -961,11 +950,11 @@ def eval_holo3(h, zs, ws, n_out=None, polynomial=False):
 eval_holo2 = eval_holo3
 
 
-def _graph_order(F, zs, us, n_out, polynomial):
+def _graph_order(F, zs, us, polynomial):
     """Check the arguments of F(zs, conj(zs), us); the weight to compute to."""
     if not us.is_real():
         raise InternalInvariantError("graph substitution needs a real u-argument")
-    return _resolve_order(_tail_bound(F, zs, us, polynomial), n_out, "graph substitution")
+    return _tail_bound(F, zs, us, polynomial)
 
 
 class GraphTable(_MirrorTable):
@@ -985,7 +974,7 @@ class GraphTable(_MirrorTable):
 
     def __call__(self, F):
         zs, _, us = self.args
-        n = _graph_order(F, zs, us, None, False)
+        n = _graph_order(F, zs, us, False)
         if n != self.n:
             raise InternalInvariantError(
                 "graph substitution sound to weight %d through a table of order %d" % (n, self.n)
@@ -993,20 +982,20 @@ class GraphTable(_MirrorTable):
         return _substitute(F, self)
 
 
-def eval_graph(F, zs, us, n_out=None, polynomial=False):
+def eval_graph(F, zs, us, polynomial=False):
     """F(zs, conj(zs), us) for a Series3 F; us must be a real series.
 
     The second slot always receives the conjugate of the first -- every
     geometric use has that shape -- which keeps reality automatic.
     """
-    return _substitute(F, GraphTable(zs, us, _graph_order(F, zs, us, n_out, polynomial)))
+    return _substitute(F, GraphTable(zs, us, _graph_order(F, zs, us, polynomial)))
 
 
-def eval_curve(F, phi, n_out=None, polynomial=False):
+def eval_curve(F, phi, polynomial=False):
     """F(phi(t), conj(phi)(t), t) as a one-variable series in t; the order
     rule is ``_tail_bound``'s with t in the u-slot."""
     t = UPoly.var(phi.n)
-    n = _resolve_order(_tail_bound(F, phi, t, polynomial), n_out, "curve substitution")
+    n = _tail_bound(F, phi, t, polynomial)
     return _substitute(F, _MirrorTable(phi, t, n, UPoly.conjugate))
 
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 from conftest import rand_rat
 
 from moser_chains.chain_locus import (
-    first_prolongation_table,
     is_chain_jet,
     offset_matrix,
     orbit_matrix,
@@ -37,20 +36,6 @@ def _expected_second_table():
 
 
 class TestTables:
-    def test_first_prolongation_table(self):
-        x1, y1 = V("x1"), V("y1")
-        expected = {
-            "dilation": (-x1, -y1),
-            "rotation": (-y1, x1),
-            "parabolic1": (RPoly.const(1), RPoly.zero()),
-            "parabolic2": (RPoly.zero(), RPoly.const(1)),
-            "inversion": (RPoly.zero(), RPoly.zero()),
-        }
-        got = first_prolongation_table()
-        assert set(got) == set(expected)
-        for nm, pair in expected.items():
-            assert got[nm] == pair, nm
-
     def test_second_prolongation_table(self):
         got = second_prolongation_table()
         expected = _expected_second_table()

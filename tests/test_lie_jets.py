@@ -13,7 +13,6 @@ from moser_chains.lie_jets import (
     RPoly,
     bracket_intrinsic,
     bracket_jet,
-    prolong1,
     prolong2,
     total_derivative,
 )
@@ -108,13 +107,6 @@ class TestProlongation:
             assert p.comp["y2"] == D(D(f.psi)) - D(D(f.xi)) * y1 - 2 * D(f.xi) * y2
             assert p.comp["x1"] == D(f.phi) - D(f.xi) * x1
             assert p.comp["y1"] == D(f.psi) - D(f.xi) * y1
-
-    def test_prolong1_matches_prolong2(self, rng):
-        f = rand_intrinsic(rng)
-        p1 = prolong1(f)
-        p2 = prolong2(f)
-        for name in ("u", "x", "y", "x1", "y1"):
-            assert p1[name] == p2.comp[name]
 
     def test_intrinsic_field_validation(self):
         with pytest.raises(InternalInvariantError):

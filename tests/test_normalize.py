@@ -677,6 +677,37 @@ class TestChain:
         assert all(not f32.coeff(q) for q in range(mmax - 1))
         assert any(chain.coeff(m) for m in range(3, mmax + 1))
 
+    def test_sphere_chain_response(self):
+        # on the model sphere the curve c t^m leaves -2m(m-1) conj(c) as the
+        # u^(m-2) coefficient of F_{3,2}, the constant find_chain_curve uses
+        for m in range(3, 11):
+            M = Hypersurface.sphere(2 * m + 1)
+            for c in (ONE, gr(0, 1)):
+                f32 = _f32_slice_through_subpipeline(M, UPoly(m, {m: c}))
+                assert f32.coeff(m - 2) == c.conjugate() * (-2 * m * (m - 1)), (m, c)
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_chain_step_closed_form(self, seed):
+        # on z zbar + (weight >= 6), adding x t^m to the curve solved through
+        # c_{m-1} moves the u^(m-2) coefficient of F_{3,2} by -2m(m-1) conj(x),
+        # so c_m = conj(r0) / (2m(m-1)) cancels the residual r0.  The random
+        # z^3 zbar^2 u^(m-2) terms make every r0 nonzero
+        rng = random.Random(seed)
+        n = 11
+        pert = rand_real_series3(rng, n, terms=20, min_weight=6)
+        seeded = [(3, 2, m - 2, rand_gr(rng, nonzero=True)) for m in range(3, 6)]
+        M = Hypersurface(perturbed_sphere(n, *seeded).series + pert)
+        chain = find_chain_curve(M)
+        for m in range(3, 6):
+            Mm = M.with_order(2 * m + 1)
+            solved = UPoly(m, {k: v for k, v in chain.c.items() if k < m})
+            r0 = _f32_slice_through_subpipeline(Mm, solved).coeff(m - 2)
+            assert r0 and not r0.is_real(), m
+            assert chain.coeff(m) == r0.conjugate() / (2 * m * (m - 1))
+            x = rand_gr(rng, nonzero=True)
+            moved = _f32_slice_through_subpipeline(Mm, solved + UPoly(m, {m: x})).coeff(m - 2)
+            assert moved - r0 == x.conjugate() * (-2 * m * (m - 1)), m
+
     def test_found_chain_is_verified_by_full_run(self, rng):
         for _ in range(3):
             M = rand_surface(rng, terms=8)
