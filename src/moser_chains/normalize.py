@@ -53,13 +53,6 @@ from .series_core import (
 )
 
 
-def _reject_floats(what, *series):
-    """ParseError if a coefficient is a float: the pipeline is exact only."""
-    for s in series:
-        if any(isinstance(v, (float, complex)) for v in s.c.values()):
-            raise ParseError("%s has a float coefficient; coefficients must be exact" % what)
-
-
 def _exact_scalar(value, what):
     """value as a GaussianRational; ParseError unless it is an int, a
     Fraction or a GaussianRational (a float or complex value is refused)."""
@@ -103,7 +96,6 @@ class Hypersurface:
 
     def __init__(self, series, check=True):
         if check:
-            _reject_floats("graph function", series)
             if series.coeff(0, 0, 0):
                 raise MathPreconditionError("graph function must vanish at the origin")
             series.assert_real("graph function")
@@ -159,7 +151,6 @@ class Biholo:
     __slots__ = ("f", "g")
 
     def __init__(self, f, g):
-        _reject_floats("map", f, g)
         if f.coeff(0, 0) or g.coeff(0, 0):
             raise MathPreconditionError("map must fix the origin")
         self.f = f
@@ -213,7 +204,6 @@ class TransversalCurve:
     __slots__ = ("phi", "psi")
 
     def __init__(self, phi, psi):
-        _reject_floats("curve", phi, psi)
         if phi.coeff(0) or psi.coeff(0):
             raise MathPreconditionError("curve must start at the origin")
         self.phi = phi
@@ -738,10 +728,8 @@ def kill_harmonics(M, stages=None, verify=False):
         T = T_next
     else:
         raise InternalInvariantError("harmonic inversion did not stabilize")
-    # T is the fixed point, so H = harm(z, T) from the last pass
+    # T = w - iH is the fixed point, so H = harm(z, T) from the last pass
     g_corr = H * (I_UNIT * (-2))
-    if g_corr != (T - HoloSeries.w_var(n)) * 2:
-        raise InternalInvariantError("harmonic inversion identity failed")
     h = Biholo(HoloSeries.z_var(n - 1), HoloSeries.w_var(n) + g_corr)
     M2 = _run_stage("harmonics", M, h, stages, verify)
     leftover = Series3(
@@ -841,10 +829,11 @@ def kill_f33_reparam(M, stages=None, verify=False):
     eta_order = f33.n + 2
     three_halves = HALF * 3
     eta = {0: ONE}
+    f33_c = f33.c
     for m in range(0, eta_order - 1):
         # eta_{m+2} = (3/2) (F33 * eta)_m / ((m+1)(m+2))
         acc = ZERO
-        for j, fv in f33.c.items():
+        for j, fv in f33_c.items():
             if j <= m and (m - j) in eta:
                 acc = acc + fv * eta[m - j]
         acc = acc * three_halves

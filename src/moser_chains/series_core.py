@@ -6,11 +6,13 @@ weighted sense with
 
     weight(z) = weight(zbar) = 1,     weight(u) = weight(w) = 2.
 
-One sparse container, ``WeightedSeries``, holds a dict from exponent keys to
-coefficients and keeps a term while the weight of its key is at most the
-truncation order n.  Construction, comparison, truncation, addition and the
-truncated product live there once; three weightings of the key subclass it
-and add only their own mathematics:
+One sparse container, ``WeightedSeries``, keeps a term while the weight of
+its exponent key is at most the truncation order n.  It stores the whole
+series over one denominator: a positive integer d and a dict from keys to
+integer pairs (a, b), each meaning the coefficient (a + ib)/d -- the layout
+of FLINT's ``fmpq_poly``.  Construction, comparison, truncation, addition and
+the truncated product live there once; three weightings of the key subclass
+it and add only their own mathematics:
 
 * ``Series3``  -- F(z, zbar, u), keys (j, k, l) for z^j zbar^k u^l,
   weight j + k + 2l.
@@ -39,14 +41,20 @@ group (j, k) whenever v_kjl = conj(v_jkl) for every l -- for a real F, every
 pair.  A pair that is not mirrored gets its own product, so the result is
 exact for any F.
 
-Coefficients are exact Gaussian rationals (``GaussianRational``, stored as
-three integers (a, b, d) for (a + ib)/d in lowest terms).  The series code
-uses only ``+ - * /``, ``conjugate`` and truthiness of its scalars, so a zero
-test is exact.
+Coefficients are exact Gaussian rationals.  Series arithmetic -- sums,
+products, scalar multiples, conjugation, truncation, slices and the
+substitution core -- runs on plain integers: a term costs integer products
+and sums, with no scalar object and no gcd, and each operation removes the
+common content of its result with one gcd pass at the end.  The scalar type
+``GaussianRational`` (three integers (a, b, d) in lowest terms) appears only
+at the edges: coefficients passed to a constructor, ``coeff``, ``terms``,
+scalar operands, the read-only view ``c`` and JSON.
 
-All containers are immutable in practice: every operation returns a new
-object and exact zeros are stripped, so equality of content is equality of
-the coefficient dicts.
+A series is kept in canonical form: gcd(d, every a, every b) = 1, no (0, 0)
+entry, and d = 1 for the zero series.  Every value therefore has one
+representation, so equality is a plain comparison of the order, the
+denominator and the dict, and a zero test is exact.  All containers are
+immutable in practice: every operation returns a new object.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ import operator
 import re
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InternalInvariantError, ParseError
 
@@ -299,7 +307,19 @@ def _check_scalar(value, where):
 
 
 class WeightedSeries:
-    """Sparse truncated series: {key: coefficient}, kept while weight(key) <= n.
+    """Sparse truncated series over one denominator, kept while weight(key) <= n.
+
+    ``num`` maps each present key to an integer pair (a, b) and ``d`` is a
+    positive integer: the coefficient of the key is (a + ib)/d.  The form is
+    canonical -- gcd(d, every a, every b) = 1, no (0, 0) entry, d = 1 for the
+    zero series -- so equal series have equal n, d and num.  Results are made
+    by ``_series`` (already canonical) or ``_reduced_series`` (drops the
+    (0, 0) entries and divides out the content).  ``c`` is a read-only view
+    {key: GaussianRational}, built on each access.
+
+    The constructor takes {key: coefficient} with ``GaussianRational``,
+    ``int`` or ``Fraction`` coefficients and refuses any other value (a float
+    has no integer numerator) with ParseError.
 
     A subclass fixes the key shape through ``_ONE_KEY`` (the key of the
     constant monomial) and ``_weight`` (the weighted degree of a key).  Keys
@@ -307,7 +327,7 @@ class WeightedSeries:
     with other keys also overrides ``_add_keys`` and ``_negative``.
     """
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "d", "num")
 
     @staticmethod
     def _add_keys(a, b):
@@ -321,7 +341,8 @@ class WeightedSeries:
         if n < 0:
             raise InternalInvariantError("%s with negative order %d" % (type(self).__name__, n))
         self.n = n
-        c = {}
+        kept = []
+        d = 1
         if coeffs:
             weight, negative = self._weight, self._negative
             for key, v in coeffs.items():
@@ -329,23 +350,25 @@ class WeightedSeries:
                     raise InternalInvariantError(
                         "negative exponent in %s key %r" % (type(self).__name__, key)
                     )
+                if not isinstance(v, GaussianRational):
+                    v = _coerce(v)
+                    if v is NotImplemented:
+                        raise ParseError(
+                            "coefficient %r is not an exact (Gaussian) rational" % (coeffs[key],)
+                        )
                 if weight(key) <= n and v:
-                    c[key] = v
-        self.c = c
+                    kept.append((key, v))
+                    d = lcm(d, v._d)
+        # each coefficient is in lowest terms, so over the least common
+        # denominator the series is already canonical
+        self.d = d
+        self.num = {key: (v._a * (d // v._d), v._b * (d // v._d)) for key, v in kept}
 
-    @classmethod
-    def _trusted(cls, n, c):
-        """The series with order n and coefficient dict c, taken as it is.
-
-        For results whose keys are valid by construction: the caller promises
-        that every key has the subclass's shape with no negative exponent,
-        that its weight is at most n, and that no coefficient is zero.  ``c``
-        is kept, not copied.
-        """
-        series = _new(cls)
-        series.n = n
-        series.c = c
-        return series
+    @property
+    def c(self):
+        """The coefficients as a dict {key: GaussianRational}, built anew."""
+        d = self.d
+        return {key: _reduced(a, b, d) for key, (a, b) in self.num.items()}
 
     # -- constructors ------------------------------------------------------------
 
@@ -362,41 +385,48 @@ class WeightedSeries:
     def coeff(self, *exponents):
         """Coefficient of the monomial with these exponents (zero if absent)."""
         key = exponents[0] if len(exponents) == 1 else exponents
-        return self.c.get(key, ZERO)
+        v = self.num.get(key)
+        return ZERO if v is None else _reduced(v[0], v[1], self.d)
 
     def is_zero(self):
-        return not self.c
+        return not self.num
 
     def low_weight(self):
         """Smallest weight of a present monomial, or None if zero."""
-        return min(map(self._weight, self.c)) if self.c else None
+        return min(map(self._weight, self.num)) if self.num else None
 
     def weight_part(self, w):
         weight = self._weight
-        return type(self)(self.n, {k: v for k, v in self.c.items() if weight(k) == w})
+        return _reduced_series(
+            type(self), self.n, self.d, {k: v for k, v in self.num.items() if weight(k) == w}
+        )
 
     def truncate(self, m):
-        return type(self)(min(self.n, m), self.c)
+        if m >= self.n:
+            return self
+        return _reduced_series(type(self), m, self.d, dict(_items_to(self, m)))
 
     def padded(self, m):
         """Reinterpret as exact to weight m (caller vouches: no hidden tail)."""
         if m < self.n:
             return self.truncate(m)
-        return type(self)(m, self.c)
+        return _series(type(self), m, self.d, self.num)
 
     def terms(self):
         """Deterministic (key, coeff) iteration, sorted by key."""
-        for key in sorted(self.c):
-            yield key, self.c[key]
+        d, num = self.d, self.num
+        for key in sorted(num):
+            a, b = num[key]
+            yield key, _reduced(a, b, d)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.n == other.n and self.c == other.c
+        return self.n == other.n and self.d == other.d and self.num == other.num
 
     def __repr__(self):
         parts = ["%r: %s" % (k, v) for k, v in list(self.terms())[:12]]
-        more = "" if len(self.c) <= 12 else ", ... (%d terms)" % len(self.c)
+        more = "" if len(self.num) <= 12 else ", ... (%d terms)" % len(self.num)
         return "%s(n=%d, {%s%s})" % (type(self).__name__, self.n, ", ".join(parts), more)
 
     # -- arithmetic --------------------------------------------------------------
@@ -405,45 +435,102 @@ class WeightedSeries:
         if not isinstance(other, type(self)):
             return NotImplemented
         n = min(self.n, other.n)
-        weight = self._weight
-        c = {k: v for k, v in self.c.items() if weight(k) <= n}
-        _accumulate(c, [(k, v) for k, v in other.c.items() if weight(k) <= n])
-        return self._trusted(n, c)
+        return _combine(type(self), n, n, 1, ((self, 1, 0), (other, 1, 0)))
 
     def __sub__(self, other):
         return self.__add__(-other)
 
     def __neg__(self):
-        return self._trusted(self.n, {k: -v for k, v in self.c.items()})
+        return _series(type(self), self.n, self.d, {k: (-a, -b) for k, (a, b) in self.num.items()})
 
     def __mul__(self, other):
         cls = type(self)
         if isinstance(other, cls):
             n = min(self.n, other.n)
             weight, add_keys = self._weight, self._add_keys
-            c = {}
-            get = c.get
-            bs = sorted((weight(k), k, v) for k, v in other.c.items())
-            for k1, v1 in self.c.items():
+            num = {}
+            get = num.get
+            bs = sorted((weight(k), k, a, b) for k, (a, b) in other.num.items())
+            for k1, (a1, b1) in self.num.items():
                 lim = n - weight(k1)
                 if lim < 0:
                     continue
-                for w2, k2, v2 in bs:
+                for w2, k2, a2, b2 in bs:
                     if w2 > lim:
                         break
                     key = add_keys(k1, k2)
+                    re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
                     s = get(key)
-                    c[key] = v1 * v2 if s is None else s + v1 * v2
-            # sums that cancelled are dropped once, after the last term
-            for key in [key for key, v in c.items() if not v]:
-                del c[key]
-            return cls._trusted(n, c)
+                    num[key] = (re, im) if s is None else (s[0] + re, s[1] + im)
+            return _reduced_series(cls, n, self.d * other.d, num)
         v = _check_scalar(other, cls.__name__)
-        if not v:
-            return cls.zero(self.n)
-        return cls._trusted(self.n, {k: w * v for k, w in self.c.items()})
+        a, b = v._a, v._b
+        num = {k: (x * a - y * b, x * b + y * a) for k, (x, y) in self.num.items()}
+        return _reduced_series(cls, self.n, self.d * v._d, num)
 
     __rmul__ = __mul__
+
+
+def _series(cls, n, d, num):
+    """The cls series of order n with denominator d and numerators num, taken
+    as it is: the caller vouches for the keys and for the canonical form.
+    ``num`` is kept, not copied."""
+    series = _new(cls)
+    series.n = n
+    series.d = d
+    series.num = num
+    return series
+
+
+def _reduced_series(cls, n, d, num):
+    """The cls series num/d of order n in canonical form: the (0, 0) entries
+    are dropped from num (in place) and the content gcd(d, every a, every b)
+    is divided out, in one pass over the terms."""
+    g = d
+    zeros = []
+    for key, (a, b) in num.items():
+        if not (a or b):
+            zeros.append(key)
+        elif g != 1:
+            g = gcd(g, a, b)
+    for key in zeros:
+        del num[key]
+    if not num:
+        return _series(cls, n, 1, num)
+    if g != 1:
+        d //= g
+        num = {key: (a // g, b // g) for key, (a, b) in num.items()}
+    return _series(cls, n, d, num)
+
+
+def _items_to(series, w):
+    """The (key, (a, b)) entries of series of weight at most w."""
+    if w >= series.n:
+        return series.num.items()
+    weight = series._weight
+    return [(k, v) for k, v in series.num.items() if weight(k) <= w]
+
+
+def _combine(cls, n, w, d, parts):
+    """The cls series of order n that is the sum of (a + ib)/d * s over the
+    parts (s, a, b), with the terms of s above weight w left out.
+
+    The parts are brought to the least common multiple of their
+    denominators, so the sum costs integer products only.
+    """
+    den = 1
+    for s, _, _ in parts:
+        den = lcm(den, s.d)
+    num = {}
+    get = num.get
+    for s, a, b in parts:
+        m = den // s.d
+        a, b = a * m, b * m
+        for key, (x, y) in _items_to(s, w):
+            re, im = a * x - b * y, a * y + b * x
+            old = get(key)
+            num[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+    return _reduced_series(cls, n, den * d, num)
 
 
 # The subclasses bind __mul__/__rmul__ (and Series3 also __add__) in their own
@@ -489,13 +576,13 @@ class UPoly(WeightedSeries):
     # -- basics --------------------------------------------------------------
 
     def degree(self):
-        return max(self.c) if self.c else None
+        return max(self.num) if self.num else None
 
     def is_real(self):
-        return all(v.is_real() for v in self.c.values())
+        return not any(b for _, b in self.num.values())
 
     def conjugate(self):
-        return UPoly._trusted(self.n, {m: v.conjugate() for m, v in self.c.items()})
+        return _series(UPoly, self.n, self.d, {m: (a, -b) for m, (a, b) in self.num.items()})
 
     def real_part(self):
         return (self + self.conjugate()) * HALF
@@ -503,8 +590,8 @@ class UPoly(WeightedSeries):
     # -- calculus ------------------------------------------------------------
 
     def derivative(self):
-        c = {m - 1: v * m for m, v in self.c.items() if m >= 1}
-        return UPoly(max(self.n - 1, 0), c)
+        num = {m - 1: (a * m, b * m) for m, (a, b) in self.num.items() if m >= 1}
+        return _reduced_series(UPoly, max(self.n - 1, 0), self.d, num)
 
     def integrate(self):
         """Antiderivative vanishing at 0; gains one sound order."""
@@ -523,12 +610,13 @@ class UPoly(WeightedSeries):
         top = self.degree()
         if top is None:
             return res
+        c = self.c
         for m in range(1, top + 1):
             pw = pw * other
             if pw.is_zero():
                 break
-            if m in self.c:
-                res = res + pw * self.c[m]
+            if m in c:
+                res = res + pw * c[m]
         return res
 
     def reversion(self):
@@ -553,10 +641,11 @@ class UPoly(WeightedSeries):
         if not a0:
             raise InternalInvariantError("UPoly.inverse needs a unit constant term")
         b = {0: ONE / a0}
+        c = self.c
         for m in range(1, self.n + 1):
             acc = ZERO
             for j in range(1, m + 1):
-                aj = self.c.get(j)
+                aj = c.get(j)
                 if aj:
                     bm = b.get(m - j)
                     if bm:
@@ -591,11 +680,12 @@ class UPoly(WeightedSeries):
         if self.coeff(0):
             raise InternalInvariantError("UPoly.exp needs a series with no constant term")
         e = {0: ONE}
+        c = self.c
         for m in range(0, self.n):
             # (m+1) e_{m+1} = sum_{j=0..m} (j+1) a_{j+1} e_{m-j}
             acc = ZERO
             for j in range(0, m + 1):
-                aj = self.c.get(j + 1)
+                aj = c.get(j + 1)
                 if aj:
                     em = e.get(m - j)
                     if em:
@@ -665,21 +755,18 @@ class Series3(WeightedSeries):
     # -- basics -----------------------------------------------------------------
 
     def up_to_weight(self, w):
-        weight = self._weight
-        return Series3(self.n, {k: v for k, v in self.c.items() if weight(k) <= w})
+        return _reduced_series(Series3, self.n, self.d, dict(_items_to(self, w)))
 
     def conj(self):
         """The series of conj F(z,zbar,u): swap z/zbar, conjugate coefficients."""
-        return Series3._trusted(
-            self.n, {(k, j, l): v.conjugate() for (j, k, l), v in self.c.items()}
+        return _series(
+            Series3, self.n, self.d, {(k, j, l): (a, -b) for (j, k, l), (a, b) in self.num.items()}
         )
 
     def is_real(self):
         """Exact Hermitian reality check."""
-        for (j, k, l), v in self.c.items():
-            if v != self.c.get((k, j, l), ZERO).conjugate():
-                return False
-        return True
+        num = self.num
+        return all(num.get((k, j, l)) == (a, -b) for (j, k, l), (a, b) in num.items())
 
     def assert_real(self, where="series"):
         if not self.is_real():
@@ -687,7 +774,7 @@ class Series3(WeightedSeries):
 
     def assert_zero(self, where="series"):
         if not self.is_zero():
-            raise InternalInvariantError("%s does not vanish (%d terms left)" % (where, len(self.c)))
+            raise InternalInvariantError("%s does not vanish (%d terms left)" % (where, len(self.num)))
 
     def slice_jk(self, j, k):
         """The u-series F_{j,k}(u), sound to u-order floor((n-j-k)/2)."""
@@ -696,11 +783,8 @@ class Series3(WeightedSeries):
             raise InternalInvariantError(
                 "slice (%d,%d) outside truncation order %d" % (j, k, self.n)
             )
-        coeffs = {}
-        for (jj, kk, l), v in self.c.items():
-            if jj == j and kk == k:
-                coeffs[l] = v
-        return UPoly(order, coeffs)
+        num = {l: v for (jj, kk, l), v in self.num.items() if jj == j and kk == k}
+        return _reduced_series(UPoly, order, self.d, num)
 
     def pure_u_part(self):
         return self.slice_jk(0, 0)
@@ -743,15 +827,15 @@ class HoloSeries(WeightedSeries):
     @classmethod
     def from_w_series(cls, p, n):
         """Reinterpret a one-variable series p(t) as p(w)."""
-        return cls(n, {(0, m): v for m, v in p.c.items()})
+        return _reduced_series(cls, n, p.d, {(0, m): v for m, v in p.num.items() if 2 * m <= n})
 
     def diff_z(self):
-        c = {(j - 1, l): v * j for (j, l), v in self.c.items() if j >= 1}
-        return HoloSeries(max(self.n - 1, 0), c)
+        num = {(j - 1, l): (a * j, b * j) for (j, l), (a, b) in self.num.items() if j >= 1}
+        return _reduced_series(HoloSeries, max(self.n - 1, 0), self.d, num)
 
     def diff_w(self):
-        c = {(j, l - 1): v * l for (j, l), v in self.c.items() if l >= 1}
-        return HoloSeries(max(self.n - 2, 0), c)
+        num = {(j, l - 1): (a * l, b * l) for (j, l), (a, b) in self.num.items() if l >= 1}
+        return _reduced_series(HoloSeries, max(self.n - 2, 0), self.d, num)
 
 
 # ---------------------------------------------------------------------------
@@ -865,18 +949,6 @@ class _MirrorTable(PowerTable):
         return entry
 
 
-def _accumulate(acc, items, scale=None):
-    """acc[k] += v (times scale) for (k, v) in items, in place, keeping no
-    zero coefficient."""
-    get = acc.get
-    for k, v in items:
-        s = get(k, ZERO) + (v if scale is None else v * scale)
-        if s:
-            acc[k] = s
-        elif k in acc:
-            del acc[k]
-
-
 def _substitute(F, table):
     """F(args[0], args[1], ...) to the table's order, one argument per key
     exponent.
@@ -889,8 +961,8 @@ def _substitute(F, table):
 
     A head product whose lowest weight is w multiplies the inner sum, so a
     term of the inner sum above weight n - w only makes output above the
-    order n: the inner sum is built to weight n - w only.  The inner sums and
-    the result are accumulated in place.
+    order n: the inner sum is built to weight n - w only.  Each inner sum and
+    the result are summed over one common denominator (``_combine``).
 
     On a mirror table (arguments (x, conj(x), t) with t real) the groups
     (j, k) and (k, j) of F with v_kjl = conj(v_jkl) -- all of them when F is
@@ -901,36 +973,32 @@ def _substitute(F, table):
     """
     n, last = table.n, len(table.args) - 1
     cls = type(table.args[0])
-    weight = cls._weight
     conj = table._conj
-    res = {}
     groups = {}
-    for key, v in F.c.items():
+    for key, v in F.num.items():
         groups.setdefault(key[:-1], {})[key[-1]] = v
     mirrored = set()
     if conj:
         for (j, k), pairs in groups.items():
-            if j > k and groups.get((k, j)) == {l: v.conjugate() for l, v in pairs.items()}:
+            if j > k and groups.get((k, j)) == {l: (a, -b) for l, (a, b) in pairs.items()}:
                 mirrored.add((j, k))
     for j, k in mirrored:
         del groups[k, j]
+    parts = []
     for head, pairs in sorted(groups.items()):
         prod, low = table.head(head)
         if low is None:
             continue
-        lim = n - low
-        inner = {}
-        for l, v in pairs.items():
-            power = table.power(last, l).c.items()
-            _accumulate(inner, [(k, p) for k, p in power if weight(k) <= lim], v)
-        if not inner:
+        inner = [(table.power(last, l), a, b) for l, (a, b) in pairs.items()]
+        inner = _combine(cls, n, n - low, F.d, inner)
+        if inner.is_zero():
             continue
         if any(head):
-            inner = (prod * cls._trusted(n, inner)).c
-        _accumulate(res, inner.items())
+            inner = prod * inner
+        parts.append((inner, 1, 0))
         if head in mirrored:
-            _accumulate(res, conj(cls._trusted(n, inner)).c.items())
-    return cls._trusted(n, res)
+            parts.append((conj(inner), 1, 0))
+    return _combine(cls, n, n, 1, parts)
 
 
 def eval_holo3(h, zs, ws, polynomial=False):

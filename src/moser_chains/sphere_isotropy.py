@@ -26,7 +26,7 @@ from __future__ import annotations
 from .errors import InternalInvariantError
 from .lie_jets import IntrinsicField, RPoly
 from .linalg import solve
-from .series_core import GaussianRational, HoloSeries, gr
+from .series_core import HoloSeries, gr
 
 #: polynomial degree bound comfortably holding every field and bracket here
 FIELD_ORDER = 8
@@ -92,15 +92,14 @@ def expand_in_basis(field, basis):
     keys |= set(field.a.c) | set(field.b.c)
     rows = []
     rhs = []
-    zero = GaussianRational()
     for which in ("a", "b"):
         for key in sorted(keys):
             row_re, row_im = [], []
             for nm in names:
-                v = getattr(basis[nm], which).c.get(key, zero)
+                v = getattr(basis[nm], which).coeff(key)
                 row_re.append(v.real)
                 row_im.append(v.imag)
-            t = getattr(field, which).c.get(key, zero)
+            t = getattr(field, which).coeff(key)
             rows.append(row_re)
             rhs.append(t.real)
             rows.append(row_im)
@@ -143,8 +142,9 @@ def _restrict_to_sphere(h):
     u = RPoly.var("u")
     z_pair = (x, y)
     w_pair = (u, x * x + y * y)
-    max_j = max((j for j, _ in h.c), default=0)
-    max_l = max((l for _, l in h.c), default=0)
+    coeffs = h.c
+    max_j = max((j for j, _ in coeffs), default=0)
+    max_l = max((l for _, l in coeffs), default=0)
     one = (RPoly.const(1), RPoly.zero())
     z_pows = [one]
     for _ in range(max_j):
@@ -154,7 +154,7 @@ def _restrict_to_sphere(h):
         w_pows.append(_pair_mul(w_pows[-1], w_pair))
     re_acc = RPoly.zero()
     im_acc = RPoly.zero()
-    for (j, l), v in h.c.items():
+    for (j, l), v in coeffs.items():
         base = _pair_mul(z_pows[j], w_pows[l])
         coeff = (RPoly.const(v.real), RPoly.const(v.imag))
         term = _pair_mul(coeff, base)

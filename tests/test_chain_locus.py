@@ -15,7 +15,13 @@ from moser_chains.chain_locus import (
     symbolic_pivot,
 )
 from moser_chains.lie_jets import RPoly
-from moser_chains.series_core import GaussianRational
+from moser_chains.normalize import (
+    Hypersurface,
+    TransversalCurve,
+    isotropy_map,
+    transform_curve,
+)
+from moser_chains.series_core import GaussianRational, UPoly, gr
 
 
 def V(name):
@@ -90,3 +96,18 @@ class TestSigma0:
             assert rank_at(x1, y1, s1 + a2, s2 + b2) == 4
             # rank never exceeds 4 and never drops below 2
             assert rank_at(x1, y1, rand_rat(rng), rand_rat(rng)) in (2, 4)
+
+
+class TestSigma0Bridge:
+    def test_isotropy_image_of_u_axis_has_sigma0_jet(self):
+        # the sphere's chain through the origin is the u-axis; an isotropy map
+        # (1, alpha, 0) sends it to a chain with 1-jet z1 = alpha, whose 2-jet
+        # z2 = 2 * (t^2 coefficient) must lie on Sigma0 over z1
+        u_axis = TransversalCurve.complete(Hypersurface.sphere(8), UPoly.zero(4))
+        for alpha in (gr(1), gr("1/3", "1/5"), gr(-2, 1)):
+            chain = transform_curve(u_axis, isotropy_map(1, alpha, 0, 8))
+            z1 = chain.phi.coeff(1)
+            z2 = chain.phi.coeff(2) * 2
+            assert z1 == alpha
+            assert (z2.real, z2.imag) == sigma0_jet(z1.real, z1.imag)
+            assert is_chain_jet(z1.real, z1.imag, z2.real, z2.imag)

@@ -4,6 +4,7 @@ import json
 import random
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -421,6 +422,172 @@ class TestVanishes:
         # a series vanishes only when no term is left, however small
         assert not UPoly(4, {2: gr(Fraction(1, 10 ** 30))}).is_zero()
         assert HoloSeries.zero(4).is_zero()
+
+
+class TestFloatCoefficients:
+    def test_constructor_rejects_float_coefficients(self):
+        # a float has no integer numerator, so every series constructor
+        # refuses it, also above the truncation order where it would be dropped
+        for cls, key in ((Series3, (1, 1, 0)), (HoloSeries, (1, 1)), (UPoly, 2)):
+            for bad in (0.5, 0.5 + 0j, 1j, 2.0):
+                with pytest.raises(ParseError):
+                    cls(6, {key: bad})
+                with pytest.raises(ParseError):
+                    cls(1, {key: bad})
+            assert cls(6, {key: 2}) == cls(6, {key: gr(2)})
+            assert cls(6, {key: Fraction(1, 3)}) == cls(6, {key: gr("1/3")})
+
+
+# ---------------------------------------------------------------------------
+# the one-denominator layout against a dict-of-GaussianRational reference
+# ---------------------------------------------------------------------------
+
+
+class TestOneDenominator:
+    """Series operations against naive {key: GaussianRational} arithmetic
+    written here, with the canonical form checked after every operation."""
+
+    WEIGHT = {
+        Series3: lambda key: key[0] + key[1] + 2 * key[2],
+        HoloSeries: lambda key: key[0] + 2 * key[1],
+        UPoly: lambda m: m,
+    }
+    ADD = {
+        Series3: lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+        HoloSeries: lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        UPoly: lambda a, b: a + b,
+    }
+
+    @staticmethod
+    def scalar(rng):
+        """A Gaussian rational with denominators 1 to 12 (often zero parts)."""
+        parts = [Fraction(rng.choice((0, rng.randint(-9, 9))), rng.randint(1, 12)) for _ in "ri"]
+        return GaussianRational(*parts)
+
+    @classmethod
+    def draw(cls, rng, kind, n, terms):
+        """(series, reference dict) of a random kind series of order n."""
+        raw = {}
+        for _ in range(terms):
+            if kind is Series3:
+                j = rng.randint(0, n)
+                k = rng.randint(0, n - j)
+                key = (j, k, rng.randint(0, (n - j - k) // 2))
+            elif kind is HoloSeries:
+                j = rng.randint(0, n)
+                key = (j, rng.randint(0, (n - j) // 2))
+            else:
+                key = rng.randint(0, n)
+            raw[key] = cls.scalar(rng)
+        return kind(n, raw), cls.clean(raw)
+
+    @staticmethod
+    def clean(ref):
+        return {k: v for k, v in ref.items() if v}
+
+    @staticmethod
+    def canonical(series):
+        values = [x for pair in series.num.values() for x in pair]
+        assert series.d >= 1 and gcd(series.d, *values) == 1
+        assert all(a or b for a, b in series.num.values())
+        if not series.num:
+            assert series.d == 1
+
+    def same(self, series, n, ref):
+        self.canonical(series)
+        assert series.n == n
+        assert series.c == ref
+        assert all(isinstance(v, GaussianRational) for v in series.c.values())
+
+    def ref_mul(self, kind, n, p, q):
+        weight, add, out = self.WEIGHT[kind], self.ADD[kind], {}
+        for k1, v1 in p.items():
+            for k2, v2 in q.items():
+                key = add(k1, k2)
+                if weight(key) <= n:
+                    out[key] = out.get(key, GaussianRational()) + v1 * v2
+        return self.clean(out)
+
+    def ref_add(self, kind, n, p, q, sign=1):
+        weight, out = self.WEIGHT[kind], {}
+        for key, v in list(p.items()) + [(k, v * sign) for k, v in q.items()]:
+            if weight(key) <= n:
+                out[key] = out.get(key, GaussianRational()) + v
+        return self.clean(out)
+
+    def test_operations_random(self, rng):
+        for kind in (Series3, HoloSeries, UPoly):
+            weight = self.WEIGHT[kind]
+            for _ in range(30):
+                na, nb = rng.randint(0, 7), rng.randint(0, 7)
+                a, ra = self.draw(rng, kind, na, rng.randint(0, 7))
+                b, rb = self.draw(rng, kind, nb, rng.randint(0, 7))
+                self.same(a, na, ra)
+                n = min(na, nb)
+                self.same(a * b, n, self.ref_mul(kind, n, ra, rb))
+                self.same(a + b, n, self.ref_add(kind, n, ra, rb))
+                self.same(a - b, n, self.ref_add(kind, n, ra, rb, -1))
+                self.same(-a, na, {k: -v for k, v in ra.items()})
+                s = self.scalar(rng)
+                scaled = self.clean({k: v * s for k, v in ra.items()})
+                self.same(a * s, na, scaled)
+                self.same(s * a, na, scaled)
+                q = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                self.same(a * q, na, self.clean({k: v * q for k, v in ra.items()}))
+                m = rng.randint(0, 8)
+                self.same(a.truncate(m), min(na, m), {k: v for k, v in ra.items() if weight(k) <= m})
+                self.same(a.padded(m), m, {k: v for k, v in ra.items() if weight(k) <= m})
+                w = rng.randint(0, na)
+                self.same(a.weight_part(w), na, {k: v for k, v in ra.items() if weight(k) == w})
+                for key, v in ra.items():
+                    assert a.coeff(key) == v
+                assert list(a.terms()) == sorted(ra.items())
+                if kind is Series3:
+                    conj = {(k, j, l): v.conjugate() for (j, k, l), v in ra.items()}
+                    self.same(a.conj(), na, conj)
+                    assert a.is_real() == (conj == ra)
+                    self.same(a.up_to_weight(w), na, {k: v for k, v in ra.items() if weight(k) <= w})
+                    j = rng.randint(0, na)
+                    k = rng.randint(0, na - j)
+                    part = {l: v for (jj, kk, l), v in ra.items() if (jj, kk) == (j, k)}
+                    self.same(a.slice_jk(j, k), (na - j - k) // 2, part)
+                if kind is UPoly:
+                    self.same(a.conjugate(), na, {m: v.conjugate() for m, v in ra.items()})
+                    assert a.is_real() == all(v.is_real() for v in ra.values())
+
+    def test_eval_graph_random(self, rng):
+        # F(zs, conj zs, us) against the term-by-term sum of naive products
+        n = 6
+        for _ in range(12):
+            F, rF = self.draw(rng, Series3, n, 6)
+            high, _ = self.draw(rng, Series3, n, 3)
+            zs = Series3.z_var(n) * self.scalar(rng) + high - high.weight_part(0)
+            us = Series3.u_var(n) + rand_real_series3(rng, n, terms=2, min_weight=2)
+            rz, rzb, ru = zs.c, zs.conj().c, us.c
+            ref = {}
+            for (j, k, l), v in rF.items():
+                term = {(0, 0, 0): v}
+                for factor, e in ((rz, j), (rzb, k), (ru, l)):
+                    for _ in range(e):
+                        term = self.ref_mul(Series3, n, term, factor)
+                ref = self.ref_add(Series3, n, ref, term)
+            out = eval_graph(F, zs, us, polynomial=True)
+            self.same(out, n, ref)
+
+    def test_equal_values_by_different_routes(self, rng):
+        for _ in range(40):
+            kind = rng.choice((Series3, HoloSeries, UPoly))
+            x, _ = self.draw(rng, kind, 6, 6)
+            y, _ = self.draw(rng, kind, 6, 6)
+            s = self.scalar(rng) or GaussianRational(1, 1)
+            for same in ((x * 3) * Fraction(1, 3), (x * s) * (1 / s), (x + y) - y,
+                         (x - y) + y, -(-x), x + kind.zero(6), x * kind.one(6)):
+                self.canonical(same)
+                assert same == x
+                assert (same.n, same.d, same.num) == (x.n, x.d, x.num)
+            zero = x - x
+            self.canonical(zero)
+            assert zero == kind.zero(6) and zero.d == 1 and not zero.num
 
 
 # ---------------------------------------------------------------------------
