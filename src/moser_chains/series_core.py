@@ -989,8 +989,9 @@ def _substitute(F, table):
         prod, low = table.head(head)
         if low is None:
             continue
-        inner = [(table.power(last, l), a, b) for l, (a, b) in pairs.items()]
-        inner = _combine(cls, n, n - low, F.d, inner)
+        inner = _combine(
+            cls, n, n - low, F.d, [(table.power(last, l), a, b) for l, (a, b) in pairs.items()]
+        )
         if inner.is_zero():
             continue
         if any(head):
