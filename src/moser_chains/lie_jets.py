@@ -3,26 +3,35 @@
 A hypersurface in graph form carries intrinsic coordinates (u, x, y) with
 z = x + iy; curves transversal to the complex tangent are graphs
 (x(u), y(u)), and their 2-jet coordinates are (x1, y1, x2, y2).  This module
-implements, over exact rational coefficients:
+implements:
 
 * ``RPoly`` -- sparse polynomials in the fixed variable list
-  (u, x, y, x1, y1, x2, y2, x3, y3, a2, b2); the third-order jet slots exist
+  (u, x, y, x1, y1, x2, y2, x3, y3, a2, b2), the total-degree weighting of
+  the shared ``series_core.WeightedSeries``; the third-order jet slots exist
   only as scratch space for the total derivative (they must cancel from any
   second prolongation), and (a2, b2) are offset parameters used by the
   jet-locus analysis.
 * ``IntrinsicField`` -- xi d_u + phi d_x + psi d_y with coefficients in
   (u, x, y) only.
 * ``total_derivative`` -- the total u-derivative on 2-jet pullbacks.
-* ``prolong2`` -- second prolongation of an intrinsic field to the 2-jet
+* ``prolong2`` -- second prolongation of an intrinsic field to 2-jet
   coordinates, with the third-order slots checked to cancel identically.
 * brackets of intrinsic fields and of prolonged fields.
+
+Coefficients are exact Gaussian rationals over one denominator, as in every
+series.  They are real everywhere except inside
+``sphere_isotropy._restrict_to_sphere``, which splits its complex result into
+real and imaginary parts.  A polynomial is exact through degree MAX_DEGREE:
+a product or substitution that would pass it raises InternalInvariantError
+instead of truncating.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 
 from .errors import InternalInvariantError
+from .series_core import PowerTable, WeightedSeries, _reduced_series, _substitute
 
 VAR_NAMES = ("u", "x", "y", "x1", "y1", "x2", "y2", "x3", "y3", "a2", "b2")
 VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
@@ -37,133 +46,82 @@ MAX_DEGREE = 48
 _ZERO_KEY = (0,) * NVARS
 
 
-def _as_rat(v):
-    if isinstance(v, float):
-        raise InternalInvariantError("RPoly coefficients must be exact rationals")
-    return Fraction(v) if isinstance(v, int) else v
+class RPoly(WeightedSeries):
+    """Sparse polynomial in the jet variables VAR_NAMES.
 
+    A ``WeightedSeries`` whose keys are the 11 exponents, weighted by total
+    degree and always carried at order MAX_DEGREE: sums, products, negation,
+    equality and printing are the shared class's, and ``subs`` runs through
+    the shared substitution core.  The order would truncate silently, so the
+    constructor, a product or ``subs`` whose exact result passes MAX_DEGREE
+    raises instead; so does ``eval_holo3`` on RPoly arguments when a power of
+    an argument passes it.
+    """
 
-class RPoly:
-    """Sparse polynomial over the rationals in the fixed jet variables."""
+    __slots__ = ()
 
-    __slots__ = ("c",)
+    _ONE_KEY = _ZERO_KEY
+    _weight = staticmethod(sum)
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for key, v in coeffs.items():
-                if len(key) != NVARS or any(e < 0 for e in key):
-                    raise InternalInvariantError("bad RPoly exponent key %r" % (key,))
-                if v:
-                    c[key] = v
-        self.c = c
+        if coeffs and any(len(key) != NVARS or sum(key) > MAX_DEGREE for key in coeffs):
+            raise InternalInvariantError("bad RPoly exponent keys %r" % (sorted(coeffs),))
+        super().__init__(MAX_DEGREE, coeffs)
 
-    # -- constructors --------------------------------------------------------
+    # -- constructors (n is taken for the shared core, which asks for one(n))
 
     @classmethod
-    def zero(cls):
+    def zero(cls, n=MAX_DEGREE):
         return cls()
 
     @classmethod
+    def one(cls, n=MAX_DEGREE):
+        return cls({_ZERO_KEY: 1})
+
+    @classmethod
     def const(cls, v):
-        v = _as_rat(v)
-        return cls({_ZERO_KEY: v} if v else None)
+        if isinstance(v, float):
+            raise InternalInvariantError("RPoly coefficients must be exact rationals")
+        return cls({_ZERO_KEY: v})
 
     @classmethod
     def var(cls, name, power=1):
         key = [0] * NVARS
         key[VAR_INDEX[name]] = power
-        return cls({tuple(key): Fraction(1)})
+        return cls({tuple(key): 1})
 
     # -- basics ----------------------------------------------------------------
 
-    def is_zero(self):
-        return not self.c
+    def degree(self):
+        """Total degree; 0 for the zero polynomial."""
+        return max(map(sum, self.num), default=0)
 
     def constant_term(self):
-        return self.c.get(_ZERO_KEY, Fraction(0))
+        return self.coeff(_ZERO_KEY)
 
     def uses_var(self, name):
         i = VAR_INDEX[name]
-        return any(key[i] for key in self.c)
+        return any(key[i] for key in self.num)
 
     def vars_used(self):
-        used = set()
-        for key in self.c:
-            for i, e in enumerate(key):
-                if e:
-                    used.add(VAR_NAMES[i])
-        return used
+        return {VAR_NAMES[i] for key in self.num for i, e in enumerate(key) if e}
 
-    def __eq__(self, other):
-        if not isinstance(other, RPoly):
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __repr__(self):
-        if not self.c:
-            return "RPoly(0)"
-        parts = []
-        for key in sorted(self.c, key=lambda k: (sum(k), k)):
-            v = self.c[key]
-            mono = "*".join(
-                "%s%s" % (VAR_NAMES[i], "" if e == 1 else "^%d" % e)
-                for i, e in enumerate(key)
-                if e
-            )
-            parts.append("%s%s" % (v, ("*" + mono) if mono else ""))
-        return "RPoly(%s)" % " + ".join(parts)
-
-    # -- arithmetic ----------------------------------------------------------------
+    # -- arithmetic: rational operands and the degree guard --------------------
 
     def __add__(self, other):
-        if isinstance(other, RPoly):
-            c = dict(self.c)
-            for key, v in other.c.items():
-                s = c.get(key, Fraction(0)) + v
-                if s:
-                    c[key] = s
-                elif key in c:
-                    del c[key]
-            return RPoly(c)
-        return self + RPoly.const(other)
+        if not isinstance(other, RPoly):
+            other = RPoly.const(other)
+        return WeightedSeries.__add__(self, other)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, RPoly):
-            return self + (-other)
-        return self + RPoly.const(-_as_rat(other))
-
     def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return RPoly({k: -v for k, v in self.c.items()})
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, RPoly):
-            c = {}
-            for k1, v1 in self.c.items():
-                for k2, v2 in other.c.items():
-                    key = tuple(a + b for a, b in zip(k1, k2))
-                    if sum(key) > MAX_DEGREE:
-                        raise InternalInvariantError(
-                            "polynomial degree blew past %d" % MAX_DEGREE
-                        )
-                    s = c.get(key, Fraction(0)) + v1 * v2
-                    if s:
-                        c[key] = s
-                    elif key in c:
-                        del c[key]
-            return RPoly(c)
-        v = _as_rat(other)
-        if not v:
-            return RPoly()
-        return RPoly({k: w * v for k, w in self.c.items()})
+        if isinstance(other, RPoly) and self.degree() + other.degree() > MAX_DEGREE:
+            raise InternalInvariantError("polynomial degree blew past %d" % MAX_DEGREE)
+        return WeightedSeries.__mul__(self, other)
 
     __rmul__ = __mul__
 
@@ -171,50 +129,32 @@ class RPoly:
 
     def diff(self, name):
         i = VAR_INDEX[name]
-        c = {}
-        for key, v in self.c.items():
-            e = key[i]
-            if e:
-                nk = key[:i] + (e - 1,) + key[i + 1 :]
-                c[nk] = c.get(nk, Fraction(0)) + v * e
-        return RPoly(c)
+        num = {
+            key[:i] + (key[i] - 1,) + key[i + 1 :]: (a * key[i], b * key[i])
+            for key, (a, b) in self.num.items()
+            if key[i]
+        }
+        return _reduced_series(RPoly, MAX_DEGREE, self.d, num)
 
     def subs(self, mapping):
-        """Substitute variables by rationals or RPolys; returns an RPoly."""
-        vals = {}
+        """Substitute variables by rationals or RPolys; returns an RPoly.
+
+        A variable left out of the mapping stands for itself.  The shared
+        core builds inner sums only to the order, so no product of it sees a
+        term past MAX_DEGREE: each term's degree sum e_i * deg(arg_i) is
+        checked here first.
+        """
+        args = [RPoly.var(name) for name in VAR_NAMES]
         for name, v in mapping.items():
-            vals[VAR_INDEX[name]] = v if isinstance(v, RPoly) else RPoly.const(v)
-        out = RPoly()
-        pow_cache = {}
-        for key, coeff in self.c.items():
-            term = RPoly.const(coeff)
-            for i, e in enumerate(key):
-                if not e:
-                    continue
-                if i in vals:
-                    pw = pow_cache.get((i, e))
-                    if pw is None:
-                        pw = vals[i]
-                        for _ in range(e - 1):
-                            pw = pw * vals[i]
-                        pow_cache[(i, e)] = pw
-                    term = term * pw
-                else:
-                    term = term * RPoly.var(VAR_NAMES[i], e)
-            out = out + term
-        return out
+            args[VAR_INDEX[name]] = v if isinstance(v, RPoly) else RPoly.const(v)
+        degs = [arg.degree() for arg in args]
+        if any(sum(map(operator.mul, key, degs)) > MAX_DEGREE for key in self.num):
+            raise InternalInvariantError("polynomial degree blew past %d" % MAX_DEGREE)
+        return _substitute(self, PowerTable(args, MAX_DEGREE))
 
     def evaluate(self, point):
-        """Evaluate at a full point {name: rational}; missing names are 0."""
-        total = Fraction(0)
-        vals = [_as_rat(point.get(name, 0)) for name in VAR_NAMES]
-        for key, coeff in self.c.items():
-            term = coeff
-            for i, e in enumerate(key):
-                if e:
-                    term = term * vals[i] ** e
-            total = total + term
-        return total
+        """Evaluate at a point {name: rational}; missing names are 0."""
+        return self.subs(point).constant_term()
 
 
 def _check_vars(p, allowed, what):

@@ -11,7 +11,7 @@ its exponent key is at most the truncation order n.  It stores the whole
 series over one denominator: a positive integer d and a dict from keys to
 integer pairs (a, b), each meaning the coefficient (a + ib)/d -- the layout
 of FLINT's ``fmpq_poly``.  Construction, comparison, truncation, addition and
-the truncated product live there once; three weightings of the key subclass
+the truncated product live there once; four weightings of the key subclass
 it and add only their own mathematics:
 
 * ``Series3``  -- F(z, zbar, u), keys (j, k, l) for z^j zbar^k u^l,
@@ -21,6 +21,8 @@ it and add only their own mathematics:
 * ``UPoly``    -- one-variable truncated series c_0 + c_1 t + ..., keys the
   integer exponent m, weight m (u-slices, curve components and
   one-variable stage data).
+* ``lie_jets.RPoly`` -- the symbolic half's polynomials in 11 jet
+  variables, keys their exponents, weight the total degree.
 
 Substitution of series into a series (``eval_holo3``, ``eval_holo2``,
 ``eval_graph``, ``eval_curve``) runs through one core over a table of the

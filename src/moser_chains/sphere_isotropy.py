@@ -26,7 +26,7 @@ from __future__ import annotations
 from .errors import InternalInvariantError
 from .lie_jets import IntrinsicField, RPoly
 from .linalg import solve
-from .series_core import HoloSeries, gr
+from .series_core import I_UNIT, HoloSeries, eval_holo3, gr
 
 #: polynomial degree bound comfortably holding every field and bracket here
 FIELD_ORDER = 8
@@ -87,9 +87,8 @@ def expand_in_basis(field, basis):
     """
     names = list(basis)
     keys = set()
-    for nm in names:
-        keys |= set(basis[nm].a.c) | set(basis[nm].b.c)
-    keys |= set(field.a.c) | set(field.b.c)
+    for f in (*basis.values(), field):
+        keys |= f.a.num.keys() | f.b.num.keys()
     rows = []
     rhs = []
     for which in ("a", "b"):
@@ -130,37 +129,12 @@ def commutator_table(n=FIELD_ORDER):
 # ---------------------------------------------------------------------------
 
 
-def _pair_mul(p, q):
-    """(re, im) product of two complex polynomials given as RPoly pairs."""
-    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
-
-
 def _restrict_to_sphere(h):
-    """h(x + iy, u + i(x^2+y^2)) as an (re, im) RPoly pair in (u, x, y)."""
-    x = RPoly.var("x")
-    y = RPoly.var("y")
-    u = RPoly.var("u")
-    z_pair = (x, y)
-    w_pair = (u, x * x + y * y)
-    coeffs = h.c
-    max_j = max((j for j, _ in coeffs), default=0)
-    max_l = max((l for _, l in coeffs), default=0)
-    one = (RPoly.const(1), RPoly.zero())
-    z_pows = [one]
-    for _ in range(max_j):
-        z_pows.append(_pair_mul(z_pows[-1], z_pair))
-    w_pows = [one]
-    for _ in range(max_l):
-        w_pows.append(_pair_mul(w_pows[-1], w_pair))
-    re_acc = RPoly.zero()
-    im_acc = RPoly.zero()
-    for (j, l), v in coeffs.items():
-        base = _pair_mul(z_pows[j], w_pows[l])
-        coeff = (RPoly.const(v.real), RPoly.const(v.imag))
-        term = _pair_mul(coeff, base)
-        re_acc = re_acc + term[0]
-        im_acc = im_acc + term[1]
-    return re_acc, im_acc
+    """h(x + iy, u + i(x^2+y^2)) as an (re, im) RPoly pair in (u, x, y): one
+    substitution on complex RPolys, split coefficientwise."""
+    x, y, u = RPoly.var("x"), RPoly.var("y"), RPoly.var("u")
+    c = eval_holo3(h, x + y * I_UNIT, u + (x * x + y * y) * I_UNIT, polynomial=True).c
+    return RPoly({k: v.real for k, v in c.items()}), RPoly({k: v.imag for k, v in c.items()})
 
 
 def tangency_residual(field):
