@@ -14,7 +14,7 @@ implements:
 * ``IntrinsicField`` -- xi d_u + phi d_x + psi d_y with coefficients in
   (u, x, y) only.
 * ``total_derivative`` -- the total u-derivative on 2-jet pullbacks.
-* ``prolong2`` -- second prolongation of an intrinsic field to 2-jet
+* ``prolong2`` -- second prolongation of an intrinsic field to the 2-jet
   coordinates, with the third-order slots checked to cancel identically.
 * brackets of intrinsic fields and of prolonged fields.
 
@@ -22,7 +22,7 @@ Coefficients are exact Gaussian rationals over one denominator, as in every
 series.  They are real everywhere except inside
 ``sphere_isotropy._restrict_to_sphere``, which splits its complex result into
 real and imaginary parts.  A polynomial is exact through degree MAX_DEGREE:
-a product or substitution that would pass it raises InternalInvariantError
+a product or ``subs`` that would pass it raises InternalInvariantError
 instead of truncating.
 """
 
