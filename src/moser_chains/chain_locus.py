@@ -13,6 +13,8 @@ the 2-jets of chains of the sphere through the origin.
 
 from __future__ import annotations
 
+import functools
+
 from fractions import Fraction
 
 from .errors import InternalInvariantError
@@ -38,13 +40,15 @@ def second_prolongation_table():
     return table
 
 
+@functools.cache
 def orbit_matrix():
     """The 5x4 matrix of jet components over the origin, rows in FIELD_NAMES order.
 
-    Entries are polynomials in (x1, y1, x2, y2).
+    Entries are polynomials in (x1, y1, x2, y2).  The matrix never changes,
+    so it is built once and shared, as a tuple of row tuples.
     """
     table = second_prolongation_table()
-    return [list(table[nm]) for nm in FIELD_NAMES]
+    return tuple(table[nm] for nm in FIELD_NAMES)
 
 
 def sigma0_jet(x1, y1):

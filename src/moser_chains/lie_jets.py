@@ -53,9 +53,8 @@ class RPoly(WeightedSeries):
     degree and always carried at order MAX_DEGREE: sums, products, negation,
     equality and printing are the shared class's, and ``subs`` runs through
     the shared substitution core.  The order would truncate silently, so the
-    constructor, a product or ``subs`` whose exact result passes MAX_DEGREE
-    raises instead; so does ``eval_holo3`` on RPoly arguments when a power of
-    an argument passes it.
+    constructor, a product or a substitution (``subs``, or ``eval_holo3``
+    on RPoly arguments) whose exact result passes MAX_DEGREE raises instead.
     """
 
     __slots__ = ()
@@ -77,6 +76,15 @@ class RPoly(WeightedSeries):
     @classmethod
     def one(cls, n=MAX_DEGREE):
         return cls({_ZERO_KEY: 1})
+
+    @staticmethod
+    def _check_substitution(F, args):
+        """The shared core builds inner sums only to the order, so no product
+        sees a term past MAX_DEGREE: each term's degree sum e_i * deg(arg_i)
+        is checked first, for ``subs`` and ``eval_holo3`` alike."""
+        degs = [arg.degree() for arg in args]
+        if any(sum(map(operator.mul, key, degs)) > MAX_DEGREE for key in F.num):
+            raise InternalInvariantError("polynomial degree blew past %d" % MAX_DEGREE)
 
     @classmethod
     def const(cls, v):
@@ -139,17 +147,11 @@ class RPoly(WeightedSeries):
     def subs(self, mapping):
         """Substitute variables by rationals or RPolys; returns an RPoly.
 
-        A variable left out of the mapping stands for itself.  The shared
-        core builds inner sums only to the order, so no product of it sees a
-        term past MAX_DEGREE: each term's degree sum e_i * deg(arg_i) is
-        checked here first.
+        A variable left out of the mapping stands for itself.
         """
         args = [RPoly.var(name) for name in VAR_NAMES]
         for name, v in mapping.items():
             args[VAR_INDEX[name]] = v if isinstance(v, RPoly) else RPoly.const(v)
-        degs = [arg.degree() for arg in args]
-        if any(sum(map(operator.mul, key, degs)) > MAX_DEGREE for key in self.num):
-            raise InternalInvariantError("polynomial degree blew past %d" % MAX_DEGREE)
         return _substitute(self, PowerTable(args, MAX_DEGREE))
 
     def evaluate(self, point):

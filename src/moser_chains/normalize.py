@@ -35,7 +35,6 @@ from .series_core import (
     I_UNIT,
     ONE,
     RATIONAL_TYPES,
-    ZERO,
     GaussianRational,
     GraphTable,
     HoloSeries,
@@ -45,6 +44,7 @@ from .series_core import (
     eval_graph,
     eval_holo2,
     eval_holo3,
+    fixed_point,
     holo_from_json,
     holo_to_json,
     is_json_count,
@@ -261,7 +261,8 @@ def isotropy_map(lam, alpha, r, n):
         z' = lambda (z + alpha w) / d,   w' = lambda conj(lambda) w / d,
         d  = 1 - 2i conj(alpha) z - (r + i alpha conj(alpha)) w,
 
-    expanded to weights n-1 / n.  lambda != 0 is required; r must be real.
+    expanded to weights n-1 / n; with d = 1 - b, 1/d is the fixed point of
+    1/d = 1 + b (1/d).  lambda != 0 is required; r must be real.
     The parameters must be exact (``int``, ``Fraction`` or
     ``GaussianRational``) and n an integer >= 1; anything else raises
     ParseError.
@@ -274,7 +275,6 @@ def isotropy_map(lam, alpha, r, n):
         raise MathPreconditionError("isotropy parameter lambda must be nonzero")
 
     abs2 = alpha * alpha.conjugate()
-    # the geometric-series denominator
     b = HoloSeries(
         n,
         {
@@ -282,13 +282,8 @@ def isotropy_map(lam, alpha, r, n):
             (0, 1): abs2 * I_UNIT + r,
         },
     )
-    inv_d = HoloSeries.one(n)
-    power = HoloSeries.one(n)
-    for _ in range(n):
-        power = power * b
-        if power.is_zero():
-            break
-        inv_d = inv_d + power
+    one = HoloSeries.one(n)
+    inv_d = fixed_point(lambda x: one + b * x, one, "isotropy denominator")
     zpart = HoloSeries.z_var(n) + HoloSeries.w_var(n) * alpha
     f = (zpart * inv_d * lam).truncate(n - 1)
     g = (HoloSeries.w_var(n) * inv_d * (lam * lam.conjugate())).truncate(n)
@@ -304,23 +299,20 @@ def translate_to_point(M, z0, u0, v0=None):
     """Recenter the graph at the surface point over (z0, u0): the result is
     F(z0 + z, conj z0 + zbar, u0 + u) - F(z0, conj z0, u0), exact because the
     surface is polynomial data (``eval_graph`` with ``polynomial=True``).
-    If v0 is given it is validated against F(z0, conj z0, u0).  The
+    The height F(z0, conj z0, u0) is the constant term of that
+    substitution; if v0 is given it is validated against it.  The
     coordinates must be exact, as in ``isotropy_map``.
     """
     F = M.series
     z0 = _exact_scalar(z0, "z-coordinate")
     u0 = _exact_real(u0, "u-coordinate")
-    height = F.evaluate(z0, z0.conjugate(), u0)
-    if v0 is not None:
-        if height - _exact_scalar(v0, "v-coordinate"):
-            raise MathPreconditionError("point is not on the hypersurface")
-
     n = F.n
     one = Series3.one(n)
     out = eval_graph(F, Series3.z_var(n) + one * z0, Series3.u_var(n) + one * u0, polynomial=True)
+    height = out.coeff(0, 0, 0)
+    if v0 is not None and height != _exact_scalar(v0, "v-coordinate"):
+        raise MathPreconditionError("point is not on the hypersurface")
     out = out - one * height
-    if out.coeff(0, 0, 0):
-        raise InternalInvariantError("translated constant term failed to cancel")
     out.assert_real("translated graph")
     return Hypersurface(out, check=False)
 
@@ -404,8 +396,6 @@ def graph_transform(M, h):
         out = out + f_nu
     S.assert_zero("graph transform recursion remainder")
     out.assert_real("transformed graph")
-    if out.coeff(0, 0, 0):
-        raise InternalInvariantError("transformed graph gained a constant term")
     return Hypersurface(out, check=False), P, Q
 
 
@@ -703,7 +693,11 @@ def straighten_curve(M, curve, stages=None, verify=False):
 
 
 def kill_harmonics(M, stages=None, verify=False):
-    """Remove the harmonic slices (k = 0) of a straightened, adapted graph."""
+    """Remove the harmonic slices (k = 0) of a straightened, adapted graph.
+
+    With harm = sum_{j >= 1} F_{j,0}(u) z^j and T = w - i harm(z, T) (u = T
+    inverts w = u + i harm(z, u)), the map is w' = w - 2i harm(z, T) = 2T - w.
+    """
     stages = [] if stages is None else stages
     F = M.series
     n = F.n
@@ -717,20 +711,9 @@ def kill_harmonics(M, stages=None, verify=False):
     )
     if harm.is_zero():
         return M
-    # invert omega = u + i F(z, 0, u) for u = T(z, omega)
-    zv = HoloSeries.z_var(n)
-    T = HoloSeries.w_var(n)
-    for _ in range(n):
-        H = eval_holo2(harm, zv, T)
-        T_next = HoloSeries.w_var(n) - H * I_UNIT
-        if T_next == T:
-            break
-        T = T_next
-    else:
-        raise InternalInvariantError("harmonic inversion did not stabilize")
-    # T = w - iH is the fixed point, so H = harm(z, T) from the last pass
-    g_corr = H * (I_UNIT * (-2))
-    h = Biholo(HoloSeries.z_var(n - 1), HoloSeries.w_var(n) + g_corr)
+    zv, w = HoloSeries.z_var(n), HoloSeries.w_var(n)
+    T = fixed_point(lambda T: w - eval_holo2(harm, zv, T) * I_UNIT, w, "harmonic inversion")
+    h = Biholo(HoloSeries.z_var(n - 1), T * 2 - w)
     M2 = _run_stage("harmonics", M, h, stages, verify)
     leftover = Series3(
         n, {key: v for key, v in M2.series.c.items() if key[0] == 0 or key[1] == 0}
@@ -786,7 +769,11 @@ def absorb_k1(M, stages=None, verify=False):
 
 
 def kill_f22_rotation(M, stages=None, verify=False):
-    """Rotate z by the unit factor lambda(u) that removes the F_{2,2} slice."""
+    """Rotate z by the unit factor lambda(u) that removes the F_{2,2} slice.
+
+    The map is z' = z lambda(w), lambda = exp(-(i/2) integral(F22)), so
+    2i lambda' = F22 lambda; F22 is real, so lambda conj(lambda) = 1.
+    """
     stages = [] if stages is None else stages
     n = M.n
     f22 = M.slice(2, 2)
@@ -794,19 +781,10 @@ def kill_f22_rotation(M, stages=None, verify=False):
         return M
     if not f22.is_real():
         raise InternalInvariantError("F22 slice is not real")
-    minus_half_i = I_UNIT * HALF * (-1)
-    lam = (f22.integrate() * minus_half_i).exp()
-    unit_defect = lam * lam.conjugate() - UPoly.one(lam.n)
-    if not unit_defect.is_zero():
-        raise InternalInvariantError("rotation factor is not unitary")
+    lam = (f22.integrate() * (I_UNIT * HALF * -1)).exp()
     f = (HoloSeries.z_var(n - 1) * HoloSeries.from_w_series(lam, n - 1)).truncate(n - 1)
     h = Biholo(f, HoloSeries.w_var(n))
     M2 = _run_stage("rotate", M, h, stages, verify)
-    # the rotation satisfies 2i lambda'/lambda = F22 by construction; with
-    # the new slice F'22 = 0 that is exactly the stage's defining equation
-    ode_defect = lam.derivative() * I_UNIT * 2 - (f22 * lam).truncate(lam.n - 1)
-    if not ode_defect.is_zero():
-        raise InternalInvariantError("rotation factor violates its defining equation")
     if not M2.slice(2, 2).is_zero():
         raise InternalInvariantError("F22 slice survived the rotation")
     return M2
@@ -815,7 +793,8 @@ def kill_f22_rotation(M, stages=None, verify=False):
 def kill_f33_reparam(M, stages=None, verify=False):
     """Reparametrize the u-axis to remove the F_{3,3} slice.
 
-    With eta'' = (3/2) F33 eta, eta(0) = 1, eta'(0) = 0, the map is
+    eta is the fixed point of eta = 1 + integral(integral((3/2) F33 eta)),
+    so eta'' = (3/2) F33 eta, eta(0) = 1, eta'(0) = 0.  The map is
     z' = z phi(w), w' = psi(w) with phi = 1/eta, psi' = phi^2, psi(0) = 0;
     psi then satisfies psi''' = (3/2) psi''^2 / psi' - 3 F33 psi'.
     """
@@ -826,29 +805,12 @@ def kill_f33_reparam(M, stages=None, verify=False):
         return M
     if not f33.is_real():
         raise InternalInvariantError("F33 slice is not real")
-    eta_order = f33.n + 2
-    three_halves = HALF * 3
-    eta = {0: ONE}
-    f33_c = f33.c
-    for m in range(0, eta_order - 1):
-        # eta_{m+2} = (3/2) (F33 * eta)_m / ((m+1)(m+2))
-        acc = ZERO
-        for j, fv in f33_c.items():
-            if j <= m and (m - j) in eta:
-                acc = acc + fv * eta[m - j]
-        acc = acc * three_halves
-        if acc:
-            eta[m + 2] = acc / ((m + 1) * (m + 2))
-    eta = UPoly(eta_order, eta)
+    one = UPoly.one(f33.n + 2)
+    rhs = f33 * (HALF * 3)
+    eta = fixed_point(lambda e: one + (rhs * e).integrate().integrate(), one, "reparam eta")
     phi = eta.inverse()
     psi_u = phi * phi
     psi = psi_u.integrate()
-    # assert the nonlinear reparametrization law: psi''' psi' = (3/2) psi''^2 - 3 F33 psi'^2
-    lhs = psi.derivative().derivative().derivative() * psi_u
-    rhs = psi_u.derivative() * psi_u.derivative() * three_halves - f33 * psi_u * psi_u * 3
-    if not (lhs - rhs).is_zero():
-        raise InternalInvariantError("reparametrization ODE violated")
-
     f = (HoloSeries.z_var(n - 1) * HoloSeries.from_w_series(phi, n - 1)).truncate(n - 1)
     g = HoloSeries.from_w_series(psi, n)
     h = Biholo(f, g)

@@ -34,6 +34,9 @@ one order and can be shared by several substitutions into the same
 arguments at that order (``GraphTable``); each entry point builds a fresh
 one.
 
+Every series equation the pipeline solves (``UPoly`` inverses and the stage
+equations of ``normalize``) goes through one solver, ``fixed_point``.
+
 A graph or curve substitution F(x, conj(x), t) has a real third argument t,
 so conjugation (swap z/zbar and conjugate the coefficients, or conjugate the
 coefficients of a curve) fixes t and swaps the first two slots.  Its table
@@ -339,6 +342,10 @@ class WeightedSeries:
     def _negative(key):
         return min(key) < 0
 
+    @staticmethod
+    def _check_substitution(F, args):
+        """Hook run by ``_substitute`` before args of this class go into F."""
+
     def __init__(self, n, coeffs=None):
         if n < 0:
             raise InternalInvariantError("%s with negative order %d" % (type(self).__name__, n))
@@ -535,6 +542,22 @@ def _combine(cls, n, w, d, parts):
     return _reduced_series(cls, n, den * d, num)
 
 
+def fixed_point(step, start, what):
+    """The solution of x = step(x), iterated from start until a pass returns
+    x unchanged (a plain comparison, as the form is canonical).  Every step
+    solved with it fixes one more weight per pass, so the solution is unique
+    and exact; one not settled in start.n + 2 passes raises
+    InternalInvariantError.
+    """
+    x = start
+    for _ in range(start.n + 2):
+        nxt = step(x)
+        if nxt == x:
+            return x
+        x = nxt
+    raise InternalInvariantError("%s did not settle in %d passes" % (what, start.n + 2))
+
+
 # The subclasses bind __mul__/__rmul__ (and Series3 also __add__) in their own
 # namespaces although they are the base's functions: perfbench/tracing.py
 # finds the methods it counts through each class's own __dict__, so each
@@ -547,7 +570,8 @@ def _combine(cls, n, w, d, parts):
 
 
 class UPoly(WeightedSeries):
-    """Truncated one-variable series sum_m c_m t^m, exponents 0..n kept."""
+    """Truncated one-variable series sum_m c_m t^m, exponents 0..n kept.
+    Each inverse below is the ``fixed_point`` of the equation it states."""
 
     __slots__ = ()
 
@@ -596,9 +620,11 @@ class UPoly(WeightedSeries):
         return _reduced_series(UPoly, max(self.n - 1, 0), self.d, num)
 
     def integrate(self):
-        """Antiderivative vanishing at 0; gains one sound order."""
-        c = {m + 1: v / (m + 1) for m, v in self.c.items()}
-        return UPoly(self.n + 1, c)
+        """Antiderivative vanishing at 0; gains one sound order.  It is
+        (a, b) * L/(m + 1) over d * L, with L the lcm of the m + 1."""
+        big = lcm(*(m + 1 for m in self.num))
+        num = {m + 1: (a * big // (m + 1), b * big // (m + 1)) for m, (a, b) in self.num.items()}
+        return _reduced_series(UPoly, self.n + 1, self.d * big, num)
 
     # -- composition and inverses ---------------------------------------------
 
@@ -622,79 +648,46 @@ class UPoly(WeightedSeries):
         return res
 
     def reversion(self):
-        """Functional inverse tau with self(tau(t)) = t; needs c0=0, c1 != 0."""
+        """Functional inverse tau with self(tau(t)) = t; needs c0=0, c1 != 0.
+        tau = (t - rest(tau)) / c1, where rest = self - c1 t."""
         if self.coeff(0):
             raise InternalInvariantError("reversion needs a series with no constant term")
         a1 = self.coeff(1)
         if not a1:
             raise InternalInvariantError("reversion needs a nonzero linear coefficient")
-        inv = {1: ONE / a1}
-        for m in range(2, self.n + 1):
-            partial = UPoly(m, inv)
-            comp = self.truncate(m).compose(partial)
-            resid = comp.coeff(m)
-            if resid:
-                inv[m] = -resid / a1
-        return UPoly(self.n, inv)
+        inv1 = ONE / a1
+        t = UPoly.var(self.n)
+        rest = self - t * a1
+        return fixed_point(lambda tau: (t - rest.compose(tau)) * inv1, t * inv1, "reversion")
 
     def inverse(self):
-        """Multiplicative inverse; needs c0 != 0."""
+        """Multiplicative inverse b = (1 - (a - a0) b) / a0; needs a0 != 0."""
         a0 = self.coeff(0)
         if not a0:
             raise InternalInvariantError("UPoly.inverse needs a unit constant term")
-        b = {0: ONE / a0}
-        c = self.c
-        for m in range(1, self.n + 1):
-            acc = ZERO
-            for j in range(1, m + 1):
-                aj = c.get(j)
-                if aj:
-                    bm = b.get(m - j)
-                    if bm:
-                        acc = acc + aj * bm
-            if acc:
-                b[m] = -acc / a0
-        return UPoly(self.n, b)
+        inv0 = ONE / a0
+        one = UPoly.one(self.n)
+        rest = self - one * a0
+        return fixed_point(lambda b: (one - rest * b) * inv0, one * inv0, "UPoly.inverse")
 
     def sqrt(self):
-        """The square root with s(0) = 1 of a series with constant term 1.
+        """The square root s with s(0) = 1 of a series a with constant term
+        1: s = s + (a - s^2)/2.
 
         Any other constant term is refused: its square root is in general
         not a Gaussian rational.
         """
         if self.coeff(0) != ONE:
             raise InternalInvariantError("UPoly.sqrt needs constant term 1")
-        double = ONE + ONE
-        s = {0: ONE}
-        for m in range(1, self.n + 1):
-            acc = self.coeff(m)
-            for j in range(1, m):
-                sj = s.get(j)
-                sk = s.get(m - j)
-                if sj and sk:
-                    acc = acc - sj * sk
-            if acc:
-                s[m] = acc / double
-        return UPoly(self.n, s)
+        return fixed_point(lambda s: s + (self - s * s) * HALF, UPoly.one(self.n), "UPoly.sqrt")
 
     def exp(self):
-        """exp of a series with no constant term."""
+        """exp e = 1 + integral(a' e) of a series a with no constant term."""
         if self.coeff(0):
             raise InternalInvariantError("UPoly.exp needs a series with no constant term")
-        e = {0: ONE}
-        c = self.c
-        for m in range(0, self.n):
-            # (m+1) e_{m+1} = sum_{j=0..m} (j+1) a_{j+1} e_{m-j}
-            acc = ZERO
-            for j in range(0, m + 1):
-                aj = c.get(j + 1)
-                if aj:
-                    em = e.get(m - j)
-                    if em:
-                        acc = acc + (aj * (j + 1)) * em
-            if acc:
-                e[m + 1] = acc / (m + 1)
-        return UPoly(self.n, e)
+        one = UPoly.one(self.n)
+        da = self.derivative()
+        return fixed_point(lambda e: one + (da * e).integrate(), one, "UPoly.exp")
 
     def evaluate(self, x):
         """Horner evaluation at a scalar."""
@@ -959,7 +952,7 @@ def _substitute(F, table):
     costs one head product of the table and one product with its inner sum
     sum_l v_l * Q^l over powers of the last argument Q; the group with the
     all-zero head needs no product.  The result has the type of the
-    arguments.
+    arguments, whose class checks F first (``_check_substitution``).
 
     A head product whose lowest weight is w multiplies the inner sum, so a
     term of the inner sum above weight n - w only makes output above the
@@ -975,6 +968,7 @@ def _substitute(F, table):
     """
     n, last = table.n, len(table.args) - 1
     cls = type(table.args[0])
+    cls._check_substitution(F, table.args)
     conj = table._conj
     groups = {}
     for key, v in F.num.items():
