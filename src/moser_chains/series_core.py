@@ -37,14 +37,16 @@ one.
 Every series equation the pipeline solves (``UPoly`` inverses and the stage
 equations of ``normalize``) goes through one solver, ``fixed_point``.
 
-A graph or curve substitution F(x, conj(x), t) has a real third argument t,
-so conjugation (swap z/zbar and conjugate the coefficients, or conjugate the
-coefficients of a curve) fixes t and swaps the first two slots.  Its table
-therefore builds conj(x)^e and x^k conj(x)^j (k < j) as conjugates of
-x^e and x^j conj(x)^k, and the group (k, j) of F as the conjugate of the
-group (j, k) whenever v_kjl = conj(v_jkl) for every l -- for a real F, every
-pair.  A pair that is not mirrored gets its own product, so the result is
-exact for any F.
+Most substitutions the pipeline makes are tangent to the identity: every
+argument is x_i + h_i, with x_i the i-th variable of its class and every term
+of h_i at least d >= 1 weights above x_i.  Taylor's formula sends a monomial
+m of weight w to m + sum_i (dm/dx_i) h_i plus terms with two or more factors
+h_i, all of weight >= w + 2d.  To order n the core therefore copies the terms
+of weight above n - d, takes one product per argument for the band
+n - 2d < w <= n - d, and substitutes only the terms of weight <= n - 2d in
+full.  A graph or curve substitution F(x, conj(x), t) has a real t, so its
+table builds half of its powers and products as conjugates
+(``_MirrorTable``); the result stays exact for any F.
 
 Coefficients are exact Gaussian rationals.  Series arithmetic -- sums,
 products, scalar multiples, conjugation, truncation, slices and the
@@ -873,12 +875,13 @@ class PowerTable:
     key (j, k, l)), with its low weight (None when it is zero); a zero
     exponent adds no factor, and an all-zero head is the series one.  Both
     are kept once built, so substitutions that share a table build each
-    power and each head product once.  A graph or curve substitution uses
-    ``_MirrorTable``, which builds half of its powers and heads as
-    conjugates.
+    power and each head product once.  ``near`` is the arguments' gap d
+    and offsets h_i (``_near_identity``), found once per table.  A graph or
+    curve substitution uses ``_MirrorTable``, which builds half of its powers
+    and heads as conjugates.
     """
 
-    __slots__ = ("args", "n", "pows", "heads")
+    __slots__ = ("args", "n", "pows", "heads", "near")
 
     #: the conjugation of the arguments' class when the table mirrors
     #: (see ``_MirrorTable``), else None
@@ -890,6 +893,7 @@ class PowerTable:
         one = type(args[0]).one(n)
         self.pows = [[one] for _ in args]
         self.heads = {}
+        self.near = _near_identity(args, n)
 
     def power(self, i, e):
         pows = self.pows[i]
@@ -944,6 +948,27 @@ class _MirrorTable(PowerTable):
         return entry
 
 
+def _near_identity(args, n):
+    """(d, [(i, h_i), ...]) when every args[i] is x_i + h_i, x_i the i-th
+    variable (coefficient exactly 1), and every term of h_i is at least
+    d >= 1 weights above x_i; the nonzero h_i are listed, and d is n + 1
+    when there is none.  (0, []) for any other arguments."""
+    cls = type(args[0])
+    zero = cls._ONE_KEY
+    if not isinstance(zero, tuple) or len(zero) != len(args):
+        return 0, []
+    d, hs = n + 1, []
+    for i, arg in enumerate(args):
+        x = zero[:i] + (1,) + zero[i + 1 :]
+        if arg.num.get(x) != (arg.d, 0):
+            return 0, []
+        h = _reduced_series(cls, arg.n, arg.d, {k: v for k, v in arg.num.items() if k != x})
+        if h.num:
+            d = min(d, h.low_weight() - cls._weight(x))
+            hs.append((i, h))
+    return (d, hs) if d > 0 else (0, [])
+
+
 def _substitute(F, table):
     """F(args[0], args[1], ...) to the table's order, one argument per key
     exponent.
@@ -959,6 +984,15 @@ def _substitute(F, table):
     order n: the inner sum is built to weight n - w only.  Each inner sum and
     the result are summed over one common denominator (``_combine``).
 
+    When F has the arguments' class and the table's arguments are x_i + h_i
+    with every h_i at least d >= 1 weights above x_i (``_near_identity``),
+    only the terms of F of weight <= n - 2d are grouped: a term of weight w
+    maps to itself plus sum_i (d/dx_i)(term) * h_i, of weight >= w + d, plus
+    terms of weight >= w + 2d.  So the terms with n - d < w <= n are copied,
+    those with n - 2d < w <= n - d add one product (dF_band/dx_i) * h_i per
+    argument, and those above n add nothing.  With d = 0 every term is
+    grouped, as a constant-term argument of a complete F needs.
+
     On a mirror table (arguments (x, conj(x), t) with t real) the groups
     (j, k) and (k, j) of F with v_kjl = conj(v_jkl) -- all of them when F is
     real -- cost one product: group (k, j) is then conj(x)^j x^k times
@@ -970,9 +1004,21 @@ def _substitute(F, table):
     cls = type(table.args[0])
     cls._check_substitution(F, table.args)
     conj = table._conj
-    groups = {}
+    d, hs = table.near if type(F) is cls else (0, [])
+    weight, groups, kept, band = F._weight, {}, {}, []
     for key, v in F.num.items():
-        groups.setdefault(key[:-1], {})[key[-1]] = v
+        w = weight(key)
+        if not d or w <= n - 2 * d:
+            groups.setdefault(key[:-1], {})[key[-1]] = v
+        elif w <= n:
+            kept[key] = v
+            if w <= n - d:
+                band.append((key, v))
+    parts = [(_series(cls, n, F.d, kept), 1, 0)]
+    for i, h in hs:
+        grad = {k[:i] + (k[i] - 1,) + k[i + 1 :]: (a * k[i], b * k[i]) for k, (a, b) in band if k[i]}
+        if grad:
+            parts.append((_series(cls, n, F.d, grad) * h, 1, 0))
     mirrored = set()
     if conj:
         for (j, k), pairs in groups.items():
@@ -980,7 +1026,6 @@ def _substitute(F, table):
                 mirrored.add((j, k))
     for j, k in mirrored:
         del groups[k, j]
-    parts = []
     for head, pairs in sorted(groups.items()):
         prod, low = table.head(head)
         if low is None:
