@@ -368,7 +368,6 @@ def graph_transform(M, h):
         raise MathPreconditionError("map z-component truncated below the surface order")
 
     n, P, Q, R = _transform_ingredients(M, h)
-    Q.assert_real("transformed u-coordinate")
     sigma = Q.coeff(0, 0, 1)
     if not sigma:
         raise MathPreconditionError("image is not a graph over (z, u): u-part degenerates")
@@ -606,11 +605,10 @@ def _solve_punctual(delta, target):
     fc = {}
     gc = {}
     idx = 0
-    for which, keys, store in (("f", f_keys, fc), ("g", g_keys, gc)):
+    for keys, store in ((f_keys, fc), (g_keys, gc)):
         for jk in keys:
-            re_part, im_part = sol[idx], sol[idx + 1]
+            val = GaussianRational(sol[idx], sol[idx + 1])
             idx += 2
-            val = GaussianRational(re_part, 0) + GaussianRational(im_part, 0) * I_UNIT
             if val:
                 store[jk] = val
     return fc, gc

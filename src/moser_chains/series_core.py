@@ -25,14 +25,15 @@ it and add only their own mathematics:
   variables, keys their exponents, weight the total degree.
 
 Substitution of series into a series (``eval_holo3``, ``eval_holo2``,
-``eval_graph``, ``eval_curve``) runs through one core over a table of the
-arguments' powers; each entry point only checks its arguments and fixes the
-order to which its result is sound.  The pipeline has no other substitution
-code: composing maps, pushing a map along a curve and moving a surface to
-another base point all go through this core.  A table holds the powers at
-one order and can be shared by several substitutions into the same
-arguments at that order (``GraphTable``); each entry point builds a fresh
-one.
+``eval_graph``, ``eval_curve``, ``UPoly.compose``) runs through one core over
+a table of the arguments' powers; each entry point only checks its arguments
+and fixes the order to which its result is sound.  The pipeline has no other
+substitution code: composing maps, pushing a map along a curve,
+reparametrizing a curve and moving a surface to another base point all go
+through this core.  A table holds the powers at one order; each entry point
+builds a fresh one.  ``GraphTable`` is the one table for F(x, conj(x), t),
+with x a graph's ``Series3`` or a curve's ``UPoly``, and it can be shared by
+several substitutions into the same arguments at its order.
 
 Every series equation the pipeline solves (``UPoly`` inverses and the stage
 equations of ``normalize``) goes through one solver, ``fixed_point``.
@@ -46,7 +47,7 @@ of weight above n - d, takes one product per argument for the band
 n - 2d < w <= n - d, and substitutes only the terms of weight <= n - 2d in
 full.  A graph or curve substitution F(x, conj(x), t) has a real t, so its
 table builds half of its powers and products as conjugates
-(``_MirrorTable``); the result stays exact for any F.
+(``GraphTable``); the result stays exact for any F.
 
 Coefficients are exact Gaussian rationals.  Series arithmetic -- sums,
 products, scalar multiples, conjugation, truncation, slices and the
@@ -594,10 +595,6 @@ class UPoly(WeightedSeries):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, n, value):
-        return cls(n, {0: value})
-
-    @classmethod
     def var(cls, n):
         return cls(n, {1: ONE})
 
@@ -611,6 +608,9 @@ class UPoly(WeightedSeries):
 
     def conjugate(self):
         return _series(UPoly, self.n, self.d, {m: (a, -b) for m, (a, b) in self.num.items()})
+
+    # ``GraphTable`` conjugates its x by type(x).conj, a curve as a graph
+    conj = conjugate
 
     def real_part(self):
         return (self + self.conjugate()) * HALF
@@ -631,23 +631,14 @@ class UPoly(WeightedSeries):
     # -- composition and inverses ---------------------------------------------
 
     def compose(self, other):
-        """self(other(t)); requires other(0) = 0."""
-        if other.coeff(0):
+        """self(other(t)) to order n = min(self.n, other.n); requires
+        other(0) = 0.  The core substitutes p(z, w) = self(w) at z = 0,
+        w = other; a term of self above weight n only makes output above n."""
+        if 0 in other.num:
             raise InternalInvariantError("UPoly.compose needs arg(0) = 0")
         n = min(self.n, other.n)
-        res = UPoly.const(n, self.coeff(0)) if self.coeff(0) else UPoly.zero(n)
-        pw = UPoly.one(n)
-        top = self.degree()
-        if top is None:
-            return res
-        c = self.c
-        for m in range(1, top + 1):
-            pw = pw * other
-            if pw.is_zero():
-                break
-            if m in c:
-                res = res + pw * c[m]
-        return res
+        p = HoloSeries.from_w_series(self, 2 * n)
+        return _substitute(p, PowerTable((UPoly.zero(n), other), n))
 
     def reversion(self):
         """Functional inverse tau with self(tau(t)) = t; needs c0=0, c1 != 0.
@@ -840,8 +831,14 @@ class HoloSeries(WeightedSeries):
 # ---------------------------------------------------------------------------
 
 
-def _tail_bound(F, zs, ws, polynomial):
-    """Weight to which F(zs, ..., ws) is sound.
+def _bounds(zs, ws):
+    """The arguments' common order and low weights, as ``_tail_bound`` takes them."""
+    return min(zs.n, ws.n), zs.low_weight(), ws.low_weight()
+
+
+def _tail_bound(F, order, z_low, w_low, polynomial):
+    """Weight to which F(zs, ..., ws) is sound, from the arguments' common
+    order and low weights (None for a zero argument), as ``_bounds`` gives.
 
     The result is sound to the arguments' orders.  A monomial of F beyond its
     truncation (weight > F.n) would add output of weight at least the
@@ -854,8 +851,6 @@ def _tail_bound(F, zs, ws, polynomial):
     sound: all weights are >= 0, so output of weight <= n depends only on
     argument terms of weight <= n (``translate_to_point`` relies on this).
     """
-    z_low, w_low = zs.low_weight(), ws.low_weight()
-    order = min(zs.n, ws.n)
     if not polynomial:
         if z_low == 0 or w_low == 0:
             raise InternalInvariantError("substitution argument with a constant term")
@@ -877,14 +872,14 @@ class PowerTable:
     are kept once built, so substitutions that share a table build each
     power and each head product once.  ``near`` is the arguments' gap d
     and offsets h_i (``_near_identity``), found once per table.  A graph or
-    curve substitution uses ``_MirrorTable``, which builds half of its powers
+    curve substitution uses ``GraphTable``, which builds half of its powers
     and heads as conjugates.
     """
 
     __slots__ = ("args", "n", "pows", "heads", "near")
 
     #: the conjugation of the arguments' class when the table mirrors
-    #: (see ``_MirrorTable``), else None
+    #: (see ``GraphTable``), else None
     _conj = None
 
     def __init__(self, args, n):
@@ -909,42 +904,6 @@ class PowerTable:
             for factor in factors[1:]:
                 prod = prod * factor
             entry = self.heads[key] = (prod, prod.low_weight())
-        return entry
-
-
-class _MirrorTable(PowerTable):
-    """The table of the arguments (x, conj(x), t) of a graph substitution,
-    where t is real and ``_conj`` conjugates a series of x's class.
-
-    Conjugation is a ring automorphism that fixes t and swaps x with
-    conj(x), so conj(x)^e = conj(x^e) and x^k conj(x)^j = conj(x^j conj(x)^k):
-    ``power(1, e)`` and ``head((j, k))`` for k > j are built as conjugates of
-    entries the table has, with no series product.  Conjugation keeps every
-    weight, so the low weights and the truncation agree too.
-    """
-
-    __slots__ = ("_conj",)
-
-    def __init__(self, x, t, n, conj):
-        super().__init__((x, conj(x), t), n)
-        self._conj = conj
-
-    def power(self, i, e):
-        if i != 1:
-            return super().power(i, e)
-        pows = self.pows[1]
-        while len(pows) <= e:
-            pows.append(self._conj(self.power(0, len(pows))))
-        return pows[e]
-
-    def head(self, key):
-        j, k = key
-        if k <= j:
-            return super().head(key)
-        entry = self.heads.get(key)
-        if entry is None:
-            prod, low = self.head((k, j))
-            entry = self.heads[key] = (self._conj(prod), low)
         return entry
 
 
@@ -1052,7 +1011,7 @@ def eval_holo3(h, zs, ws, polynomial=False):
     order is clipped to what is sound given h's truncation; ``polynomial``
     declares h complete, lifts the clip and admits constant terms.
     """
-    return _substitute(h, PowerTable((zs, ws), _tail_bound(h, zs, ws, polynomial)))
+    return _substitute(h, PowerTable((zs, ws), _tail_bound(h, *_bounds(zs, ws), polynomial)))
 
 
 # A name of its own for composition with HoloSeries arguments: normalize.py
@@ -1060,31 +1019,54 @@ def eval_holo3(h, zs, ws, polynomial=False):
 eval_holo2 = eval_holo3
 
 
-def _graph_order(F, zs, us, polynomial):
-    """Check the arguments of F(zs, conj(zs), us); the weight to compute to."""
-    if not us.is_real():
-        raise InternalInvariantError("graph substitution needs a real u-argument")
-    return _tail_bound(F, zs, us, polynomial)
+class GraphTable(PowerTable):
+    """The table of the arguments (x, conj(x), t) of F(x, conj(x), t) at
+    order n: a graph (x and t ``Series3``) or a curve (x a ``UPoly``, t its
+    parameter).  ``_conj`` is the conjugation of x's class.
 
+    t must be real, which is checked once, here.  Conjugation is then a ring
+    automorphism that fixes t and swaps x with conj(x), so conj(x)^e =
+    conj(x^e) and x^k conj(x)^j = conj(x^j conj(x)^k): ``power(1, e)`` and
+    ``head((j, k))`` for k > j are built as conjugates of entries the table
+    has, with no series product.  Conjugation keeps every weight, so the low
+    weights and the truncation agree too.
 
-class GraphTable(_MirrorTable):
-    """The powers of zs, conj(zs) and us at order n, for substituting several
-    series F into the same graph arguments.
-
-    Calling the table is ``eval_graph(F, zs, us)`` with the table's powers:
-    the same checks run, and F(zs, conj(zs), us) must be sound to exactly the
-    table's order.  The powers of conj(zs) and the heads zs^j conj(zs)^k with
-    k > j are the conjugates of other entries (``_MirrorTable``).
+    Calling the table is ``eval_graph(F, x, t)`` with the table's powers, for
+    substituting several series F into the same arguments: F(x, conj(x), t)
+    must be sound to exactly the table's order, found from the arguments'
+    order and low weights kept here.
     """
 
-    __slots__ = ()
+    __slots__ = ("_conj", "bounds")
 
-    def __init__(self, zs, us, n):
-        super().__init__(zs, us, n, Series3.conj)
+    def __init__(self, x, t, n):
+        if not t.is_real():
+            raise InternalInvariantError("graph substitution needs a real u-argument")
+        conj = type(x).conj
+        super().__init__((x, conj(x), t), n)
+        self._conj = conj
+        self.bounds = _bounds(x, t)
+
+    def power(self, i, e):
+        if i != 1:
+            return super().power(i, e)
+        pows = self.pows[1]
+        while len(pows) <= e:
+            pows.append(self._conj(self.power(0, len(pows))))
+        return pows[e]
+
+    def head(self, key):
+        j, k = key
+        if k <= j:
+            return super().head(key)
+        entry = self.heads.get(key)
+        if entry is None:
+            prod, low = self.head((k, j))
+            entry = self.heads[key] = (self._conj(prod), low)
+        return entry
 
     def __call__(self, F):
-        zs, _, us = self.args
-        n = _graph_order(F, zs, us, False)
+        n = _tail_bound(F, *self.bounds, False)
         if n != self.n:
             raise InternalInvariantError(
                 "graph substitution sound to weight %d through a table of order %d" % (n, self.n)
@@ -1098,15 +1080,14 @@ def eval_graph(F, zs, us, polynomial=False):
     The second slot always receives the conjugate of the first -- every
     geometric use has that shape -- which keeps reality automatic.
     """
-    return _substitute(F, GraphTable(zs, us, _graph_order(F, zs, us, polynomial)))
+    return _substitute(F, GraphTable(zs, us, _tail_bound(F, *_bounds(zs, us), polynomial)))
 
 
 def eval_curve(F, phi, polynomial=False):
     """F(phi(t), conj(phi)(t), t) as a one-variable series in t; the order
     rule is ``_tail_bound``'s with t in the u-slot."""
     t = UPoly.var(phi.n)
-    n = _tail_bound(F, phi, t, polynomial)
-    return _substitute(F, _MirrorTable(phi, t, n, UPoly.conjugate))
+    return _substitute(F, GraphTable(phi, t, _tail_bound(F, *_bounds(phi, t), polynomial)))
 
 
 # ---------------------------------------------------------------------------

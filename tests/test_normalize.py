@@ -817,6 +817,29 @@ class TestPipeline:
         n = img.n
         assert img.series == res.surface.series.truncate(n)
 
+    def test_composite_after_shear_reproduces_final_surface(self, rng):
+        # on a surface with a z-linear term the pipeline runs the shear
+        # first.  The composite of all maps is then sound only to a lower
+        # order: through that term, unseen terms of the later maps reach
+        # weight n.  The composite of the later maps is sound to the full
+        # order and sends the sheared surface exactly onto the result, as a
+        # graph transform and as a zero residual
+        for _ in range(6):
+            while True:
+                M = rand_surface(rng, terms=8)
+                if M.series.coeff(1, 0, 0):
+                    break
+            res = normalize_hypersurface(M)
+            first, *later = res.stages
+            assert first.name == "shear" and later
+            total = later[0].map
+            for stage in later[1:]:
+                total = stage.map.compose(total)
+            img, _, _ = graph_transform(first.surface, total)
+            assert img.n == M.n
+            assert img.series == res.surface.series
+            assert fundamental_identity_residual(first.surface, total, res.surface).is_zero()
+
     def test_float_auto_mode_rejected(self):
         # a float surface is refused when it is built, with the documented
         # error class, before any stage runs

@@ -868,6 +868,60 @@ class TestSubstitution:
         with pytest.raises(InternalInvariantError):
             GraphTable(zs, us * gr(0, 1), n)(Series3.hermitian_square(n))
 
+    def test_shared_curve_table(self, rng):
+        # the graph table also takes a curve: GraphTable(phi, t, n) with UPoly
+        # arguments serves several F, real or not, at its order (F of order
+        # 10 or 11 along phi of order 5 is sound to t-order 5), and each
+        # result is eval_curve's; an F sound to another order is refused
+        n = 5
+        t = UPoly.var(n)
+        for _ in range(4):
+            phi = t * rand_gr(rng, nonzero=True) + UPoly(n, {2: gr(1)}) * rand_upoly(rng, n)
+            table = GraphTable(phi, t, n)
+            for F in (
+                rand_series3(rng, 10, terms=8),
+                rand_real_series3(rng, 11, terms=8),
+                rand_series3(rng, 11, terms=8),
+            ):
+                assert table(F) == eval_curve(F, phi)
+                assert table(F).n == n
+            with pytest.raises(InternalInvariantError):
+                table(rand_series3(rng, 6, terms=4))
+
+    def test_graph_table_checks_real_t_at_construction(self):
+        # the u-argument's reality is checked once, when the table is built,
+        # for a graph and for a curve, before any F is substituted
+        n = 6
+        with pytest.raises(InternalInvariantError, match="real u-argument"):
+            GraphTable(Series3.z_var(n), Series3.u_var(n) * gr(0, 1), n)
+        with pytest.raises(InternalInvariantError, match="real u-argument"):
+            GraphTable(Series3.z_var(n), Series3.u_var(n) + Series3.z_var(n), n)
+        with pytest.raises(InternalInvariantError, match="real u-argument"):
+            GraphTable(UPoly.var(n), UPoly.var(n) * gr(1, 1), n)
+
+    def test_compose_against_term_sum(self, rng):
+        # UPoly.compose substitutes through the core: p(q(t)) is the
+        # term-by-term sum of p's terms at q's powers, to min(p.n, q.n), for
+        # q = t + higher terms, q of low weight 2, q = 0 and unequal orders
+        for _ in range(8):
+            for pn, qn in ((6, 6), (8, 5), (4, 7)):
+                p = rand_upoly(rng, pn, terms=5)
+                a = rand_gr(rng, nonzero=True)
+                for q in (
+                    UPoly.var(qn) + UPoly(qn, {2: gr(1)}) * rand_upoly(rng, qn),
+                    UPoly.var(qn) * a + UPoly(qn, {3: gr(1)}) * rand_upoly(rng, qn),
+                    UPoly(qn, {2: a}) + UPoly(qn, {3: gr(1)}) * rand_upoly(rng, qn),
+                    UPoly.zero(qn),
+                ):
+                    out = p.compose(q)
+                    assert out.n == min(pn, qn)
+                    assert out == self.naive_sum(p, (q,), min(pn, qn))
+
+    def test_compose_refuses_constant_term(self, rng):
+        p = rand_upoly(rng, 6)
+        with pytest.raises(InternalInvariantError, match="arg\\(0\\) = 0"):
+            p.compose(UPoly.var(6) + UPoly.one(6) * rand_gr(rng, nonzero=True))
+
     def test_holo_composition(self):
         # f(z, w) = z + w^2 composed with (z, w) -> (z + w, w)
         n = 8
