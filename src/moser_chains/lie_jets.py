@@ -28,10 +28,11 @@ instead of truncating.
 
 from __future__ import annotations
 
-import operator
+from functools import reduce
+from operator import mul, or_
 
 from .errors import InternalInvariantError
-from .series_core import PowerTable, WeightedSeries, _reduced_series, _substitute
+from .series_core import PowerTable, WeightedSeries, _derivative, _reduced_series, _substitute
 
 VAR_NAMES = ("u", "x", "y", "x1", "y1", "x2", "y2", "x3", "y3", "a2", "b2")
 VAR_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
@@ -44,6 +45,9 @@ JET2_VARS = ("u", "x", "y", "x1", "y1", "x2", "y2")
 MAX_DEGREE = 48
 
 _ZERO_KEY = (0,) * NVARS
+
+#: bits per exponent field of a packed RPoly key; 6 hold MAX_DEGREE
+_BITS = 6
 
 
 class RPoly(WeightedSeries):
@@ -59,23 +63,33 @@ class RPoly(WeightedSeries):
 
     __slots__ = ()
 
-    _ONE_KEY = _ZERO_KEY
-    _weight = staticmethod(sum)
+    # key (total degree) << 66 | e_0 << 60 | ... | e_10
+    _SHIFT = _BITS * NVARS
+    _SHIFTS = tuple(_BITS * (NVARS - 1 - i) for i in range(NVARS))
+    _MASK = _MAX_ORDER = (1 << _BITS) - 1
+    _UNITS = tuple(1 << _BITS * NVARS | 1 << s for s in _SHIFTS)
+
+    @staticmethod
+    def _pack(exponents):
+        key = sum(exponents)
+        for e in exponents:
+            key = key << _BITS | e
+        return key
+
+    @staticmethod
+    def _unpack(key):
+        return tuple(key >> s & RPoly._MASK for s in RPoly._SHIFTS)
 
     def __init__(self, coeffs=None):
         if coeffs and any(len(key) != NVARS or sum(key) > MAX_DEGREE for key in coeffs):
             raise InternalInvariantError("bad RPoly exponent keys %r" % (sorted(coeffs),))
         super().__init__(MAX_DEGREE, coeffs)
 
-    # -- constructors (n is taken for the shared core, which asks for one(n))
+    # -- constructors (zero takes the shared signature's n; the order is MAX_DEGREE)
 
     @classmethod
     def zero(cls, n=MAX_DEGREE):
         return cls()
-
-    @classmethod
-    def one(cls, n=MAX_DEGREE):
-        return cls({_ZERO_KEY: 1})
 
     @staticmethod
     def _check_substitution(F, args):
@@ -83,7 +97,7 @@ class RPoly(WeightedSeries):
         sees a term past MAX_DEGREE: each term's degree sum e_i * deg(arg_i)
         is checked first, for ``subs`` and ``eval_holo3`` alike."""
         degs = [arg.degree() for arg in args]
-        if any(sum(map(operator.mul, key, degs)) > MAX_DEGREE for key in F.num):
+        if any(sum(map(mul, F._unpack(key), degs)) > MAX_DEGREE for key in F.num):
             raise InternalInvariantError("polynomial degree blew past %d" % MAX_DEGREE)
 
     @classmethod
@@ -102,17 +116,19 @@ class RPoly(WeightedSeries):
 
     def degree(self):
         """Total degree; 0 for the zero polynomial."""
-        return max(map(sum, self.num), default=0)
+        return max(self.num, default=0) >> self._SHIFT
 
     def constant_term(self):
         return self.coeff(_ZERO_KEY)
 
     def uses_var(self, name):
-        i = VAR_INDEX[name]
-        return any(key[i] for key in self.num)
+        # the fields do not overlap, so a field of the keys' OR is nonzero
+        # exactly when some key's field is
+        return bool(reduce(or_, self.num, 0) >> self._SHIFTS[VAR_INDEX[name]] & self._MASK)
 
     def vars_used(self):
-        return {VAR_NAMES[i] for key in self.num for i, e in enumerate(key) if e}
+        used = reduce(or_, self.num, 0)
+        return {name for name, s in zip(VAR_NAMES, self._SHIFTS) if used >> s & self._MASK}
 
     # -- arithmetic: rational operands and the degree guard --------------------
 
@@ -136,20 +152,14 @@ class RPoly(WeightedSeries):
     # -- calculus -------------------------------------------------------------------
 
     def diff(self, name):
-        i = VAR_INDEX[name]
-        num = {
-            key[:i] + (key[i] - 1,) + key[i + 1 :]: (a * key[i], b * key[i])
-            for key, (a, b) in self.num.items()
-            if key[i]
-        }
-        return _reduced_series(RPoly, MAX_DEGREE, self.d, num)
+        return _reduced_series(RPoly, MAX_DEGREE, self.d, _derivative(self, VAR_INDEX[name]))
 
     def subs(self, mapping):
         """Substitute variables by rationals or RPolys; returns an RPoly.
 
         A variable left out of the mapping stands for itself.
         """
-        args = [RPoly.var(name) for name in VAR_NAMES]
+        args = list(_VARS)
         for name, v in mapping.items():
             args[VAR_INDEX[name]] = v if isinstance(v, RPoly) else RPoly.const(v)
         return _substitute(self, PowerTable(args, MAX_DEGREE))
@@ -157,6 +167,10 @@ class RPoly(WeightedSeries):
     def evaluate(self, point):
         """Evaluate at a point {name: rational}; missing names are 0."""
         return self.subs(point).constant_term()
+
+
+#: the variables themselves, the arguments ``subs`` leaves in place
+_VARS = tuple(RPoly.var(name) for name in VAR_NAMES)
 
 
 def _check_vars(p, allowed, what):

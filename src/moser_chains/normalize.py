@@ -40,6 +40,7 @@ from .series_core import (
     HoloSeries,
     Series3,
     UPoly,
+    _combine,
     eval_curve,
     eval_graph,
     eval_holo2,
@@ -337,9 +338,9 @@ def _transform_ingredients(M, h, polynomial=False):
     E = eval_holo3(h.g, zv, big_w, polynomial=polynomial)
     if E.n < n:
         raise MathPreconditionError("map w-component truncated below the surface order")
-    minus_half_i = I_UNIT * HALF * (-1)
-    Q = (E + E.conj()) * HALF
-    R = (E - E.conj()) * minus_half_i
+    E_bar = E.conj()
+    Q = (E + E_bar) * HALF
+    R = (E - E_bar) * (I_UNIT * HALF * (-1))
     return n, P, Q, R
 
 
@@ -359,6 +360,12 @@ def graph_transform(M, h):
     ones pass most terms through (the near-identity rule of
     ``series_core._substitute``).  Both tables substitute real series into
     real u-arguments, so each builds its mirrored groups once.
+
+    The image is real without a check: R = Im E is real, so is each weight
+    part of S, and each table substitutes into (x, conj x, t) with t real,
+    checked once, so conjugation commutes with it and a real series goes to
+    a real one; S stays real as a difference of real series, and the image
+    is the sum of the real f_nu, added once at the end.
     """
     if h.g.coeff(1, 0):
         raise MathPreconditionError("graph transform needs g_z(0) = 0")
@@ -381,17 +388,16 @@ def graph_transform(M, h):
     inverse = GraphTable(zs_inv, us_inv, n)
     forward = GraphTable(P, Q, n)
     S = R
-    out = Series3.zero(n)
+    parts = []
     for nu in range(1, n + 1):
         s_nu = S.weight_part(nu)
         if s_nu.is_zero():
             continue
         f_nu = inverse(s_nu)
         S = S - forward(f_nu)
-        out = out + f_nu
+        parts.append((f_nu, 1, 0))
     S.assert_zero("graph transform recursion remainder")
-    out.assert_real("transformed graph")
-    return Hypersurface(out, check=False), P, Q
+    return Hypersurface(_combine(Series3, n, n, 1, parts), check=False), P, Q
 
 
 def fundamental_identity_residual(M, h, M_target, polynomial=False):

@@ -24,6 +24,18 @@ it and add only their own mathematics:
 * ``lie_jets.RPoly`` -- the symbolic half's polynomials in 11 jet
   variables, keys their exponents, weight the total degree.
 
+Inside a series every key is one integer with the weight in its top field:
+an exponent tuple (e_0, ..., e_{F-1}) of weight w is packed as
+(w << F*s) | e_0 << (F-1)*s | ... | e_{F-1}, with s bits per field (8 for
+``Series3`` and ``HoloSeries``, 6 for ``RPoly``; a ``UPoly`` key is its
+exponent, already its weight).  Sorting keys sorts by weight, the weight is
+a shift, a product of monomials is the sum of their keys and a weight filter
+compares integers.  No field carries while the weight is at most the order,
+since no exponent exceeds the weight, so each class refuses an order above
+the largest its fields hold (``_MAX_ORDER``) with ParseError.  Exponent
+tuples appear only at the edges, converted by the class hooks ``_pack`` and
+``_unpack``: constructors, ``coeff``, ``terms``, ``c`` and JSON.
+
 Substitution of series into a series (``eval_holo3``, ``eval_holo2``,
 ``eval_graph``, ``eval_curve``, ``UPoly.compose``) runs through one core over
 a table of the arguments' powers; each entry point only checks its arguments
@@ -67,11 +79,10 @@ immutable in practice: every operation returns a new object.
 
 from __future__ import annotations
 
-import operator
 import re
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import InternalInvariantError, ParseError
 
@@ -315,7 +326,7 @@ def _check_scalar(value, where):
 
 
 class WeightedSeries:
-    """Sparse truncated series over one denominator, kept while weight(key) <= n.
+    """Sparse truncated series over one denominator, kept while weight <= n.
 
     ``num`` maps each present key to an integer pair (a, b) and ``d`` is a
     positive integer: the coefficient of the key is (a + ib)/d.  The form is
@@ -323,27 +334,27 @@ class WeightedSeries:
     zero series -- so equal series have equal n, d and num.  Results are made
     by ``_series`` (already canonical) or ``_reduced_series`` (drops the
     (0, 0) entries and divides out the content).  ``c`` is a read-only view
-    {key: GaussianRational}, built on each access.
+    {exponents: GaussianRational}, built on each access.
 
-    The constructor takes {key: coefficient} with ``GaussianRational``,
+    The constructor takes {exponents: coefficient} with ``GaussianRational``,
     ``int`` or ``Fraction`` coefficients and refuses any other value (a float
-    has no integer numerator) with ParseError.
+    has no integer numerator) with ParseError, and an order above
+    ``_MAX_ORDER`` with ParseError.
 
-    A subclass fixes the key shape through ``_ONE_KEY`` (the key of the
-    constant monomial) and ``_weight`` (the weighted degree of a key).  Keys
-    are exponent tuples, added entrywise when monomials multiply; a subclass
-    with other keys also overrides ``_add_keys`` and ``_negative``.
+    Keys are packed integers (see the module docstring).  A subclass fixes
+    the layout: ``_pack`` and ``_unpack`` convert an exponent tuple to its key
+    and back, the weight of a key is ``key >> _SHIFT``, exponent i is
+    ``key >> _SHIFTS[i] & _MASK``, and ``_UNITS[i]`` is the key of the i-th
+    variable.
     """
 
     __slots__ = ("n", "d", "num")
 
-    @staticmethod
-    def _add_keys(a, b):
-        return tuple(map(operator.add, a, b))
+    _SHIFT, _UNITS = 0, ()
 
     @staticmethod
-    def _negative(key):
-        return min(key) < 0
+    def _negative(exponents):
+        return min(exponents) < 0
 
     @staticmethod
     def _check_substitution(F, args):
@@ -352,23 +363,28 @@ class WeightedSeries:
     def __init__(self, n, coeffs=None):
         if n < 0:
             raise InternalInvariantError("%s with negative order %d" % (type(self).__name__, n))
+        _check_order(type(self), n)
         self.n = n
         kept = []
         d = 1
         if coeffs:
-            weight, negative = self._weight, self._negative
-            for key, v in coeffs.items():
-                if negative(key):
+            pack, negative, top = self._pack, self._negative, (n + 1) << self._SHIFT
+            for exponents, v in coeffs.items():
+                if negative(exponents):
                     raise InternalInvariantError(
-                        "negative exponent in %s key %r" % (type(self).__name__, key)
+                        "negative exponent in %s key %r" % (type(self).__name__, exponents)
                     )
                 if not isinstance(v, GaussianRational):
                     v = _coerce(v)
                     if v is NotImplemented:
                         raise ParseError(
-                            "coefficient %r is not an exact (Gaussian) rational" % (coeffs[key],)
+                            "coefficient %r is not an exact (Gaussian) rational"
+                            % (coeffs[exponents],)
                         )
-                if weight(key) <= n and v:
+                # a field can only carry for a weight above n <= _MAX_ORDER,
+                # and a carry only raises the packed weight
+                key = pack(exponents)
+                if key < top and v:
                     kept.append((key, v))
                     d = lcm(d, v._d)
         # each coefficient is in lowest terms, so over the least common
@@ -378,9 +394,9 @@ class WeightedSeries:
 
     @property
     def c(self):
-        """The coefficients as a dict {key: GaussianRational}, built anew."""
-        d = self.d
-        return {key: _reduced(a, b, d) for key, (a, b) in self.num.items()}
+        """The coefficients as a dict {exponents: GaussianRational}, built anew."""
+        d, unpack = self.d, self._unpack
+        return {unpack(key): _reduced(a, b, d) for key, (a, b) in self.num.items()}
 
     # -- constructors ------------------------------------------------------------
 
@@ -390,14 +406,13 @@ class WeightedSeries:
 
     @classmethod
     def one(cls, n):
-        return cls(n, {cls._ONE_KEY: ONE})
+        return _series(cls, n, 1, {0: (1, 0)})
 
     # -- basics ------------------------------------------------------------------
 
     def coeff(self, *exponents):
         """Coefficient of the monomial with these exponents (zero if absent)."""
-        key = exponents[0] if len(exponents) == 1 else exponents
-        v = self.num.get(key)
+        v = self.num.get(self._pack(exponents[0] if len(exponents) == 1 else exponents))
         return ZERO if v is None else _reduced(v[0], v[1], self.d)
 
     def is_zero(self):
@@ -405,12 +420,12 @@ class WeightedSeries:
 
     def low_weight(self):
         """Smallest weight of a present monomial, or None if zero."""
-        return min(map(self._weight, self.num)) if self.num else None
+        return min(self.num) >> self._SHIFT if self.num else None
 
     def weight_part(self, w):
-        weight = self._weight
+        lo, hi = w << self._SHIFT, (w + 1) << self._SHIFT
         return _reduced_series(
-            type(self), self.n, self.d, {k: v for k, v in self.num.items() if weight(k) == w}
+            type(self), self.n, self.d, {k: v for k, v in self.num.items() if lo <= k < hi}
         )
 
     def truncate(self, m):
@@ -422,14 +437,15 @@ class WeightedSeries:
         """Reinterpret as exact to weight m (caller vouches: no hidden tail)."""
         if m < self.n:
             return self.truncate(m)
+        _check_order(type(self), m)
         return _series(type(self), m, self.d, self.num)
 
     def terms(self):
-        """Deterministic (key, coeff) iteration, sorted by key."""
-        d, num = self.d, self.num
-        for key in sorted(num):
+        """Deterministic (exponents, coeff) iteration, sorted by exponents."""
+        d, num, unpack = self.d, self.num, self._unpack
+        for exponents, key in sorted((unpack(key), key) for key in num):
             a, b = num[key]
-            yield key, _reduced(a, b, d)
+            yield exponents, _reduced(a, b, d)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -459,18 +475,19 @@ class WeightedSeries:
         cls = type(self)
         if isinstance(other, cls):
             n = min(self.n, other.n)
-            weight, add_keys = self._weight, self._add_keys
+            shift = cls._SHIFT
+            top = (n + 1) << shift
             num = {}
             get = num.get
-            bs = sorted((weight(k), k, a, b) for k, (a, b) in other.num.items())
+            # weight-sorted, and k1 + k2 is within order exactly when
+            # k2 < top - (weight(k1) << shift)
+            bs = sorted(other.num.items())
             for k1, (a1, b1) in self.num.items():
-                lim = n - weight(k1)
-                if lim < 0:
-                    continue
-                for w2, k2, a2, b2 in bs:
-                    if w2 > lim:
+                lim = top - (k1 >> shift << shift)
+                for k2, (a2, b2) in bs:
+                    if k2 >= lim:
                         break
-                    key = add_keys(k1, k2)
+                    key = k1 + k2
                     re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
                     s = get(key)
                     num[key] = (re, im) if s is None else (s[0] + re, s[1] + im)
@@ -481,6 +498,23 @@ class WeightedSeries:
         return _reduced_series(cls, self.n, self.d * v._d, num)
 
     __rmul__ = __mul__
+
+
+def _check_order(cls, n):
+    """ParseError unless every exponent of weight <= n fits a field of cls."""
+    if n > cls._MAX_ORDER:
+        raise ParseError(
+            "%s order %d above %d, the largest its keys hold" % (cls.__name__, n, cls._MAX_ORDER)
+        )
+
+
+def _derivative(series, i):
+    """The numerators of d(series)/dx_i over series.d, by key arithmetic:
+    each key loses the unit of x_i and its coefficient gains exponent i."""
+    unit, shift, mask = series._UNITS[i], series._SHIFTS[i], series._MASK
+    return {
+        k - unit: (a * e, b * e) for k, (a, b) in series.num.items() if (e := k >> shift & mask)
+    }
 
 
 def _series(cls, n, d, num):
@@ -519,8 +553,8 @@ def _items_to(series, w):
     """The (key, (a, b)) entries of series of weight at most w."""
     if w >= series.n:
         return series.num.items()
-    weight = series._weight
-    return [(k, v) for k, v in series.num.items() if weight(k) <= w]
+    top = (w + 1) << series._SHIFT
+    return [(k, v) for k, v in series.num.items() if k < top]
 
 
 def _combine(cls, n, w, d, parts):
@@ -578,13 +612,14 @@ class UPoly(WeightedSeries):
 
     __slots__ = ()
 
-    _ONE_KEY = 0
+    # the key is the exponent m, which is its weight: no field to overflow
+    _MAX_ORDER = inf
 
     @staticmethod
-    def _weight(m):
+    def _pack(m):
         return m
 
-    _add_keys = staticmethod(operator.add)
+    _unpack = _pack
 
     @staticmethod
     def _negative(m):
@@ -703,16 +738,18 @@ class Series3(WeightedSeries):
 
     __slots__ = ()
 
-    _ONE_KEY = (0, 0, 0)
+    # key (j + k + 2l) << 24 | j << 16 | k << 8 | l
+    _SHIFT, _SHIFTS, _MASK, _MAX_ORDER = 24, (16, 8, 0), 0xFF, 0xFF
+    _UNITS = (1 << 24 | 1 << 16, 1 << 24 | 1 << 8, 2 << 24 | 1)
 
     @staticmethod
-    def _weight(key):
-        j, k, l = key
-        return j + k + 2 * l
+    def _pack(exponents):
+        j, k, l = exponents
+        return (j + k + 2 * l) << 24 | j << 16 | k << 8 | l
 
     @staticmethod
-    def _add_keys(a, b):
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+    def _unpack(key):
+        return key >> 16 & 0xFF, key >> 8 & 0xFF, key & 0xFF
 
     __add__ = WeightedSeries.__add__
     __mul__ = __rmul__ = WeightedSeries.__mul__
@@ -746,15 +783,17 @@ class Series3(WeightedSeries):
         return _reduced_series(Series3, self.n, self.d, dict(_items_to(self, w)))
 
     def conj(self):
-        """The series of conj F(z,zbar,u): swap z/zbar, conjugate coefficients."""
-        return _series(
-            Series3, self.n, self.d, {(k, j, l): (a, -b) for (j, k, l), (a, b) in self.num.items()}
-        )
+        """The series of conj F(z,zbar,u): swap z/zbar (the j and k fields of
+        each key), conjugate coefficients."""
+        num = {
+            k & ~0xFFFF00 | k >> 8 & 0xFF00 | (k & 0xFF00) << 8: (a, -b)
+            for k, (a, b) in self.num.items()
+        }
+        return _series(Series3, self.n, self.d, num)
 
     def is_real(self):
-        """Exact Hermitian reality check."""
-        num = self.num
-        return all(num.get((k, j, l)) == (a, -b) for (j, k, l), (a, b) in num.items())
+        """Exact Hermitian reality check: F equals its conjugate."""
+        return self.conj().num == self.num
 
     def assert_real(self, where="series"):
         if not self.is_real():
@@ -771,7 +810,8 @@ class Series3(WeightedSeries):
             raise InternalInvariantError(
                 "slice (%d,%d) outside truncation order %d" % (j, k, self.n)
             )
-        num = {l: v for (jj, kk, l), v in self.num.items() if jj == j and kk == k}
+        jk = j << 16 | k << 8
+        num = {key & 0xFF: v for key, v in self.num.items() if key & 0xFFFF00 == jk}
         return _reduced_series(UPoly, order, self.d, num)
 
     def pure_u_part(self):
@@ -795,12 +835,18 @@ class HoloSeries(WeightedSeries):
 
     __slots__ = ()
 
-    _ONE_KEY = (0, 0)
+    # key (j + 2l) << 16 | j << 8 | l
+    _SHIFT, _SHIFTS, _MASK, _MAX_ORDER = 16, (8, 0), 0xFF, 0xFF
+    _UNITS = (1 << 16 | 1 << 8, 2 << 16 | 1)
 
     @staticmethod
-    def _weight(key):
-        j, l = key
-        return j + 2 * l
+    def _pack(exponents):
+        j, l = exponents
+        return (j + 2 * l) << 16 | j << 8 | l
+
+    @staticmethod
+    def _unpack(key):
+        return key >> 8 & 0xFF, key & 0xFF
 
     __mul__ = __rmul__ = WeightedSeries.__mul__
 
@@ -815,15 +861,15 @@ class HoloSeries(WeightedSeries):
     @classmethod
     def from_w_series(cls, p, n):
         """Reinterpret a one-variable series p(t) as p(w)."""
-        return _reduced_series(cls, n, p.d, {(0, m): v for m, v in p.num.items() if 2 * m <= n})
+        _check_order(cls, n)
+        num = {cls._pack((0, m)): v for m, v in p.num.items() if 2 * m <= n}
+        return _reduced_series(cls, n, p.d, num)
 
     def diff_z(self):
-        num = {(j - 1, l): (a * j, b * j) for (j, l), (a, b) in self.num.items() if j >= 1}
-        return _reduced_series(HoloSeries, max(self.n - 1, 0), self.d, num)
+        return _reduced_series(HoloSeries, max(self.n - 1, 0), self.d, _derivative(self, 0))
 
     def diff_w(self):
-        num = {(j, l - 1): (a * l, b * l) for (j, l), (a, b) in self.num.items() if l >= 1}
-        return _reduced_series(HoloSeries, max(self.n - 2, 0), self.d, num)
+        return _reduced_series(HoloSeries, max(self.n - 2, 0), self.d, _derivative(self, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -913,17 +959,15 @@ def _near_identity(args, n):
     d >= 1 weights above x_i; the nonzero h_i are listed, and d is n + 1
     when there is none.  (0, []) for any other arguments."""
     cls = type(args[0])
-    zero = cls._ONE_KEY
-    if not isinstance(zero, tuple) or len(zero) != len(args):
+    if len(cls._UNITS) != len(args):
         return 0, []
     d, hs = n + 1, []
-    for i, arg in enumerate(args):
-        x = zero[:i] + (1,) + zero[i + 1 :]
+    for i, (arg, x) in enumerate(zip(args, cls._UNITS)):
         if arg.num.get(x) != (arg.d, 0):
             return 0, []
         h = _reduced_series(cls, arg.n, arg.d, {k: v for k, v in arg.num.items() if k != x})
         if h.num:
-            d = min(d, h.low_weight() - cls._weight(x))
+            d = min(d, h.low_weight() - (x >> cls._SHIFT))
             hs.append((i, h))
     return (d, hs) if d > 0 else (0, [])
 
@@ -964,18 +1008,19 @@ def _substitute(F, table):
     cls._check_substitution(F, table.args)
     conj = table._conj
     d, hs = table.near if type(F) is cls else (0, [])
-    weight, groups, kept, band = F._weight, {}, {}, []
+    shift, unpack, groups, kept, band = F._SHIFT, F._unpack, {}, {}, {}
     for key, v in F.num.items():
-        w = weight(key)
+        w = key >> shift
         if not d or w <= n - 2 * d:
-            groups.setdefault(key[:-1], {})[key[-1]] = v
+            exponents = unpack(key)
+            groups.setdefault(exponents[:-1], {})[exponents[-1]] = v
         elif w <= n:
             kept[key] = v
             if w <= n - d:
-                band.append((key, v))
+                band[key] = v
     parts = [(_series(cls, n, F.d, kept), 1, 0)]
     for i, h in hs:
-        grad = {k[:i] + (k[i] - 1,) + k[i + 1 :]: (a * k[i], b * k[i]) for k, (a, b) in band if k[i]}
+        grad = _derivative(_series(cls, n, F.d, band), i)
         if grad:
             parts.append((_series(cls, n, F.d, grad) * h, 1, 0))
     mirrored = set()
@@ -1115,6 +1160,7 @@ def _terms_from_json(raw, n, cls, fields, where):
     ParseError for a malformed, repeated or above-order entry."""
     if not isinstance(raw, list):
         raise ParseError("%s must be a list of coefficient entries" % where)
+    _check_order(cls, n)
     c = {}
     for entry in raw:
         if not isinstance(entry, dict):
@@ -1125,7 +1171,7 @@ def _terms_from_json(raw, n, cls, fields, where):
             raise ParseError("entry missing %s in %s: %r" % ("/".join(fields), where, entry))
         if not all(is_json_count(e) for e in key):
             raise ParseError("bad exponents in %s: %r" % (where, entry))
-        weight = cls._weight(key)
+        weight = cls._pack(key) >> cls._SHIFT
         if weight > n:
             raise ParseError(
                 "monomial %r in %s has weight %d above order %d" % (key, where, weight, n)

@@ -88,7 +88,7 @@ def expand_in_basis(field, basis):
     names = list(basis)
     keys = set()
     for f in (*basis.values(), field):
-        keys |= f.a.num.keys() | f.b.num.keys()
+        keys.update(map(HoloSeries._unpack, f.a.num), map(HoloSeries._unpack, f.b.num))
     rows = []
     rhs = []
     for which in ("a", "b"):

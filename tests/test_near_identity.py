@@ -194,7 +194,7 @@ class TestCost:
         assert table(top) == top
         assert products == []
         out = table(band)
-        assert len(products) == sum(any(key[i] for key in band.num) for i in (0, 1)) > 0
+        assert len(products) == sum(any(key[i] for key in band.c) for i in (0, 1)) > 0
         assert out == naive_sum(band, (zs, zs.conj(), us), n)
         del products[:]
         out = table(rest)

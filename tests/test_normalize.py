@@ -346,6 +346,22 @@ class TestGraphTransform:
         resid = fundamental_identity_residual(M, h, wrong)
         assert not resid.is_zero()
 
+    def test_image_is_real(self, rng):
+        # the image carries no reality check of its own: R = Im E is real and
+        # both tables map real series to real ones (see graph_transform)
+        n = 10
+        for _ in range(6):
+            M = rand_surface(rng, n, terms=8)
+            near = Biholo(
+                HoloSeries(n - 1, {(1, 0): ONE, (2, 0): rand_gr(rng), (1, 1): rand_gr(rng)}),
+                HoloSeries(n, {(0, 1): ONE, (2, 1): rand_gr(rng), (0, 2): rand_gr(rng)}),
+            )
+            for h in (near, rand_contract_map(rng, n)):
+                img, _, _ = graph_transform(M, h)
+                assert img.series.is_real()
+                assert img.series.conj() == img.series
+                assert fundamental_identity_residual(M, h, img).is_zero()
+
 
 # ---------------------------------------------------------------------------
 # isotropy map coefficients (frozen closed forms)
