@@ -102,8 +102,6 @@ class RPoly(WeightedSeries):
 
     @classmethod
     def const(cls, v):
-        if isinstance(v, float):
-            raise InternalInvariantError("RPoly coefficients must be exact rationals")
         return cls({_ZERO_KEY: v})
 
     @classmethod

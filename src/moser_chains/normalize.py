@@ -34,7 +34,6 @@ from .series_core import (
     HALF,
     I_UNIT,
     ONE,
-    RATIONAL_TYPES,
     GaussianRational,
     GraphTable,
     HoloSeries,
@@ -45,6 +44,7 @@ from .series_core import (
     eval_graph,
     eval_holo2,
     eval_holo3,
+    exact_scalar,
     fixed_point,
     holo_from_json,
     holo_to_json,
@@ -54,27 +54,18 @@ from .series_core import (
 )
 
 
-def _exact_scalar(value, what):
-    """value as a GaussianRational; ParseError unless it is an int, a
-    Fraction or a GaussianRational (a float or complex value is refused)."""
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, RATIONAL_TYPES):
-        return GaussianRational(value)
-    raise ParseError("%s must be an exact (Gaussian) rational, not %r" % (what, value))
-
-
 def _exact_real(value, what):
-    """value as a Fraction; ParseError as in ``_exact_scalar``, and
+    """value as a Fraction; ParseError as in ``exact_scalar``, and
     MathPreconditionError for a Gaussian rational that is not real."""
-    value = _exact_scalar(value, what)
+    value = exact_scalar(value, what)
     if not value.is_real():
         raise MathPreconditionError("%s must be real" % what)
     return value.real
 
 
 def _check_order(n, least, what):
-    """ParseError unless the order n is an integer >= least (a bool is not)."""
+    """ParseError unless the order n is an integer >= least (a bool is not);
+    the series constructors check the orders >= 0 themselves."""
     if not is_json_count(n, least):
         raise ParseError("%s order must be an integer >= %d, not %r" % (what, least, n))
 
@@ -99,7 +90,8 @@ class Hypersurface:
         if check:
             if series.coeff(0, 0, 0):
                 raise MathPreconditionError("graph function must vanish at the origin")
-            series.assert_real("graph function")
+            if not series.is_real():
+                raise MathPreconditionError("graph function must be a real series")
         self.series = series
 
     @property
@@ -108,14 +100,13 @@ class Hypersurface:
 
     @classmethod
     def sphere(cls, n):
-        _check_order(n, 0, "sphere")
         return cls(Series3.hermitian_square(n), check=False)
 
     @classmethod
     def from_json(cls, obj):
         try:
             M = cls(series3_from_json(obj))
-        except (InternalInvariantError, MathPreconditionError) as exc:
+        except MathPreconditionError as exc:
             raise ParseError("invalid hypersurface: %s" % exc)
         return M
 
@@ -269,8 +260,8 @@ def isotropy_map(lam, alpha, r, n):
     ParseError.
     """
     _check_order(n, 1, "isotropy map")
-    lam = _exact_scalar(lam, "isotropy parameter lambda")
-    alpha = _exact_scalar(alpha, "isotropy parameter alpha")
+    lam = exact_scalar(lam, "isotropy parameter lambda")
+    alpha = exact_scalar(alpha, "isotropy parameter alpha")
     r = _exact_real(r, "isotropy parameter r")
     if not lam:
         raise MathPreconditionError("isotropy parameter lambda must be nonzero")
@@ -305,13 +296,13 @@ def translate_to_point(M, z0, u0, v0=None):
     coordinates must be exact, as in ``isotropy_map``.
     """
     F = M.series
-    z0 = _exact_scalar(z0, "z-coordinate")
+    z0 = exact_scalar(z0, "z-coordinate")
     u0 = _exact_real(u0, "u-coordinate")
     n = F.n
     one = Series3.one(n)
     out = eval_graph(F, Series3.z_var(n) + one * z0, Series3.u_var(n) + one * u0, polynomial=True)
     height = out.coeff(0, 0, 0)
-    if v0 is not None and height != _exact_scalar(v0, "v-coordinate"):
+    if v0 is not None and height != exact_scalar(v0, "v-coordinate"):
         raise MathPreconditionError("point is not on the hypersurface")
     out = out - one * height
     out.assert_real("translated graph")
@@ -338,9 +329,10 @@ def _transform_ingredients(M, h, polynomial=False):
     E = eval_holo3(h.g, zv, big_w, polynomial=polynomial)
     if E.n < n:
         raise MathPreconditionError("map w-component truncated below the surface order")
+    # Q = Re E = (E + conj E)/2 and R = Im E = (E - conj E)(-i/2), one pass each
     E_bar = E.conj()
-    Q = (E + E_bar) * HALF
-    R = (E - E_bar) * (I_UNIT * HALF * (-1))
+    Q = _combine(Series3, n, n, 2, ((E, 1, 0), (E_bar, 1, 0)))
+    R = _combine(Series3, n, n, 2, ((E, 0, -1), (E_bar, 0, 1)))
     return n, P, Q, R
 
 
@@ -421,9 +413,16 @@ def fundamental_identity_residual(M, h, M_target, polynomial=False):
 
 def _run_stage(name, M, h, stages, verify):
     M2, _, _ = graph_transform(M, h)
+    return _record(name, M, h, M2, stages, verify)
+
+
+def _record(name, M, h, M2, stages, verify, polynomial=False):
+    """Append the stage h: M -> M2, with the independent residual checked
+    when verify is set (``polynomial`` as in ``fundamental_identity_residual``);
+    returns M2."""
     ok = None
     if verify:
-        resid = fundamental_identity_residual(M, h, M2)
+        resid = fundamental_identity_residual(M, h, M2, polynomial=polynomial)
         resid.assert_zero("independent residual after stage %r" % name)
         ok = True
     stages.append(Stage(name, h, M2, ok))
@@ -469,16 +468,7 @@ def adapt_chart(M, stages=None, verify=False):
             HoloSeries.z_var(n - 1),
             HoloSeries(n, {(0, 1): ONE, (1, 0): nu}),
         )
-        M2 = Hypersurface(F1, check=False)
-        ok = None
-        if verify:
-            resid = fundamental_identity_residual(
-                M, h, M2, polynomial=True
-            )
-            resid.assert_zero("independent residual after stage 'shear'")
-            ok = True
-        stages.append(Stage("shear", h, M2, ok))
-        M = M2
+        M = _record("shear", M, h, Hypersurface(F1, check=False), stages, verify, polynomial=True)
         F = M.series
 
     # -- tilt: kill the u-linear coefficient ---------------------------------

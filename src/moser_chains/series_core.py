@@ -66,9 +66,19 @@ products, scalar multiples, conjugation, truncation, slices and the
 substitution core -- runs on plain integers: a term costs integer products
 and sums, with no scalar object and no gcd, and each operation removes the
 common content of its result with one gcd pass at the end.  The scalar type
-``GaussianRational`` (three integers (a, b, d) in lowest terms) appears only
-at the edges: coefficients passed to a constructor, ``coeff``, ``terms``,
-scalar operands, the read-only view ``c`` and JSON.
+``GaussianRational`` (three integers (a, b, d) in lowest terms) is only the
+edge type: coefficients passed to a constructor, ``coeff``, ``terms``,
+scalar operands, the read-only view ``c`` and JSON.  It has one arithmetic
+path, an integer formula per operator reduced once.
+
+This module is the one gate for exact input.  ``exact_scalar`` admits a
+``GaussianRational``, ``int`` or ``Fraction`` and refuses anything else with
+ParseError; it serves the scalar's constructor, the series constructors,
+the series scalar product and the pipeline's scalar parameters.
+``_check_order`` admits an order that is an integer from 0 to the largest
+the class's keys hold and refuses anything else with ParseError; it serves
+every series constructor, ``padded``, ``from_w_series`` and the JSON
+readers.
 
 A series is kept in canonical form: gcd(d, every a, every b) = 1, no (0, 0)
 entry, and d = 1 for the zero series.  Every value therefore has one
@@ -85,9 +95,6 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 
 from .errors import InternalInvariantError, ParseError
-
-#: scalar types accepted as exact *real* rationals
-RATIONAL_TYPES = (int, Fraction)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
@@ -107,30 +114,30 @@ def parse_rational(text):
 class GaussianRational:
     """Exact complex number  re + i*im  with rational real/imaginary parts.
 
-    Stored as three integers (a, b, d) meaning (a + ib)/d, with d > 0 and
-    gcd(a, b, d) = 1, so every value has exactly one representation (zero is
-    (0, 0, 1)).  Each operation does its integer arithmetic and reduces once;
-    results are built by ``_make``, which skips the checks of ``__init__``.
+    The edge type of the package: series store plain integers, and a
+    ``GaussianRational`` only carries a coefficient in or out of a series
+    (constructors, ``coeff``, ``terms``, ``c``, scalar operands, JSON) or a
+    scalar of the pipeline's own.  It is three integers (a, b, d) meaning
+    (a + ib)/d, with d > 0 and gcd(a, b, d) = 1, so every value has exactly
+    one representation (zero is (0, 0, 1)).  There is one arithmetic path:
+    every operator brings its operand through ``_coerce``, evaluates one
+    integer formula and reduces it once with ``_reduced``.
 
     Offers the part of the ``complex`` interface the series code relies on:
     arithmetic, ``conjugate``, ``real``/``imag`` (as ``Fraction``) and
     truthiness.  ``int`` and ``Fraction`` operands mix in freely and compare
-    and hash like the equal Gaussian rational.
+    and hash like the equal Gaussian rational.  The parts passed to the
+    constructor must be exact real rationals (strings go through ``gr``);
+    anything else raises ParseError.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
-        if isinstance(re, (float, complex)) or isinstance(im, (float, complex)):
-            raise InternalInvariantError("GaussianRational parts must be exact rationals")
-        re = re if isinstance(re, Fraction) else Fraction(re)
-        im = im if isinstance(im, Fraction) else Fraction(im)
-        # over the least common denominator the triple is already reduced
-        dr, di = re.denominator, im.denominator
-        d = dr // gcd(dr, di) * di
-        self._a = re.numerator * (d // dr)
-        self._b = im.numerator * (d // di)
-        self._d = d
+    def __new__(cls, re=0, im=0):
+        re, im = exact_scalar(re, "real part"), exact_scalar(im, "imaginary part")
+        if re._b or im._b:
+            raise ParseError("GaussianRational parts must be real, not %s and %s" % (re, im))
+        return _reduced(re._a * im._d, im._a * re._d, re._d * im._d)
 
     @property
     def real(self):
@@ -141,7 +148,7 @@ class GaussianRational:
         return Fraction(self._b, self._d)
 
     def conjugate(self):
-        return _make(self._a, -self._b, self._d)
+        return _reduced(self._a, -self._b, self._d)
 
     def is_real(self):
         return not self._b
@@ -150,12 +157,10 @@ class GaussianRational:
         return bool(self._a or self._b)
 
     def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self._a == other._a and self._b == other._b and self._d == other._d
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._a == other._a and not self._b and self._d == other._d
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         if not self._b:
@@ -163,48 +168,40 @@ class GaussianRational:
         return hash((self.real, self.imag))
 
     def __neg__(self):
-        return _make(-self._a, -self._b, self._d)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __add__(self, other):
-        if not isinstance(other, GaussianRational):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _reduced(self._a + other._a, self._b + other._b, d1)
-        return _sum(self._a, self._b, d1, other._a, other._b, d2)
+        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, GaussianRational):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _reduced(self._a - other._a, self._b - other._b, d1)
-        return _sum(self._a, self._b, d1, -other._a, -other._b, d2)
+        return _reduced(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if not isinstance(other, GaussianRational):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, GaussianRational):
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         # (a1 + i b1)/d1 / ((a2 + i b2)/d2) = (a1 + i b1)(a2 - i b2) d2 / (d1 |a2 + i b2|^2)
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         norm = a2 * a2 + b2 * b2
@@ -214,16 +211,17 @@ class GaussianRational:
         return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * norm)
 
     def __rtruediv__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return GaussianRational(other).__truediv__(self)
-        return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other.__truediv__(self)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return (GaussianRational(1) / self) ** (-k)
-        out = GaussianRational(1)
+            return (ONE / self) ** (-k)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -245,22 +243,11 @@ class GaussianRational:
         return "(%s%s%si)" % (re, "+" if im >= 0 else "-", abs(im))
 
 
-def _make(a, b, d):
-    """The Gaussian rational (a + ib)/d; the caller vouches that d > 0 and
-    gcd(a, b, d) = 1."""
-    x = _new(GaussianRational)
-    x._a = a
-    x._b = b
-    x._d = d
-    return x
-
-
 _new = object.__new__
 
 
 def _reduced(a, b, d):
-    """(a + ib)/d in lowest terms, for any d > 0 (``_make`` inlined: this
-    ends almost every operation)."""
+    """(a + ib)/d in lowest terms, for any d > 0: every scalar is made here."""
     g = gcd(a, b, d)
     x = _new(GaussianRational)
     if g == 1:
@@ -270,30 +257,27 @@ def _reduced(a, b, d):
     return x
 
 
-def _sum(a1, b1, d1, a2, b2, d2):
-    """(a1 + ib1)/d1 + (a2 + ib2)/d2 in lowest terms, for d1 != d2.
-
-    Over d1*d2/g with g = gcd(d1, d2), the way ``Fraction`` adds: a common
-    factor of the result can only divide g.
-    """
-    g = gcd(d1, d2)
-    if g == 1:
-        return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
-    s, t = d1 // g, d2 // g
-    a, b = a1 * t + a2 * s, b1 * t + b2 * s
-    g = gcd(a, b, g)
-    if g == 1:
-        return _make(a, b, s * d2)
-    return _make(a // g, b // g, s * d2 // g)
-
-
 def _coerce(value):
-    """An int or Fraction operand as a Gaussian rational, else NotImplemented."""
+    """A GaussianRational, int or Fraction as a GaussianRational, else
+    NotImplemented."""
+    if isinstance(value, GaussianRational):
+        return value
     if isinstance(value, int):
-        return _make(value, 0, 1)
+        return _reduced(value, 0, 1)
     if isinstance(value, Fraction):
-        return _make(value.numerator, 0, value.denominator)
+        return _reduced(value.numerator, 0, value.denominator)
     return NotImplemented
+
+
+def exact_scalar(value, what="scalar"):
+    """``_coerce`` that refuses: value as a GaussianRational, or ParseError
+    unless it is a GaussianRational, an int or a Fraction.  Every exact input
+    of the package passes here: scalar parts, series coefficients, series
+    scalar operands and the pipeline's scalar parameters."""
+    v = _coerce(value)
+    if v is NotImplemented:
+        raise ParseError("%s must be an exact (Gaussian) rational, not %r" % (what, value))
+    return v
 
 
 def gr(re, im=0):
@@ -310,14 +294,6 @@ ZERO = GaussianRational()
 ONE = GaussianRational(1)
 I_UNIT = GaussianRational(0, 1)
 HALF = GaussianRational(Fraction(1, 2))
-
-
-def _check_scalar(value, where):
-    if isinstance(value, (complex, float)):
-        raise InternalInvariantError("float scalar %r in %s scalar mul" % (value, where))
-    if isinstance(value, RATIONAL_TYPES):
-        return GaussianRational(value)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +313,8 @@ class WeightedSeries:
     {exponents: GaussianRational}, built on each access.
 
     The constructor takes {exponents: coefficient} with ``GaussianRational``,
-    ``int`` or ``Fraction`` coefficients and refuses any other value (a float
-    has no integer numerator) with ParseError, and an order above
-    ``_MAX_ORDER`` with ParseError.
+    ``int`` or ``Fraction`` coefficients (``exact_scalar``) and an order from
+    0 to ``_MAX_ORDER`` (``_check_order``); anything else raises ParseError.
 
     Keys are packed integers (see the module docstring).  A subclass fixes
     the layout: ``_pack`` and ``_unpack`` convert an exponent tuple to its key
@@ -361,8 +336,6 @@ class WeightedSeries:
         """Hook run by ``_substitute`` before args of this class go into F."""
 
     def __init__(self, n, coeffs=None):
-        if n < 0:
-            raise InternalInvariantError("%s with negative order %d" % (type(self).__name__, n))
         _check_order(type(self), n)
         self.n = n
         kept = []
@@ -374,13 +347,7 @@ class WeightedSeries:
                     raise InternalInvariantError(
                         "negative exponent in %s key %r" % (type(self).__name__, exponents)
                     )
-                if not isinstance(v, GaussianRational):
-                    v = _coerce(v)
-                    if v is NotImplemented:
-                        raise ParseError(
-                            "coefficient %r is not an exact (Gaussian) rational"
-                            % (coeffs[exponents],)
-                        )
+                v = exact_scalar(v, "coefficient")
                 # a field can only carry for a weight above n <= _MAX_ORDER,
                 # and a carry only raises the packed weight
                 key = pack(exponents)
@@ -406,6 +373,7 @@ class WeightedSeries:
 
     @classmethod
     def one(cls, n):
+        _check_order(cls, n)
         return _series(cls, n, 1, {0: (1, 0)})
 
     # -- basics ------------------------------------------------------------------
@@ -435,9 +403,9 @@ class WeightedSeries:
 
     def padded(self, m):
         """Reinterpret as exact to weight m (caller vouches: no hidden tail)."""
+        _check_order(type(self), m)
         if m < self.n:
             return self.truncate(m)
-        _check_order(type(self), m)
         return _series(type(self), m, self.d, self.num)
 
     def terms(self):
@@ -492,7 +460,7 @@ class WeightedSeries:
                     s = get(key)
                     num[key] = (re, im) if s is None else (s[0] + re, s[1] + im)
             return _reduced_series(cls, n, self.d * other.d, num)
-        v = _check_scalar(other, cls.__name__)
+        v = exact_scalar(other, "%s scalar operand" % cls.__name__)
         a, b = v._a, v._b
         num = {k: (x * a - y * b, x * b + y * a) for k, (x, y) in self.num.items()}
         return _reduced_series(cls, self.n, self.d * v._d, num)
@@ -501,10 +469,12 @@ class WeightedSeries:
 
 
 def _check_order(cls, n):
-    """ParseError unless every exponent of weight <= n fits a field of cls."""
-    if n > cls._MAX_ORDER:
+    """ParseError unless the order n is an integer (not a bool) from 0 to
+    ``cls._MAX_ORDER``, so that every exponent of weight <= n fits a field."""
+    if not (is_json_count(n) and n <= cls._MAX_ORDER):
         raise ParseError(
-            "%s order %d above %d, the largest its keys hold" % (cls.__name__, n, cls._MAX_ORDER)
+            "%s order must be an integer from 0 to %s, the largest its keys hold, not %r"
+            % (cls.__name__, cls._MAX_ORDER, n)
         )
 
 
@@ -1195,8 +1165,6 @@ def series3_from_json(obj):
     if "trunc_order" not in obj:
         raise ParseError("series object lacks trunc_order")
     n = obj["trunc_order"]
-    if not is_json_count(n):
-        raise ParseError("bad trunc_order: %r" % (n,))
     return _terms_from_json(obj.get("coeffs", []), n, Series3, "jkl", "series coeffs")
 
 

@@ -88,7 +88,7 @@ def expand_in_basis(field, basis):
     names = list(basis)
     keys = set()
     for f in (*basis.values(), field):
-        keys.update(map(HoloSeries._unpack, f.a.num), map(HoloSeries._unpack, f.b.num))
+        keys.update(f.a.c, f.b.c)
     rows = []
     rhs = []
     for which in ("a", "b"):

@@ -1,0 +1,120 @@
+"""Exact input has one gate: every entry point refuses a non-exact scalar or
+a bad order with ParseError and accepts an int, a Fraction or a
+GaussianRational."""
+
+from fractions import Fraction
+
+import pytest
+
+from moser_chains.errors import ParseError
+from moser_chains.lie_jets import NVARS, RPoly
+from moser_chains.normalize import Hypersurface, isotropy_map, translate_to_point
+from moser_chains.series_core import (
+    GaussianRational,
+    HoloSeries,
+    Series3,
+    UPoly,
+    gr,
+    holo_from_json,
+    series3_from_json,
+)
+
+# a real graph with a u-dependent height, so every coordinate matters
+_SURFACE = Hypersurface(Series3(4, {(1, 1, 0): 1, (0, 0, 2): 1}))
+
+#: entry points that take one scalar; the values below are all real, so
+#: each entry accepts every good one
+SCALAR_ENTRIES = {
+    "GaussianRational re": lambda v: GaussianRational(v),
+    "GaussianRational im": lambda v: GaussianRational(1, v),
+    "gr re": lambda v: gr(v),
+    "gr im": lambda v: gr(0, v),
+    "Series3()": lambda v: Series3(4, {(1, 1, 0): v}),
+    "HoloSeries()": lambda v: HoloSeries(4, {(1, 0): v}),
+    "UPoly()": lambda v: UPoly(4, {1: v}),
+    "RPoly()": lambda v: RPoly({(0,) * NVARS: v}),
+    "Series3 * v": lambda v: Series3.one(4) * v,
+    "v * Series3": lambda v: v * Series3.one(4),
+    "HoloSeries * v": lambda v: HoloSeries.one(4) * v,
+    "UPoly * v": lambda v: UPoly.one(4) * v,
+    "RPoly * v": lambda v: RPoly.var("x") * v,
+    "RPoly.const": lambda v: RPoly.const(v),
+    "RPoly + v": lambda v: RPoly.var("x") + v,
+    "v + RPoly": lambda v: v + RPoly.var("x"),
+    "isotropy_map lambda": lambda v: isotropy_map(v, 0, 0, 4),
+    "isotropy_map alpha": lambda v: isotropy_map(1, v, 0, 4),
+    "isotropy_map r": lambda v: isotropy_map(1, 0, v, 4),
+    "translate_to_point z0": lambda v: translate_to_point(_SURFACE, v, 0),
+    "translate_to_point u0": lambda v: translate_to_point(_SURFACE, 0, v),
+    "translate_to_point v0": lambda v: translate_to_point(_SURFACE, 0, 0, v),
+}
+
+#: entry points that take one order; isotropy_map needs an order >= 1
+ORDER_ENTRIES = {
+    "Series3()": lambda n: Series3(n),
+    "HoloSeries()": lambda n: HoloSeries(n),
+    "UPoly()": lambda n: UPoly(n, {1: 1}),
+    "Series3.zero": lambda n: Series3.zero(n),
+    "Series3.one": lambda n: Series3.one(n),
+    "HoloSeries.z_var": lambda n: HoloSeries.z_var(n),
+    "UPoly.var": lambda n: UPoly.var(n),
+    "Series3.padded": lambda n: Series3.one(4).padded(n),
+    "UPoly.padded": lambda n: UPoly.one(4).padded(n),
+    "HoloSeries.from_w_series": lambda n: HoloSeries.from_w_series(UPoly.var(4), n),
+    "series3_from_json": lambda n: series3_from_json({"trunc_order": n, "coeffs": []}),
+    "holo_from_json": lambda n: holo_from_json([], n),
+    "Hypersurface.sphere": lambda n: Hypersurface.sphere(n),
+    "isotropy_map": lambda n: isotropy_map(1, 0, 0, n),
+}
+
+BAD_SCALARS = (0.5, 0.5j, None, "x")
+GOOD_SCALARS = (3, Fraction(-2, 3), gr("5/7"))
+BAD_ORDERS = (1.5, 4.0, -1, "4", True)
+GOOD_ORDERS = (2, 6)
+
+# v0=None is translate_to_point's "no height given"
+_REFUSED = [
+    ("scalar", name, v)
+    for name in SCALAR_ENTRIES
+    for v in BAD_SCALARS
+    if not (name.endswith("v0") and v is None)
+] + [("order", name, n) for name in ORDER_ENTRIES for n in BAD_ORDERS]
+
+
+@pytest.mark.parametrize("kind, entry, value", _REFUSED)
+def test_refused_with_parse_error(kind, entry, value):
+    call = (SCALAR_ENTRIES if kind == "scalar" else ORDER_ENTRIES)[entry]
+    with pytest.raises(ParseError):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", [e for e in SCALAR_ENTRIES if not e.endswith("v0")])
+def test_exact_scalars_accepted(entry):
+    for value in GOOD_SCALARS:
+        SCALAR_ENTRIES[entry](value)
+
+
+def test_exact_height_accepted():
+    # the height of _SURFACE over (0, u0) is u0^2
+    for u0, v0 in ((0, 0), (0, Fraction(0)), (0, gr(0)), (3, 9), (Fraction(1, 2), gr("1/4"))):
+        translate_to_point(_SURFACE, 0, u0, v0)
+
+
+@pytest.mark.parametrize("entry", list(ORDER_ENTRIES))
+def test_integer_orders_accepted(entry):
+    for n in GOOD_ORDERS:
+        ORDER_ENTRIES[entry](n)
+
+
+def test_complex_part_refused():
+    # a part must be real: a non-real GaussianRational has no real value to take
+    for call in (lambda: GaussianRational(gr(1, 2)), lambda: gr(1, gr(0, 1))):
+        with pytest.raises(ParseError):
+            call()
+
+
+def test_exact_values_agree():
+    """The gate maps equal exact values to equal scalars and series."""
+    assert GaussianRational(Fraction(2, 4), 3) == gr("1/2", 3) == GaussianRational(gr("1/2"), 3)
+    assert Series3.one(4) * Fraction(3) == Series3.one(4) * 3 == Series3.one(4) * gr(3)
+    assert RPoly.var("x") + Fraction(1, 2) == RPoly.var("x") + gr("1/2")

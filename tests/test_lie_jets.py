@@ -6,7 +6,7 @@ import pytest
 
 from conftest import rand_intrinsic, rand_rat, rand_rpoly
 
-from moser_chains.errors import InternalInvariantError
+from moser_chains.errors import InternalInvariantError, ParseError
 from moser_chains.lie_jets import (
     IntrinsicField,
     JetField2,
@@ -53,7 +53,7 @@ class TestRPoly:
             assert direct == via_subs
 
     def test_float_rejected(self):
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(ParseError):
             RPoly.const(0.5)
 
 

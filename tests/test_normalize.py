@@ -84,7 +84,7 @@ class TestHypersurface:
 
     def test_rejects_nonreal_graph(self):
         F = Series3.monomial(6, 2, 1, 0, gr(1))  # no conjugate partner
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(MathPreconditionError):
             Hypersurface(F)
 
     def test_json_round_trip(self):

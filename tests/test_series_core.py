@@ -83,7 +83,7 @@ class TestGaussianRational:
         assert complex(gr("1/2", "-1/4")) == 0.5 - 0.25j
 
     def test_float_rejected(self):
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(ParseError):
             GaussianRational(0.5)
 
     def test_ring_axioms_random(self, rng):
@@ -230,9 +230,9 @@ class TestAgainstReference:
         assert a.__eq__("1/2") is NotImplemented
         with pytest.raises(TypeError):
             a + 0.5
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(ParseError):
             GaussianRational(1, 0.5)
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(ParseError):
             GaussianRational(1j)
 
 
@@ -413,7 +413,7 @@ class TestSeries3:
     def test_mixed_mode_rejected(self):
         # a float scalar never enters an exact series
         for scalar in (0.5, 1j):
-            with pytest.raises(InternalInvariantError):
+            with pytest.raises(ParseError):
                 Series3.one(4) * scalar
 
 
