@@ -4,8 +4,9 @@ Three kinds of failure are kept apart on purpose:
 
 * ``ParseError`` -- malformed user input (bad JSON, bad rational literal,
   out-of-range configuration), including a scalar that is not an exact
-  (Gaussian) rational or an order that is not an integer in range, passed
-  to any constructor, scalar product or pipeline entry point.
+  (Gaussian) rational, an order that is not an integer in range or an
+  exponent key that is not a tuple of integers >= 0 of the class's length,
+  passed to any constructor, scalar product or pipeline entry point.
 * ``MathPreconditionError`` -- the input is well-formed but violates a
   mathematical hypothesis of the requested operation (e.g. a degenerate
   Levi form, a map that does not fix the origin).

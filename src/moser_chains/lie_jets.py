@@ -23,7 +23,7 @@ series.  They are real everywhere except inside
 ``sphere_isotropy._restrict_to_sphere``, which splits its complex result into
 real and imaginary parts.  A polynomial is exact through degree MAX_DEGREE:
 a product or ``subs`` that would pass it raises InternalInvariantError
-instead of truncating.
+instead of truncating, and a constructor key past it raises ParseError.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import mul, or_
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, ParseError
 from .series_core import PowerTable, WeightedSeries, _derivative, _reduced_series, _substitute
 
 VAR_NAMES = ("u", "x", "y", "x1", "y1", "x2", "y2", "x3", "y3", "a2", "b2")
@@ -56,14 +56,17 @@ class RPoly(WeightedSeries):
     A ``WeightedSeries`` whose keys are the 11 exponents, weighted by total
     degree and always carried at order MAX_DEGREE: sums, products, negation,
     equality and printing are the shared class's, and ``subs`` runs through
-    the shared substitution core.  The order would truncate silently, so the
-    constructor, a product or a substitution (``subs``, or ``eval_holo3``
-    on RPoly arguments) whose exact result passes MAX_DEGREE raises instead.
+    the shared substitution core.  The order would truncate silently, so a
+    product or a substitution (``subs``, or ``eval_holo3`` on RPoly
+    arguments) whose exact result passes MAX_DEGREE raises
+    InternalInvariantError instead, and the constructor refuses a key of
+    degree above MAX_DEGREE with ParseError.
     """
 
     __slots__ = ()
 
     # key (total degree) << 66 | e_0 << 60 | ... | e_10
+    _ARITY = NVARS
     _SHIFT = _BITS * NVARS
     _SHIFTS = tuple(_BITS * (NVARS - 1 - i) for i in range(NVARS))
     _MASK = _MAX_ORDER = (1 << _BITS) - 1
@@ -81,14 +84,16 @@ class RPoly(WeightedSeries):
         return tuple(key >> s & RPoly._MASK for s in RPoly._SHIFTS)
 
     def __init__(self, coeffs=None):
-        if coeffs and any(len(key) != NVARS or sum(key) > MAX_DEGREE for key in coeffs):
-            raise InternalInvariantError("bad RPoly exponent keys %r" % (sorted(coeffs),))
+        # the shared constructor checks each key and drops a term past the
+        # order; here a term past MAX_DEGREE is refused instead
         super().__init__(MAX_DEGREE, coeffs)
+        if coeffs and max(map(sum, coeffs)) > MAX_DEGREE:
+            raise ParseError("RPoly key of degree above %d in %r" % (MAX_DEGREE, sorted(coeffs)))
 
-    # -- constructors (zero takes the shared signature's n; the order is MAX_DEGREE)
+    # -- constructors (the order is always MAX_DEGREE)
 
     @classmethod
-    def zero(cls, n=MAX_DEGREE):
+    def zero(cls):
         return cls()
 
     @staticmethod

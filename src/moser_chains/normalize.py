@@ -851,10 +851,10 @@ def find_chain_curve(M):
     """The z-component of the chain through the origin with flat 1-jet.
 
     Requires a surface of the shape z zbar + (weight >= 6).  The curve
-    coefficients c_m (m >= 3; c_2 = 0 on such surfaces) are solved order by
-    order in closed form, c_m = conj(r_m) / (2m(m-1)), where r_m is the u^(m-2)
-    coefficient of the F_{3,2} slice that the subpipeline (straighten,
-    harmonics, levi, absorb, rotate) leaves for the curve c_3..c_{m-1}.
+    coefficients c_m (m >= 3; c_2 = 0 on such surfaces) are solved in closed
+    form, c_m = conj(r_m) / (2m(m-1)), where r_m is the u^(m-2) coefficient
+    of the F_{3,2} slice that the subpipeline (straighten, harmonics, levi,
+    absorb, rotate) leaves for the curve c_3..c_{m-1}.
 
     Why: to first order in the curve's z-component phi, the subpipeline
     leaves F_{3,2} = -2 conj(phi'') on the model z zbar, with v = z zbar:
@@ -875,17 +875,30 @@ def find_chain_curve(M):
     s^(1-2k), a coefficient of F of weight d >= 6 by s^(2-d), and r_m by
     s^(1-2m); a product of c with any other of these scales faster than r_m.
 
-    Step m runs the subpipeline on the surface truncated to order 2m+1, with
-    the curve c_3..c_{m-1} carried to t-order m.  That is sound:
+    The coefficients are solved in blocks of two.  A run for the block
+    (m, m+1) carries the curve c_3..c_{m-1} and yields both r_m and r_{m+1}:
 
-    * the u^q coefficient of F_{3,2} has weight 5 + 2q, so c_m is read off
-      the weight-(2m+1) coefficient q = m-2;
-    * the subpipeline maps (straighten, harmonics, levi, absorb, rotate)
-      substitute arguments of weight >= 1 in z and >= 2 in w, so they never
-      lower weight: input terms above weight 2m+1 cannot reach it;
-    * so coefficients q <= m-2 of F_{3,2} from the order-(2m+1) run equal
+    * at first order c_m moves only r_m (t^m gives conj(phi'') in u^(m-2));
+    * r_{m+1} scales like s^(-1-2m), and a product of c_m with a coefficient
+      of F of weight >= 6 or with another c_k scales like s^(-3-2m) or
+      faster, so it first reaches r_{m+2};
+    * so c_m cannot move r_{m+1}, and r_{m+1} read without c_m is the one
+      the curve through c_m leaves.  Blocks of three fail: a product of
+      c_m with a weight-6 coefficient of F scales like r_{m+2}, and moves it.
+
+    The run for the block (m, top), top = min(m+1, mmax), is on the surface
+    truncated to order 2 top + 1, with the curve carried to t-order top.
+    That is sound:
+
+    * the u^q coefficient of F_{3,2} has weight 5 + 2q, so r_top is the
+      weight-(2 top + 1) coefficient q = top - 2;
+    * the subpipeline maps substitute arguments of weight >= 1 in z and >= 2
+      in w, so they never lower weight: input terms above weight 2 top + 1
+      cannot reach it;
+    * so coefficients q <= top - 2 of F_{3,2} from the truncated run equal
       those of the full-order run.
 
+    A surface of order n takes ceil((mmax - 2)/2) runs, mmax = (n-1)//2.
     normalize_hypersurface still checks the full-order slice(3, 2) after the
     rotation, which certifies the found chain on every call.
     """
@@ -898,16 +911,18 @@ def find_chain_curve(M):
         )
     mmax = (n - 1) // 2
     coeffs = {}
-    for m in range(3, mmax + 1):
-        f32 = _f32_slice_through_subpipeline(M.with_order(2 * m + 1), UPoly(m, coeffs))
+    for m in range(3, mmax + 1, 2):
+        top = min(m + 1, mmax)
+        f32 = _f32_slice_through_subpipeline(M.with_order(2 * top + 1), UPoly(top, coeffs))
         for q in range(m - 2):
             if f32.coeff(q):
                 raise InternalInvariantError(
                     "chain residual at solved order %d reappeared" % q
                 )
-        r0 = f32.coeff(m - 2)
-        if r0:
-            coeffs[m] = r0.conjugate() / (2 * m * (m - 1))
+        for k in range(m, top + 1):
+            r = f32.coeff(k - 2)
+            if r:
+                coeffs[k] = r.conjugate() / (2 * k * (k - 1))
     return UPoly(n // 2, coeffs)
 
 

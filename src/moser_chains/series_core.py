@@ -78,7 +78,9 @@ the series scalar product and the pipeline's scalar parameters.
 ``_check_order`` admits an order that is an integer from 0 to the largest
 the class's keys hold and refuses anything else with ParseError; it serves
 every series constructor, ``padded``, ``from_w_series`` and the JSON
-readers.
+readers.  ``_check_key`` admits a constructor key of the class's length
+whose exponents are integers >= 0 and refuses anything else with
+ParseError.
 
 A series is kept in canonical form: gcd(d, every a, every b) = 1, no (0, 0)
 entry, and d = 1 for the zero series.  Every value therefore has one
@@ -313,8 +315,9 @@ class WeightedSeries:
     {exponents: GaussianRational}, built on each access.
 
     The constructor takes {exponents: coefficient} with ``GaussianRational``,
-    ``int`` or ``Fraction`` coefficients (``exact_scalar``) and an order from
-    0 to ``_MAX_ORDER`` (``_check_order``); anything else raises ParseError.
+    ``int`` or ``Fraction`` coefficients (``exact_scalar``), exponent keys of
+    the class's length ``_ARITY`` (``_check_key``) and an order from 0 to
+    ``_MAX_ORDER`` (``_check_order``); anything else raises ParseError.
 
     Keys are packed integers (see the module docstring).  A subclass fixes
     the layout: ``_pack`` and ``_unpack`` convert an exponent tuple to its key
@@ -328,10 +331,6 @@ class WeightedSeries:
     _SHIFT, _UNITS = 0, ()
 
     @staticmethod
-    def _negative(exponents):
-        return min(exponents) < 0
-
-    @staticmethod
     def _check_substitution(F, args):
         """Hook run by ``_substitute`` before args of this class go into F."""
 
@@ -341,12 +340,9 @@ class WeightedSeries:
         kept = []
         d = 1
         if coeffs:
-            pack, negative, top = self._pack, self._negative, (n + 1) << self._SHIFT
+            pack, top = self._pack, (n + 1) << self._SHIFT
             for exponents, v in coeffs.items():
-                if negative(exponents):
-                    raise InternalInvariantError(
-                        "negative exponent in %s key %r" % (type(self).__name__, exponents)
-                    )
+                _check_key(type(self), exponents)
                 v = exact_scalar(v, "coefficient")
                 # a field can only carry for a weight above n <= _MAX_ORDER,
                 # and a carry only raises the packed weight
@@ -478,6 +474,23 @@ def _check_order(cls, n):
         )
 
 
+def _check_key(cls, exponents):
+    """ParseError unless exponents is a key of cls: a tuple of ``cls._ARITY``
+    exponents, or one bare exponent when ``_ARITY`` is None (``UPoly``), each
+    an integer (not a bool) >= 0."""
+    fields = (exponents,) if cls._ARITY is None else exponents
+    if type(fields) is tuple and len(fields) == (cls._ARITY or 1):
+        for e in fields:
+            if type(e) is not int or e < 0:
+                break
+        else:
+            return
+    raise ParseError(
+        "%s key %r is not %d exponents, each an integer >= 0"
+        % (cls.__name__, exponents, cls._ARITY or 1)
+    )
+
+
 def _derivative(series, i):
     """The numerators of d(series)/dx_i over series.d, by key arithmetic:
     each key loses the unit of x_i and its coefficient gains exponent i."""
@@ -583,17 +596,13 @@ class UPoly(WeightedSeries):
     __slots__ = ()
 
     # the key is the exponent m, which is its weight: no field to overflow
-    _MAX_ORDER = inf
+    _ARITY, _MAX_ORDER = None, inf
 
     @staticmethod
     def _pack(m):
         return m
 
     _unpack = _pack
-
-    @staticmethod
-    def _negative(m):
-        return m < 0
 
     __mul__ = __rmul__ = WeightedSeries.__mul__
 
@@ -709,7 +718,7 @@ class Series3(WeightedSeries):
     __slots__ = ()
 
     # key (j + k + 2l) << 24 | j << 16 | k << 8 | l
-    _SHIFT, _SHIFTS, _MASK, _MAX_ORDER = 24, (16, 8, 0), 0xFF, 0xFF
+    _ARITY, _SHIFT, _SHIFTS, _MASK, _MAX_ORDER = 3, 24, (16, 8, 0), 0xFF, 0xFF
     _UNITS = (1 << 24 | 1 << 16, 1 << 24 | 1 << 8, 2 << 24 | 1)
 
     @staticmethod
@@ -806,7 +815,7 @@ class HoloSeries(WeightedSeries):
     __slots__ = ()
 
     # key (j + 2l) << 16 | j << 8 | l
-    _SHIFT, _SHIFTS, _MASK, _MAX_ORDER = 16, (8, 0), 0xFF, 0xFF
+    _ARITY, _SHIFT, _SHIFTS, _MASK, _MAX_ORDER = 2, 16, (8, 0), 0xFF, 0xFF
     _UNITS = (1 << 16 | 1 << 8, 2 << 16 | 1)
 
     @staticmethod
@@ -1139,8 +1148,7 @@ def _terms_from_json(raw, n, cls, fields, where):
             key = tuple(entry[f] for f in fields)
         except KeyError:
             raise ParseError("entry missing %s in %s: %r" % ("/".join(fields), where, entry))
-        if not all(is_json_count(e) for e in key):
-            raise ParseError("bad exponents in %s: %r" % (where, entry))
+        _check_key(cls, key)
         weight = cls._pack(key) >> cls._SHIFT
         if weight > n:
             raise ParseError(

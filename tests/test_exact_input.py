@@ -1,13 +1,13 @@
-"""Exact input has one gate: every entry point refuses a non-exact scalar or
-a bad order with ParseError and accepts an int, a Fraction or a
-GaussianRational."""
+"""Exact input has one gate: every entry point refuses a non-exact scalar, a
+bad order or a bad exponent key with ParseError and accepts an int, a
+Fraction or a GaussianRational."""
 
 from fractions import Fraction
 
 import pytest
 
 from moser_chains.errors import ParseError
-from moser_chains.lie_jets import NVARS, RPoly
+from moser_chains.lie_jets import MAX_DEGREE, NVARS, RPoly
 from moser_chains.normalize import Hypersurface, isotropy_map, translate_to_point
 from moser_chains.series_core import (
     GaussianRational,
@@ -118,3 +118,55 @@ def test_exact_values_agree():
     assert GaussianRational(Fraction(2, 4), 3) == gr("1/2", 3) == GaussianRational(gr("1/2"), 3)
     assert Series3.one(4) * Fraction(3) == Series3.one(4) * 3 == Series3.one(4) * gr(3)
     assert RPoly.var("x") + Fraction(1, 2) == RPoly.var("x") + gr("1/2")
+
+
+#: constructors that take one exponent key, and a good key for each
+KEY_ENTRIES = {
+    "UPoly()": (lambda key: UPoly(4, {key: 1}), 2),
+    "Series3()": (lambda key: Series3(4, {key: 1}), (1, 1, 0)),
+    "HoloSeries()": (lambda key: HoloSeries(4, {key: 1}), (1, 0)),
+    "RPoly()": (lambda key: RPoly({key: 1}), (1,) + (0,) * (NVARS - 1)),
+}
+
+
+def _bad_keys(good):
+    """Keys that differ from a good one in one way: a float, bool, string or
+    negative exponent, one field short or one too many, or a bare/tuple
+    mismatch."""
+    if not isinstance(good, tuple):
+        return [1.5, True, "2", -1, (good,), None]
+    rest = good[1:]
+    return [(1.5,) + rest, (True,) + rest, ("1",) + rest, (-1,) + rest,
+            good[:-1], good + (0,), good[0]]
+
+
+_BAD_KEYS = [(name, key) for name, (_, good) in KEY_ENTRIES.items() for key in _bad_keys(good)]
+
+
+@pytest.mark.parametrize("entry, key", _BAD_KEYS)
+def test_bad_key_refused_with_parse_error(entry, key):
+    with pytest.raises(ParseError):
+        KEY_ENTRIES[entry][0](key)
+
+
+@pytest.mark.parametrize("entry", list(KEY_ENTRIES))
+def test_good_key_accepted(entry):
+    make, good = KEY_ENTRIES[entry]
+    series = make(good)
+    assert series.coeff(good) == 1 and len(series.num) == 1
+
+
+def test_rpoly_key_past_max_degree_refused():
+    # an RPoly is exact through MAX_DEGREE, so the constructor refuses a key
+    # past it instead of dropping it as a series drops a term past its order
+    with pytest.raises(ParseError):
+        RPoly({(MAX_DEGREE + 1,) + (0,) * (NVARS - 1): 1})
+    assert RPoly({(MAX_DEGREE,) + (0,) * (NVARS - 1): 1}).degree() == MAX_DEGREE
+    assert Series3(4, {(5, 0, 0): 1}).is_zero()
+
+
+def test_rpoly_zero_takes_no_order():
+    assert RPoly.zero() == RPoly() and RPoly.zero().is_zero()
+    for n in (4, "4", -1):
+        with pytest.raises(TypeError):
+            RPoly.zero(n)

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_gr, rand_rat, rand_real_series3
+from moser_chains import normalize
 from moser_chains.errors import (
-    InternalInvariantError,
     LeviDegenerateError,
     MathPreconditionError,
     ParseError,
@@ -677,8 +677,9 @@ class TestChain:
 
     @pytest.mark.parametrize("n, seed", [(10, 11), (12, 12)])
     def test_truncated_chain_steps_match_full_order(self, n, seed):
-        # find_chain_curve solves c_m on the surface truncated to order 2m+1;
-        # the F_{3,2} coefficients it reads there are the full-order ones
+        # a run on the surface truncated to order 2m+1 leaves the full-order
+        # F_{3,2} coefficients through u^(m-2), the rule find_chain_curve's
+        # truncated block runs rest on
         M = rand_surface(random.Random(seed), n, terms=40, min_weight=2)
         M = normalize_hypersurface(M, stop_after="punctual").surface
         chain = find_chain_curve(M)
@@ -723,6 +724,68 @@ class TestChain:
             x = rand_gr(rng, nonzero=True)
             moved = _f32_slice_through_subpipeline(Mm, solved + UPoly(m, {m: x})).coeff(m - 2)
             assert moved - r0 == x.conjugate() * (-2 * m * (m - 1)), m
+
+    @staticmethod
+    def block_runs(seed):
+        """On z zbar + 20 random terms of weight >= 6 at order 13, plus
+        z^3 zbar^2 u^(m-2) terms that make every r_m nonzero: for m = 3, 4
+        yield m, the found chain, a random x, and the F_{3,2} slices of the
+        order-(2m+5) run on the curve solved through c_{m-1}, without and
+        with x t^m added."""
+        rng = random.Random(seed)
+        n = 13
+        pert = rand_real_series3(rng, n, terms=20, min_weight=6)
+        seeded = [(3, 2, m - 2, rand_gr(rng, nonzero=True)) for m in range(3, 7)]
+        M = Hypersurface(perturbed_sphere(n, *seeded).series + pert)
+        chain = find_chain_curve(M)
+        for m in (3, 4):
+            Mm = M.with_order(2 * m + 5)
+            solved = UPoly(m + 2, {k: v for k, v in chain.c.items() if k < m})
+            x = rand_gr(rng, nonzero=True)
+            yield (
+                m, chain, x,
+                _f32_slice_through_subpipeline(Mm, solved),
+                _f32_slice_through_subpipeline(Mm, solved + UPoly(m + 2, {m: x})),
+            )
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_chain_block_of_two(self, seed):
+        # x t^m moves r_m by -2m(m-1) conj(x) and leaves r_{m+1} as it is,
+        # so one run on the curve through c_{m-1} solves c_m and c_{m+1}
+        for m, chain, x, r, moved in self.block_runs(seed):
+            for k in (m, m + 1):
+                assert r.coeff(k - 2), (m, k)
+                assert chain.coeff(k) == r.coeff(k - 2).conjugate() / (2 * k * (k - 1))
+            assert moved.coeff(m - 2) - r.coeff(m - 2) == x.conjugate() * (-2 * m * (m - 1)), m
+            assert moved.coeff(m - 1) == r.coeff(m - 1), m
+
+    def test_chain_block_of_three_is_unsound(self):
+        # a product of c_m with a weight-6 coefficient of F reaches r_{m+2}:
+        # on this draw x t^m moves r_{m+2}, so r_{m+2} read without c_m is wrong
+        for m, _, _, r, moved in self.block_runs(23):
+            assert moved.coeff(m) != r.coeff(m), m
+
+    @pytest.mark.parametrize("n, runs", [(6, 0), (7, 1), (10, 1), (11, 2), (13, 2), (18, 3)])
+    def test_chain_runs_per_block_of_two(self, monkeypatch, n, runs):
+        # ceil((mmax - 2)/2) subpipeline runs, mmax = (n-1)//2; each run
+        # straightens once, so counting straighten_curve counts the runs
+        calls = []
+        inner = normalize.straighten_curve
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].n)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(normalize, "straighten_curve", counted)
+        rng = random.Random(n)
+        M = Hypersurface(
+            Series3.hermitian_square(n) + rand_real_series3(rng, n, terms=8, min_weight=6)
+        )
+        find_chain_curve(M)
+        mmax = (n - 1) // 2
+        assert len(calls) == runs == -(-(mmax - 2) // 2)
+        # each block (m, m+1) runs at order 2 min(m+1, mmax) + 1
+        assert calls == [2 * min(m + 1, mmax) + 1 for m in range(3, mmax + 1, 2)]
 
     def test_found_chain_is_verified_by_full_run(self, rng):
         for _ in range(3):

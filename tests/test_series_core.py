@@ -698,7 +698,7 @@ class TestSubstitution:
         from plain series products at order n."""
         cls = type(args[0])
         args = [a.truncate(n) for a in args]
-        total = cls.zero(n)
+        total = cls.one(n) * 0
         for key, v in G.c.items():
             term = cls.one(n)
             for arg, e in zip(args, key if isinstance(key, tuple) else (key,)):
