@@ -60,7 +60,8 @@ class RPoly(WeightedSeries):
     product or a substitution (``subs``, or ``eval_holo3`` on RPoly
     arguments) whose exact result passes MAX_DEGREE raises
     InternalInvariantError instead, and the constructor refuses a key of
-    degree above MAX_DEGREE with ParseError.
+    degree above MAX_DEGREE with ParseError, as ``one``, ``padded`` and
+    ``truncate`` refuse any order but MAX_DEGREE (``_MIN_ORDER``).
     """
 
     __slots__ = ()
@@ -69,7 +70,8 @@ class RPoly(WeightedSeries):
     _ARITY = NVARS
     _SHIFT = _BITS * NVARS
     _SHIFTS = tuple(_BITS * (NVARS - 1 - i) for i in range(NVARS))
-    _MASK = _MAX_ORDER = (1 << _BITS) - 1
+    _MASK = (1 << _BITS) - 1
+    _MIN_ORDER = _MAX_ORDER = MAX_DEGREE
     _UNITS = tuple(1 << _BITS * NVARS | 1 << s for s in _SHIFTS)
 
     @staticmethod

@@ -6,8 +6,9 @@ The central objects:
   order bounds the *transforms*, the stored terms are the surface).
 * ``Biholo``       -- an origin-fixing map (z, w) |-> (f(z,w), g(z,w)).
 * ``graph_transform`` -- the induced graph function of the image surface,
-  solved weight by weight; its independent correctness oracle is
-  ``fundamental_identity_residual``.
+  solved weight by weight; its independent correctness oracle is the
+  identity F'(P, conj P, Re E) = Im E (``fundamental_identity_residual``),
+  which each stage checks over its transform's own P, E and forward table.
 * the pipeline stages: adapted chart, punctual normalization through weight
   5, chain straightening (with the chain found automatically or supplied),
   harmonic killing, Levi normalization, degree-one absorption, the unitary
@@ -342,7 +343,7 @@ def graph_transform(M, h):
     Contract: h fixes the origin, f_z(0) != 0, g_z(0) = 0, and the image
     graph's u-part must stay transversal (u-coefficient of Re g(z, u+iF)
     nonzero).  P and Q are the new z and u coordinates as series over the
-    source.
+    source; a stage checks its image over them (``_run_stage``).
 
     The image is solved weight by weight; every step substitutes into the
     same arguments, so the powers of the inverse coordinates and of (P, Q)
@@ -359,6 +360,11 @@ def graph_transform(M, h):
     a real one; S stays real as a difference of real series, and the image
     is the sum of the real f_nu, added once at the end.
     """
+    return _graph_transform_parts(M, h)[:3]
+
+
+def _graph_transform_parts(M, h):
+    """``graph_transform``'s (surface, P, Q), R = Im E and its forward table."""
     if h.g.coeff(1, 0):
         raise MathPreconditionError("graph transform needs g_z(0) = 0")
     if not h.f.coeff(1, 0):
@@ -389,7 +395,7 @@ def graph_transform(M, h):
         S = S - forward(f_nu)
         parts.append((f_nu, 1, 0))
     S.assert_zero("graph transform recursion remainder")
-    return Hypersurface(_combine(Series3, n, n, 1, parts), check=False), P, Q
+    return Hypersurface(_combine(Series3, n, n, 1, parts), check=False), P, Q, R, forward
 
 
 def fundamental_identity_residual(M, h, M_target, polynomial=False):
@@ -398,7 +404,8 @@ def fundamental_identity_residual(M, h, M_target, polynomial=False):
     Writing E = g(z, u+iF) and P = f(z, u+iF), the target graph F' must
     satisfy  F'(P, conj P, Re E) - Im E = 0  identically; the returned series
     is that left-hand side, computed by forward substitution only (no use of
-    the solver's internals).
+    the solver's internals).  It builds P and E afresh; the shear, which
+    has no transform, is the one stage that it checks (``_run_stage``).
     """
     n = min(M.n, M_target.n)
     _, P, Q, R = _transform_ingredients(M.with_order(n), h, polynomial=polynomial)
@@ -412,20 +419,21 @@ def fundamental_identity_residual(M, h, M_target, polynomial=False):
 
 
 def _run_stage(name, M, h, stages, verify):
-    M2, _, _ = graph_transform(M, h)
-    return _record(name, M, h, M2, stages, verify)
+    """Apply h to M and record it; with verify, check F2(P, conj P, Q) = R
+    over the transform's own P, Q, R and forward table.  Rebuilding them
+    would rerun the same deterministic code on the same input, so this costs
+    no independence; the check uses no inverse table, S or f_nu."""
+    M2, _, _, R, forward = _graph_transform_parts(M, h)
+    return _record(name, h, M2, stages, forward(M2.series) - R if verify else None)
 
 
-def _record(name, M, h, M2, stages, verify, polynomial=False):
-    """Append the stage h: M -> M2, with the independent residual checked
-    when verify is set (``polynomial`` as in ``fundamental_identity_residual``);
-    returns M2."""
-    ok = None
-    if verify:
-        resid = fundamental_identity_residual(M, h, M2, polynomial=polynomial)
+def _record(name, h, M2, stages, resid):
+    """Append the stage h: M -> M2 and return M2; resid, its residual of the
+    graph identity (``fundamental_identity_residual``'s for the shear), must
+    vanish, or is None when verify is off."""
+    if resid is not None:
         resid.assert_zero("independent residual after stage %r" % name)
-        ok = True
-    stages.append(Stage(name, h, M2, ok))
+    stages.append(Stage(name, h, M2, None if resid is None else True))
     return M2
 
 
@@ -468,7 +476,9 @@ def adapt_chart(M, stages=None, verify=False):
             HoloSeries.z_var(n - 1),
             HoloSeries(n, {(0, 1): ONE, (1, 0): nu}),
         )
-        M = _record("shear", M, h, Hypersurface(F1, check=False), stages, verify, polynomial=True)
+        M1 = Hypersurface(F1, check=False)
+        resid = fundamental_identity_residual(M, h, M1, polynomial=True) if verify else None
+        M = _record("shear", h, M1, stages, resid)
         F = M.series
 
     # -- tilt: kill the u-linear coefficient ---------------------------------

@@ -316,8 +316,8 @@ class WeightedSeries:
 
     The constructor takes {exponents: coefficient} with ``GaussianRational``,
     ``int`` or ``Fraction`` coefficients (``exact_scalar``), exponent keys of
-    the class's length ``_ARITY`` (``_check_key``) and an order from 0 to
-    ``_MAX_ORDER`` (``_check_order``); anything else raises ParseError.
+    the class's length ``_ARITY`` (``_check_key``) and an order from
+    ``_MIN_ORDER`` to ``_MAX_ORDER`` (``_check_order``); else ParseError.
 
     Keys are packed integers (see the module docstring).  A subclass fixes
     the layout: ``_pack`` and ``_unpack`` convert an exponent tuple to its key
@@ -328,7 +328,7 @@ class WeightedSeries:
 
     __slots__ = ("n", "d", "num")
 
-    _SHIFT, _UNITS = 0, ()
+    _SHIFT, _UNITS, _MIN_ORDER = 0, (), 0
 
     @staticmethod
     def _check_substitution(F, args):
@@ -395,6 +395,7 @@ class WeightedSeries:
     def truncate(self, m):
         if m >= self.n:
             return self
+        _check_order(type(self), m)
         return _reduced_series(type(self), m, self.d, dict(_items_to(self, m)))
 
     def padded(self, m):
@@ -465,12 +466,12 @@ class WeightedSeries:
 
 
 def _check_order(cls, n):
-    """ParseError unless the order n is an integer (not a bool) from 0 to
-    ``cls._MAX_ORDER``, so that every exponent of weight <= n fits a field."""
-    if not (is_json_count(n) and n <= cls._MAX_ORDER):
+    """ParseError unless the order n is an integer (not a bool) from
+    ``cls._MIN_ORDER`` to ``cls._MAX_ORDER``, the largest its fields hold."""
+    if not (is_json_count(n, cls._MIN_ORDER) and n <= cls._MAX_ORDER):
         raise ParseError(
-            "%s order must be an integer from 0 to %s, the largest its keys hold, not %r"
-            % (cls.__name__, cls._MAX_ORDER, n)
+            "%s order must be an integer from %d to %s, the largest its keys hold, not %r"
+            % (cls.__name__, cls._MIN_ORDER, cls._MAX_ORDER, n)
         )
 
 

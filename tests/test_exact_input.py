@@ -170,3 +170,28 @@ def test_rpoly_zero_takes_no_order():
     for n in (4, "4", -1):
         with pytest.raises(TypeError):
             RPoly.zero(n)
+
+
+def test_rpoly_order_is_max_degree():
+    # an RPoly lives at order MAX_DEGREE: at a lower one a product would drop
+    # its terms silently (RPoly.one(4) * RPoly.var("x", 5) was zero)
+    x = RPoly.var("x")
+    for m in (0, 4, MAX_DEGREE - 1, MAX_DEGREE + 1, 4.0, True):
+        with pytest.raises(ParseError):
+            RPoly.one(m)
+        with pytest.raises(ParseError):
+            x.padded(m)
+    for m in (0, 4, MAX_DEGREE - 1, 4.0, True):
+        with pytest.raises(ParseError):
+            x.truncate(m)
+    # a cut at or above the order keeps the series, as for every series
+    assert x.truncate(MAX_DEGREE) == x.truncate(MAX_DEGREE + 1) == x.padded(MAX_DEGREE) == x
+    assert RPoly.one(MAX_DEGREE) == RPoly.const(1)
+    assert (RPoly.one(MAX_DEGREE) * RPoly.var("x", 5)).degree() == 5
+    assert x.subs({"x": RPoly.var("y") + 1}) == RPoly.var("y") + 1
+
+
+def test_truncate_below_zero_refused():
+    for series in (Series3.one(4), HoloSeries.one(4), UPoly.one(4)):
+        with pytest.raises(ParseError):
+            series.truncate(-1)

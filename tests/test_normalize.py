@@ -9,6 +9,7 @@ import pytest
 from conftest import rand_gr, rand_rat, rand_real_series3
 from moser_chains import normalize
 from moser_chains.errors import (
+    InternalInvariantError,
     LeviDegenerateError,
     MathPreconditionError,
     ParseError,
@@ -346,6 +347,19 @@ class TestGraphTransform:
         resid = fundamental_identity_residual(M, h, wrong)
         assert not resid.is_zero()
 
+    def test_stage_residual_is_the_oracle(self, rng):
+        # the stage check, forward(F2) - R over the transform's own P, Q, R
+        # and table, is fundamental_identity_residual term for term
+        for _ in range(3):
+            M = rand_surface(rng, terms=5)
+            h = rand_contract_map(rng, 8)
+            img, _, _, R, forward = normalize._graph_transform_parts(M, h)
+            assert (forward(img.series) - R).is_zero()
+            wrong = Hypersurface(img.series + Series3.monomial(8, 2, 2, 1, gr("1/13")), check=False)
+            resid = forward(wrong.series) - R
+            assert not resid.is_zero()
+            assert resid == fundamental_identity_residual(M, h, wrong)
+
     def test_image_is_real(self, rng):
         # the image carries no reality check of its own: R = Im E is real and
         # both tables map real series to real ones (see graph_transform)
@@ -624,6 +638,47 @@ class TestStages:
         for op in (kill_harmonics, normalize_levi, absorb_k1, kill_f22_rotation, kill_f33_reparam):
             stages = []
             assert op(M, stages) == M and stages == []
+
+
+class TestStageResidual:
+    """With verify=True each stage is checked by the graph identity over the
+    P, Q, R and forward table its transform built (``_run_stage``)."""
+
+    def test_one_build_per_transform_stage(self, monkeypatch):
+        # P, E, Q and R are built once per transform stage, and once more for
+        # the shear's standalone residual (it has no transform)
+        calls = []
+        inner = normalize._transform_ingredients
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].n)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(normalize, "_transform_ingredients", counted)
+        names = set()
+        for seed in (2, 5, 9):
+            del calls[:]
+            M = rand_surface(random.Random(seed), n=9, terms=12)
+            res = normalize_hypersurface(M, verify=True, stop_after="punctual")
+            assert all(s.residual_zero is True for s in res.stages)
+            assert len(calls) == len(res.stages) > 0
+            names.update(res.stage_names())
+        assert "shear" in names and names & {"scale", "punctual3", "punctual4"}
+
+    def test_perturbed_stage_image_raises(self, monkeypatch):
+        inner = normalize._graph_transform_parts
+        M = rand_surface(random.Random(2), n=9, terms=12)
+        bump = Series3.monomial(9, 4, 3, 0, ONE) + Series3.monomial(9, 3, 4, 0, ONE)
+
+        def perturbed(M, h):
+            img, P, Q, R, forward = inner(M, h)
+            return Hypersurface(img.series + bump, check=False), P, Q, R, forward
+
+        monkeypatch.setattr(normalize, "_graph_transform_parts", perturbed)
+        # unchecked, the bump passes every stage postcondition
+        assert not normalize_hypersurface(M, stop_after="punctual").completed
+        with pytest.raises(InternalInvariantError, match="independent residual after stage 'bend'"):
+            normalize_hypersurface(M, verify=True, stop_after="punctual")
 
 
 # ---------------------------------------------------------------------------

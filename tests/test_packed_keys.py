@@ -128,7 +128,11 @@ class TestKeyArithmetic:
             for w in range(-1, n + 2):
                 part = series.weight_part(w)
                 assert part.c == {e: v for e, v in c.items() if weight(kind, e) == w}
-                if 0 <= w:
+                if kind is RPoly and 0 <= w < MAX_DEGREE:
+                    # an RPoly has the one order MAX_DEGREE: a lower cut is refused
+                    with pytest.raises(ParseError):
+                        series.truncate(w)
+                elif 0 <= w:
                     cut = series.truncate(w)
                     assert cut.c == {e: v for e, v in c.items() if weight(kind, e) <= w}
                     assert cut.n == min(n, w)
