@@ -1,4 +1,4 @@
-"""Exact normal-form pipeline and chain tracer for rigid graphs in C^2."""
+"""Exact normal-form pipeline and chain tracer for real graphs v = F(z, zbar, u) in C^2."""
 
 from .errors import (
     InternalInvariantError,

@@ -1,4 +1,4 @@
-"""Normal-form pipeline for rigid real-analytic graphs v = F(z, zbar, u).
+"""Normal-form pipeline for real-analytic graphs v = F(z, zbar, u).
 
 The central objects:
 
@@ -24,13 +24,17 @@ from __future__ import annotations
 
 import functools
 
+from fractions import Fraction
+from math import lcm
+from operator import mul
+
 from .errors import (
     InternalInvariantError,
     LeviDegenerateError,
     MathPreconditionError,
     ParseError,
 )
-from .linalg import solve
+from .linalg import rref
 from .series_core import (
     HALF,
     I_UNIT,
@@ -77,7 +81,7 @@ def _check_order(n, least, what):
 
 
 class Hypersurface:
-    """A rigid graph v = F(z, zbar, u) through the origin.
+    """A graph v = F(z, zbar, u) through the origin; F may depend on u.
 
     F must be a real series (Hermitian coefficient symmetry) with F(0) = 0
     and exact coefficients (``GaussianRational``, ``int`` or ``Fraction``).
@@ -332,8 +336,8 @@ def _transform_ingredients(M, h, polynomial=False):
         raise MathPreconditionError("map w-component truncated below the surface order")
     # Q = Re E = (E + conj E)/2 and R = Im E = (E - conj E)(-i/2), one pass each
     E_bar = E.conj()
-    Q = _combine(Series3, n, n, 2, ((E, 1, 0), (E_bar, 1, 0)))
-    R = _combine(Series3, n, n, 2, ((E, 0, -1), (E_bar, 0, 1)))
+    Q = _combine(Series3, n, 2, ((E, 1, 0), (E_bar, 1, 0)))
+    R = _combine(Series3, n, 2, ((E, 0, -1), (E_bar, 0, 1)))
     return n, P, Q, R
 
 
@@ -345,20 +349,24 @@ def graph_transform(M, h):
     nonzero).  P and Q are the new z and u coordinates as series over the
     source; a stage checks its image over them (``_run_stage``).
 
-    The image is solved weight by weight; every step substitutes into the
-    same arguments, so the powers of the inverse coordinates and of (P, Q)
-    are built once per call, in one GraphTable each.  Every stage after
-    ``adapt_chart`` has an identity leading part (lambda = 1, sigma = 1,
-    q2 = 0): the inverse steps then copy their argument and the forward
-    ones pass most terms through (the near-identity rule of
-    ``series_core._substitute``).  Both tables substitute real series into
-    real u-arguments, so each builds its mirrored groups once.
+    The image is solved weight by weight.  The remainder R - sum forward(f_mu)
+    is kept as R and the forward images, each split by weight once, and step
+    nu sums its weight-nu parts only: forward(f_nu) has no term below weight
+    nu, so the remainder vanishes exactly when each step leaves its own weight
+    zero, which is checked.  Every step substitutes into the same arguments,
+    so the powers of the inverse coordinates and of (P, Q) are built once per
+    call, in one GraphTable each.  Every stage after ``adapt_chart`` has an
+    identity leading part (lambda = 1, sigma = 1, q2 = 0): the inverse steps
+    then copy their argument and the forward ones pass most terms through
+    (the near-identity rule of ``series_core._substitute``).  Both tables
+    substitute real series into real u-arguments, so each builds its
+    mirrored groups once.
 
-    The image is real without a check: R = Im E is real, so is each weight
-    part of S, and each table substitutes into (x, conj x, t) with t real,
-    checked once, so conjugation commutes with it and a real series goes to
-    a real one; S stays real as a difference of real series, and the image
-    is the sum of the real f_nu, added once at the end.
+    The image is real without a check: R = Im E is real, and each table
+    substitutes into (x, conj x, t) with t real, checked once, so
+    conjugation commutes with it and a real series goes to a real one; every
+    weight part of a real series is real, so each step's sum is, and the
+    image is the sum of the real f_nu, added once at the end.
     """
     return _graph_transform_parts(M, h)[:3]
 
@@ -385,17 +393,21 @@ def _graph_transform_parts(M, h):
 
     inverse = GraphTable(zs_inv, us_inv, n)
     forward = GraphTable(P, Q, n)
-    S = R
+    # rem[w]: the weight-w parts of R and of the forward images so far
+    rem = [[(part, 1, 0)] for part in R.weight_parts()]
     parts = []
     for nu in range(1, n + 1):
-        s_nu = S.weight_part(nu)
+        s_nu = _combine(Series3, n, 1, rem[nu])
         if s_nu.is_zero():
             continue
         f_nu = inverse(s_nu)
-        S = S - forward(f_nu)
+        image = forward(f_nu).weight_parts()
+        if image[nu] != s_nu:
+            raise InternalInvariantError("graph transform recursion left weight %d" % nu)
+        for w in range(nu + 1, n + 1):
+            rem[w].append((image[w], -1, 0))
         parts.append((f_nu, 1, 0))
-    S.assert_zero("graph transform recursion remainder")
-    return Hypersurface(_combine(Series3, n, n, 1, parts), check=False), P, Q, R, forward
+    return Hypersurface(_combine(Series3, n, 1, parts), check=False), P, Q, R, forward
 
 
 def fundamental_identity_residual(M, h, M_target, polynomial=False):
@@ -565,13 +577,14 @@ def _holo_keys(weight):
 
 
 def _series_rows(series, monos):
-    """Stack Re/Im coefficient rows of a real series over the monomials."""
+    """The Re/Im numerator rows, over series.d, of a real series on the
+    monomials: a and, off the diagonal, b of each coefficient (a + ib)/d."""
     rows = []
     for (j, k, l) in monos:
-        v = series.coeff(j, k, l)
-        rows.append(v.real)
+        a, b = series.num.get(Series3._pack((j, k, l)), (0, 0))
+        rows.append(a)
         if j != k:
-            rows.append(v.imag)
+            rows.append(b)
     return rows
 
 
@@ -587,26 +600,53 @@ def _punctual_system(delta):
     g_keys = _holo_keys(delta)
     monos = _weight_monomials(delta)
     f0, g0 = HoloSeries.zero(delta - 1), HoloSeries.zero(delta)
-    columns = [
-        _series_rows(core_expression(HoloSeries(delta - 1, {jk: val}), g0, delta), monos)
+    cores = [
+        core_expression(HoloSeries(delta - 1, {jk: val}), g0, delta)
         for jk in f_keys for val in (ONE, I_UNIT)
     ] + [
-        _series_rows(core_expression(f0, HoloSeries(delta, {jk: val}), delta), monos)
+        core_expression(f0, HoloSeries(delta, {jk: val}), delta)
         for jk in g_keys for val in (ONE, I_UNIT)
     ]
+    columns = [[Fraction(x, core.d) for x in _series_rows(core, monos)] for core in cores]
     return f_keys, g_keys, monos, columns
+
+
+@functools.cache
+def _punctual_solver(delta):
+    """The solve operator of ``_punctual_system(delta)``: (den, rows, checks).
+
+    [A | I] reduces to [E | T] with T A = E in reduced row echelon form.  So
+    A x = b has a solution exactly when the rows of T past the rank (checks)
+    take b to zero, and then x[pivot of row i] = (T b)_i with the free
+    variables zero is ``linalg.solve``'s solution: x = rows b / den, with an
+    integer row per unknown (zero for a free one) over one denominator.
+    """
+    columns = _punctual_system(delta)[3]
+    size, unknowns = len(columns[0]), len(columns)
+    red, pivots = rref(
+        [[col[r] for col in columns] + [Fraction(r == i) for i in range(size)] for r in range(size)]
+    )
+    den = lcm(*(x.denominator for row in red for x in row[unknowns:]))
+    t = [[int(x * den) for x in row[unknowns:]] for row in red]
+    rows = [[0] * size] * unknowns
+    rank = 0
+    for c in pivots:
+        if c < unknowns:
+            rows[c] = t[rank]
+            rank += 1
+    return den, rows, t[rank:]
 
 
 def _solve_punctual(delta, target):
     """Solve core_expression(f, g) = target for homogeneous (f, g)."""
-    f_keys, g_keys, monos, columns = _punctual_system(delta)
+    f_keys, g_keys, monos, _ = _punctual_system(delta)
+    den, rows, checks = _punctual_solver(delta)
     rhs = _series_rows(target, monos)
-    mat = [[col[r] for col in columns] for r in range(len(rhs))]
-    sol = solve(mat, rhs)
-    if sol is None:
+    if any(sum(map(mul, row, rhs)) for row in checks):
         raise InternalInvariantError(
             "weight-%d correction system is inconsistent" % delta
         )
+    sol = [Fraction(sum(map(mul, row, rhs)), den * target.d) for row in rows]
     # reassemble complex coefficients from the (re, im) unknown pairs
     fc = {}
     gc = {}

@@ -1,4 +1,4 @@
-"""Exact truncated power-series arithmetic for rigid graphs in C^2.
+"""Exact truncated power-series arithmetic for real graphs in C^2.
 
 Everything downstream works with real-analytic hypersurfaces written as
 graphs  v = F(z, zbar, u)  over coordinates (z, w = u + iv), truncated in the
@@ -392,6 +392,13 @@ class WeightedSeries:
             type(self), self.n, self.d, {k: v for k, v in self.num.items() if lo <= k < hi}
         )
 
+    def weight_parts(self):
+        """[weight_part(0), ..., weight_part(n)], split in one pass."""
+        nums = [{} for _ in range(self.n + 1)]
+        for k, v in self.num.items():
+            nums[k >> self._SHIFT][k] = v
+        return [_reduced_series(type(self), self.n, self.d, num) for num in nums]
+
     def truncate(self, m):
         if m >= self.n:
             return self
@@ -428,7 +435,7 @@ class WeightedSeries:
         if not isinstance(other, type(self)):
             return NotImplemented
         n = min(self.n, other.n)
-        return _combine(type(self), n, n, 1, ((self, 1, 0), (other, 1, 0)))
+        return _combine(type(self), n, 1, ((self, 1, 0), (other, 1, 0)))
 
     def __sub__(self, other):
         return self.__add__(-other)
@@ -440,22 +447,8 @@ class WeightedSeries:
         cls = type(self)
         if isinstance(other, cls):
             n = min(self.n, other.n)
-            shift = cls._SHIFT
-            top = (n + 1) << shift
             num = {}
-            get = num.get
-            # weight-sorted, and k1 + k2 is within order exactly when
-            # k2 < top - (weight(k1) << shift)
-            bs = sorted(other.num.items())
-            for k1, (a1, b1) in self.num.items():
-                lim = top - (k1 >> shift << shift)
-                for k2, (a2, b2) in bs:
-                    if k2 >= lim:
-                        break
-                    key = k1 + k2
-                    re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-                    s = get(key)
-                    num[key] = (re, im) if s is None else (s[0] + re, s[1] + im)
+            _mul_into(num, self, sorted(other.num.items()), n)
             return _reduced_series(cls, n, self.d * other.d, num)
         v = exact_scalar(other, "%s scalar operand" % cls.__name__)
         a, b = v._a, v._b
@@ -541,25 +534,48 @@ def _items_to(series, w):
     return [(k, v) for k, v in series.num.items() if k < top]
 
 
-def _combine(cls, n, w, d, parts):
+def _add_into(num, items, a, b):
+    """Add (a + ib) * (x + iy) into num[key] for each entry (key, (x, y)):
+    the one summing loop of the series layer."""
+    get = num.get
+    for key, (x, y) in items:
+        re, im = a * x - b * y, a * y + b * x
+        old = get(key)
+        num[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+
+
+def _mul_into(num, x, ys, n):
+    """Add the numerators of the product of the series x with the entries ys
+    (key, (a, b)) of another series, sorted by key, into num, up to weight n:
+    the one product loop of the series layer."""
+    shift = x._SHIFT
+    top = (n + 1) << shift
+    get = num.get
+    for k1, (a1, b1) in x.num.items():
+        # ys is weight-sorted, and k1 + k2 is within order exactly when
+        # k2 < top - (weight(k1) << shift)
+        lim = top - (k1 >> shift << shift)
+        for k2, (a2, b2) in ys:
+            if k2 >= lim:
+                break
+            key = k1 + k2
+            re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            s = get(key)
+            num[key] = (re, im) if s is None else (s[0] + re, s[1] + im)
+
+
+def _combine(cls, n, d, parts):
     """The cls series of order n that is the sum of (a + ib)/d * s over the
-    parts (s, a, b), with the terms of s above weight w left out.
+    parts (s, a, b), with the terms of s above weight n left out.
 
     The parts are brought to the least common multiple of their
     denominators, so the sum costs integer products only.
     """
-    den = 1
-    for s, _, _ in parts:
-        den = lcm(den, s.d)
+    den = lcm(*(s.d for s, _, _ in parts))
     num = {}
-    get = num.get
     for s, a, b in parts:
         m = den // s.d
-        a, b = a * m, b * m
-        for key, (x, y) in _items_to(s, w):
-            re, im = a * x - b * y, a * y + b * x
-            old = get(key)
-            num[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        _add_into(num, _items_to(s, n), a * m, b * m)
     return _reduced_series(cls, n, den * d, num)
 
 
@@ -964,8 +980,7 @@ def _substitute(F, table):
 
     A head product whose lowest weight is w multiplies the inner sum, so a
     term of the inner sum above weight n - w only makes output above the
-    order n: the inner sum is built to weight n - w only.  Each inner sum and
-    the result are summed over one common denominator (``_combine``).
+    order n: the inner sum is built to weight n - w only.
 
     When F has the arguments' class and the table's arguments are x_i + h_i
     with every h_i at least d >= 1 weights above x_i (``_near_identity``),
@@ -979,9 +994,17 @@ def _substitute(F, table):
     On a mirror table (arguments (x, conj(x), t) with t real) the groups
     (j, k) and (k, j) of F with v_kjl = conj(v_jkl) -- all of them when F is
     real -- cost one product: group (k, j) is then conj(x)^j x^k times
-    sum_l conj(v_jkl) t^l, the conjugate of group (j, k), so the conjugate
-    of group (j, k)'s product is added for it.  A group whose mirror differs
-    or is absent gets its own product, so a non-real F stays exact.
+    sum_l conj(v_jkl) t^l, the conjugate of group (j, k).  A group whose
+    mirror differs or is absent gets its own product, so a non-real F stays
+    exact.
+
+    The result is one accumulator: one numerator dict over a denominator
+    den that every part divides.  The kept terms, the band products, the
+    zero-head group's inner sum and each head's product with its inner sum
+    are added into it in place (``_add_into``, ``_mul_into``); an inner sum
+    is built over den / (the head's denominator), so its product lands over
+    den unscaled.  The mirrored groups' products go into a second dict,
+    which is added once at the end together with its conjugate.
     """
     n, last = table.n, len(table.args) - 1
     cls = type(table.args[0])
@@ -998,11 +1021,7 @@ def _substitute(F, table):
             kept[key] = v
             if w <= n - d:
                 band[key] = v
-    parts = [(_series(cls, n, F.d, kept), 1, 0)]
-    for i, h in hs:
-        grad = _derivative(_series(cls, n, F.d, band), i)
-        if grad:
-            parts.append((_series(cls, n, F.d, grad) * h, 1, 0))
+    grads = [(g, h) for i, h in hs if (g := _derivative(_series(cls, n, F.d, band), i))]
     mirrored = set()
     if conj:
         for (j, k), pairs in groups.items():
@@ -1010,21 +1029,32 @@ def _substitute(F, table):
                 mirrored.add((j, k))
     for j, k in mirrored:
         del groups[k, j]
+    heads = []
     for head, pairs in sorted(groups.items()):
         prod, low = table.head(head)
-        if low is None:
-            continue
-        inner = _combine(
-            cls, n, n - low, F.d, [(table.power(last, l), a, b) for l, (a, b) in pairs.items()]
-        )
-        if inner.is_zero():
-            continue
-        if any(head):
-            inner = prod * inner
-        parts.append((inner, 1, 0))
-        if head in mirrored:
-            parts.append((conj(inner), 1, 0))
-    return _combine(cls, n, n, 1, parts)
+        if low is not None:
+            pows = [(table.power(last, l), a, b) for l, (a, b) in pairs.items()]
+            heads.append((head, prod, low, pows, prod.d * F.d * lcm(*(p.d for p, _, _ in pows))))
+    den = lcm(F.d, *(F.d * h.d for _, h in grads), *(part[-1] for part in heads))
+    acc, mirror = {}, {}
+    _add_into(acc, kept.items(), den // F.d, 0)
+    for grad, h in grads:
+        m = den // (F.d * h.d)
+        ys = sorted((k, (a * m, b * m)) for k, (a, b) in h.num.items())
+        _mul_into(acc, _series(cls, n, F.d, grad), ys, n)
+    for head, prod, low, pows, _ in heads:
+        # the inner sum over den / prod.d, straight into acc for the zero head
+        inner = {} if any(head) else acc
+        scale = den // (prod.d * F.d)
+        for p, a, b in pows:
+            m = scale // p.d
+            _add_into(inner, _items_to(p, n - low), a * m, b * m)
+        if any(head) and inner:
+            _mul_into(mirror if head in mirrored else acc, prod, sorted(inner.items()), n)
+    if mirror:
+        _add_into(acc, mirror.items(), 1, 0)
+        _add_into(acc, conj(_series(cls, n, den, mirror)).num.items(), 1, 0)
+    return _reduced_series(cls, n, den, acc)
 
 
 def eval_holo3(h, zs, ws, polynomial=False):

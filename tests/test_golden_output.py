@@ -8,6 +8,12 @@ automatically.  The hash covers the normal-form JSON, the stage names and
 the chain coefficients, hashed as ``perfbench/run.py``'s digest hashes them.
 The recorded values come from the code before packed series keys; a change
 that moves any output bit fails here.
+
+Three more hashes pin the chart path, ``stop_after="punctual"`` with
+``verify=True`` (the benchmark's ``chart_verify`` shape), on single-stream
+60-term order-12 draws of the same generator; together they run the shear,
+the tilt, the bend and all three punctual stages.  Those values come from
+the code before the single-accumulator substitution.
 """
 
 import hashlib
@@ -16,6 +22,8 @@ import json
 import random
 
 from pathlib import Path
+
+import pytest
 
 from moser_chains import Hypersurface, normalize_hypersurface
 
@@ -26,6 +34,15 @@ GOLDEN_STAGES = [
     "punctual3", "punctual4", "punctual5", "straighten", "harmonics", "levi", "absorb",
     "rotate", "reparam",
 ]
+
+CHART_GOLDEN = {
+    31: (["bend", "punctual5"],
+         "1a2125337c7ec3fadeb845dbd87455ca0d57b812d3e17f7f138a594e3fc3f096"),
+    61: (["shear", "punctual3", "punctual4", "punctual5"],
+         "cebea3c0c486b5547e75a0c9f997c2e8f614390429a060e43fb6703aab17a7ca"),
+    76: (["tilt", "punctual3", "punctual4", "punctual5"],
+         "be2a65c1888aacb95d5391d0d36fc0372de65528c0a2ce6dc947c3444b4ecb22"),
+}
 
 
 def load_gen():
@@ -48,3 +65,15 @@ def test_order_14_ladder_surface_is_bit_identical():
     assert len(chain) == 4
     blob = json.dumps([result.surface.to_json(), result.stage_names(), chain], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(CHART_GOLDEN))
+def test_chart_path_draws_are_bit_identical(seed):
+    stages, digest = CHART_GOLDEN[seed]
+    rng = random.Random(seed)
+    obj = load_gen().rand_surface_json(rng, rng, 12, 60)
+    result = normalize_hypersurface(Hypersurface.from_json(obj), verify=True, stop_after="punctual")
+    assert result.stage_names() == stages
+    assert all(s.residual_zero is True for s in result.stages)
+    blob = json.dumps([result.surface.to_json(), result.stage_names()], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -8,19 +8,22 @@ the band n - 2d < w <= n - d and substitute only the rest in full.
 
 import pytest
 
-from conftest import rand_gr, rand_rat, rand_real_series3, rand_series3
+from conftest import rand_gr, rand_rat, rand_real_series3, rand_series3, rand_upoly
 
 import test_series_core
 
+from moser_chains import series_core
 from moser_chains.lie_jets import VAR_NAMES, RPoly
 from moser_chains.series_core import (
     GraphTable,
     HoloSeries,
     PowerTable,
     Series3,
-    WeightedSeries,
+    UPoly,
+    eval_curve,
     eval_graph,
     eval_holo2,
+    eval_holo3,
     gr,
 )
 
@@ -159,15 +162,16 @@ class TestNoGap:
 class TestCost:
     @pytest.fixture
     def products(self, monkeypatch):
+        # every series product, in __mul__ or inside a substitution, runs
+        # the one product loop once
         made = []
-        mul = WeightedSeries.__mul__
+        mul = series_core._mul_into
 
-        def counted(self, other):
-            if isinstance(other, WeightedSeries):
-                made.append(type(self))
-            return mul(self, other)
+        def counted(num, x, ys, n):
+            made.append(type(x))
+            return mul(num, x, ys, n)
 
-        monkeypatch.setattr(Series3, "__mul__", counted)
+        monkeypatch.setattr(series_core, "_mul_into", counted)
         return made
 
     def test_exact_variables_make_no_product(self, rng, products):
@@ -200,3 +204,81 @@ class TestCost:
         out = table(rest)
         assert products
         assert out == naive_sum(rest, (zs, zs.conj(), us), n)
+
+
+class TestAccumulator:
+    """``_substitute`` adds every part -- kept terms, band products, the
+    zero-head group, each head times inner product and the mirrored groups'
+    conjugate -- into one numerator dict over one denominator.  F's
+    coefficients here have several different denominators, so most parts
+    are rescaled on the way in."""
+
+    @staticmethod
+    def mixed(cls, n, coeffs):
+        """The cls series with these {exponents: (re, im)} coefficients."""
+        return cls(n, {key: gr(re, im) for key, (re, im) in coeffs.items()})
+
+    def test_graph_table_every_part(self, rng):
+        # gap 2 at n = 10: weights 9..10 kept, 7..8 band, <= 6 grouped
+        n, d = 10, 2
+        a, b = gr("2/3", "-1/7"), gr("-5/4", "3/10")
+        F = self.mixed(Series3, n, {
+            # kept (weights 9, 10) and band (7, 8)
+            (5, 4, 0): ("1/11", 0), (4, 5, 0): ("1/11", 0), (3, 3, 2): ("5/9", 0),
+            (4, 3, 0): ("3/5", "1/2"), (3, 4, 0): ("3/5", "-1/2"), (2, 2, 2): ("-7/6", 0),
+            # zero head, a group without its mirror and a diagonal group
+            (0, 0, 1): ("4/9", 0), (0, 0, 3): ("-1/5", 0), (3, 0, 1): ("1/13", 0),
+            (1, 1, 1): ("7/2", 0),
+        }) + Series3(n, {
+            # a mirrored pair of groups, and a pair that is not mirrored
+            (2, 1, 0): a, (1, 2, 0): a.conjugate(), (2, 1, 1): b, (1, 2, 1): b.conjugate(),
+            (3, 1, 0): a, (1, 3, 0): a,
+        })
+        for _ in range(3):
+            zs, us = graph_args(rng, n, d)
+            table = GraphTable(zs, us, n)
+            assert table.near[0] == d
+            for G in (F, F + rand_series3(rng, n, terms=6)):
+                expect = naive_sum(G, (zs, zs.conj(), us), n)
+                assert table(G) == expect
+                assert eval_graph(G, zs, us) == expect
+
+    def test_holo_arguments_every_part(self, rng):
+        # HoloSeries arguments z + h_z, w + h_w with gap 2: kept, band, the
+        # pure-w (zero-head) group and head products, no mirroring
+        n, d = 10, 2
+        F = self.mixed(HoloSeries, n, {
+            (10, 0): ("1/3", 0), (7, 1): ("2/5", "1/7"),
+            (0, 4): ("-3/11", "1/2"), (5, 1): ("-5/3", "2/9"),
+            (4, 1): ("5/6", 0), (2, 2): ("1/9", "-4/5"), (3, 0): ("7/13", 0),
+            (0, 1): ("1/4", 0), (0, 2): ("-2/7", "1/3"), (1, 1): ("3/8", 0),
+        })
+        for _ in range(3):
+            zs = HoloSeries.z_var(n) + above(rng, HoloSeries, n, 1 + d)
+            ws = HoloSeries.w_var(n) + above(rng, HoloSeries, n, 2 + d)
+            assert PowerTable((zs, ws), n).near[0] == d
+            extra = HoloSeries(n, {(j + k, l): v for (j, k, l), v in rand_series3(rng, n).c.items()})
+            for G in (F, F + extra):
+                assert eval_holo2(G, zs, ws, polynomial=True) == naive_sum(G, (zs, ws), n)
+
+    def test_upoly_arguments_every_part(self, rng):
+        # a curve's mirror table (F real, or with one broken pair) and a
+        # map pushed along a curve; UPoly arguments have no band
+        n = 10
+        a = gr("3/7", "1/5")
+        F = self.mixed(Series3, n, {
+            (1, 1, 0): (1, 0), (0, 0, 1): ("5/9", 0), (0, 0, 2): ("-1/6", 0),
+            (3, 1, 0): ("2/11", "1/3"), (1, 3, 0): ("2/11", "-1/3"), (2, 0, 1): ("1/13", 0),
+        }) + Series3(n, {(2, 1, 1): a, (1, 2, 1): a.conjugate()})
+        h = self.mixed(HoloSeries, n, {
+            (1, 0): (1, 0), (0, 1): ("1/3", 0), (2, 1): ("4/7", "-1/2"), (0, 3): ("1/11", 0),
+        })
+        for _ in range(3):
+            high = UPoly(n, {2: gr(1)})
+            phi = UPoly(n, {1: rand_gr(rng, nonzero=True)}) + high * rand_upoly(rng, n)
+            psi = UPoly.var(n) + high * rand_upoly(rng, n)
+            t = UPoly.var(n)
+            for G in (F, F + Series3.monomial(n, 1, 2, 1, gr(1))):
+                expect = naive_sum(G, (phi, phi.conjugate(), t), n)
+                assert eval_curve(G, phi, polynomial=True) == expect
+            assert eval_holo3(h, phi, psi, polynomial=True) == naive_sum(h, (phi, psi), n)

@@ -14,6 +14,7 @@ from moser_chains.errors import (
     MathPreconditionError,
     ParseError,
 )
+from moser_chains.linalg import solve
 from moser_chains.normalize import (
     Biholo,
     Hypersurface,
@@ -38,10 +39,12 @@ from moser_chains.normalize import (
     translate_to_point,
     _f32_slice_through_subpipeline,
     _punctual_system,
+    _solve_punctual,
 )
 from moser_chains.series_core import (
     ONE,
     GaussianRational,
+    GraphTable,
     HoloSeries,
     Series3,
     UPoly,
@@ -360,6 +363,35 @@ class TestGraphTransform:
             assert not resid.is_zero()
             assert resid == fundamental_identity_residual(M, h, wrong)
 
+    def test_remainder_check_is_live(self, monkeypatch):
+        # doubling the f_nu of any one step leaves that step's weight nonzero
+        M = rand_surface(random.Random(4), n=8, terms=10)
+        h = rand_contract_map(random.Random(5), 8)
+        steps = []
+
+        class Inverse(GraphTable):
+            __slots__ = ()
+
+            def __call__(self, F):
+                steps.append(F.low_weight())
+                out = super().__call__(F)
+                return out * 2 if len(steps) == bad else out
+
+        def tables(*args):
+            # the inverse table is the transform's first
+            made.append(None)
+            return (Inverse if len(made) == 1 else GraphTable)(*args)
+
+        monkeypatch.setattr(normalize, "GraphTable", tables)
+        made, bad = [], 0
+        graph_transform(M, h)
+        weights = list(steps)
+        assert len(weights) > 2
+        for bad, nu in enumerate(weights, 1):
+            del made[:], steps[:]
+            with pytest.raises(InternalInvariantError, match="left weight %d" % nu):
+                graph_transform(M, h)
+
     def test_image_is_real(self, rng):
         # the image carries no reality check of its own: R = Im E is real and
         # both tables map real series to real ones (see graph_transform)
@@ -516,6 +548,24 @@ class TestPunctual:
             f_keys, g_keys, monos, columns = _punctual_system(delta)
             assert len(columns) == n_unknowns
             assert len(columns[0]) == n_rows
+
+    def test_cached_solver_matches_solve(self, rng):
+        # the cached operator gives linalg.solve's particular solution on
+        # random Gaussian-rational targets
+        for delta in (3, 4, 5):
+            f_keys, g_keys, monos, columns = _punctual_system(delta)
+            mat = [[col[r] for col in columns] for r in range(len(columns[0]))]
+            for _ in range(8):
+                target = rand_real_series3(rng, 9, terms=6, min_weight=delta).weight_part(delta)
+                rhs = []
+                for j, k, l in monos:
+                    v = target.coeff(j, k, l)
+                    rhs += [v.real, v.imag] if j != k else [v.real]
+                sol = solve(mat, rhs)
+                pairs = [GaussianRational(re, im) for re, im in zip(sol[::2], sol[1::2])]
+                fc = {jk: v for jk, v in zip(f_keys, pairs) if v}
+                gc = {jk: v for jk, v in zip(g_keys, pairs[len(f_keys):]) if v}
+                assert _solve_punctual(delta, target) == (fc, gc)
 
     def test_core_expression_frozen(self):
         # f = 0, g = -2i z^3 gives Re{2 z^3} = z^3 + zb^3
@@ -679,6 +729,21 @@ class TestStageResidual:
         assert not normalize_hypersurface(M, stop_after="punctual").completed
         with pytest.raises(InternalInvariantError, match="independent residual after stage 'bend'"):
             normalize_hypersurface(M, verify=True, stop_after="punctual")
+
+
+class TestGroupOracles:
+    def test_normal_form_commutes_with_dilation(self):
+        # N(d M) = d N(M) for the dilations and rotations d = (lam z, |lam|^2 w):
+        # every stage commutes with them, so the pipeline must too.  The
+        # transform needs F of weight >= 2, so the draws have no shear; these
+        # four run every other stage but the tilt
+        n = 10
+        for seed in (8, 14, 31, 39):
+            M = rand_surface(random.Random(seed), n=n, terms=20, min_weight=2)
+            N = normalize_hypersurface(M).surface
+            for lam in (gr(2), gr(0, 1), gr(1, 1), gr(3, -2)):
+                d = Biholo(HoloSeries.z_var(n - 1) * lam, HoloSeries.w_var(n) * (lam * lam.conjugate()))
+                assert normalize_hypersurface(graph_transform(M, d)[0]).surface == graph_transform(N, d)[0]
 
 
 # ---------------------------------------------------------------------------
