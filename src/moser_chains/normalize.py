@@ -45,6 +45,7 @@ from .series_core import (
     Series3,
     UPoly,
     _combine,
+    _reduced_series,
     eval_curve,
     eval_graph,
     eval_holo2,
@@ -323,7 +324,7 @@ def _transform_ingredients(M, h, polynomial=False):
     F = M.series
     n = F.n
     zv = Series3.z_var(n)
-    big_w = Series3.u_var(n) + F * I_UNIT
+    big_w = _combine(Series3, n, 1, ((Series3.u_var(n), 1, 0), (F, 0, 1)))
     P = eval_holo3(h.f, zv, big_w, polynomial=polynomial)
     if P.n < n:
         # f is carried to weight n-1 only; the missing weight-n slice of P
@@ -334,11 +335,7 @@ def _transform_ingredients(M, h, polynomial=False):
     E = eval_holo3(h.g, zv, big_w, polynomial=polynomial)
     if E.n < n:
         raise MathPreconditionError("map w-component truncated below the surface order")
-    # Q = Re E = (E + conj E)/2 and R = Im E = (E - conj E)(-i/2), one pass each
-    E_bar = E.conj()
-    Q = _combine(Series3, n, 2, ((E, 1, 0), (E_bar, 1, 0)))
-    R = _combine(Series3, n, 2, ((E, 0, -1), (E_bar, 0, 1)))
-    return n, P, Q, R
+    return (n, P) + E.re_im()
 
 
 def graph_transform(M, h):
@@ -349,30 +346,38 @@ def graph_transform(M, h):
     nonzero).  P and Q are the new z and u coordinates as series over the
     source; a stage checks its image over them (``_run_stage``).
 
+    Q = Re E and R = Im E come from one pass over E (``Series3.re_im``).
     The image is solved weight by weight.  The remainder R - sum forward(f_mu)
-    is kept as R and the forward images, each split by weight once, and step
-    nu sums its weight-nu parts only: forward(f_nu) has no term below weight
-    nu, so the remainder vanishes exactly when each step leaves its own weight
-    zero, which is checked.  Every step substitutes into the same arguments,
-    so the powers of the inverse coordinates and of (P, Q) are built once per
+    is kept as one numerator dict per weight over one running denominator;
+    each forward image is added into it once, in place, and step nu reads
+    its weight nu only: forward(f_nu) has no term below weight nu, so the
+    remainder vanishes exactly when each step leaves its own weight zero,
+    which is checked.  Every step substitutes into the same arguments, so
+    the powers of the inverse coordinates and of (P, Q) are built once per
     call, in one GraphTable each.  Every stage after ``adapt_chart`` has an
-    identity leading part (lambda = 1, sigma = 1, q2 = 0): the inverse steps
-    then copy their argument and the forward ones pass most terms through
-    (the near-identity rule of ``series_core._substitute``).  Both tables
-    substitute real series into real u-arguments, so each builds its
-    mirrored groups once.
+    identity leading part (lambda = 1, sigma = 1, q2 = 0): the inverse table
+    then has no offset and each inverse step returns its argument, and the
+    forward steps pass most terms through (the near-identity rule of
+    ``series_core._substitute``).  Both tables substitute real series into
+    real u-arguments, so each builds its mirrored groups once.
 
     The image is real without a check: R = Im E is real, and each table
     substitutes into (x, conj x, t) with t real, checked once, so
     conjugation commutes with it and a real series goes to a real one; every
-    weight part of a real series is real, so each step's sum is, and the
-    image is the sum of the real f_nu, added once at the end.
+    weight part of a real series is real, so each step's remainder is, and
+    the image is the sum of the real f_nu, added once at the end.
     """
     return _graph_transform_parts(M, h)[:3]
 
 
 def _graph_transform_parts(M, h):
     """``graph_transform``'s (surface, P, Q), R = Im E and its forward table."""
+    if M.series.coeff(1, 0, 0) or M.series.coeff(0, 1, 0):
+        # u + iF would have low weight 1, so E would be sound to about n/2
+        raise MathPreconditionError(
+            "graph transform needs a surface with no weight-1 term"
+            " (the shear in adapt_chart removes it)"
+        )
     if h.g.coeff(1, 0):
         raise MathPreconditionError("graph transform needs g_z(0) = 0")
     if not h.f.coeff(1, 0):
@@ -393,19 +398,29 @@ def _graph_transform_parts(M, h):
 
     inverse = GraphTable(zs_inv, us_inv, n)
     forward = GraphTable(P, Q, n)
-    # rem[w]: the weight-w parts of R and of the forward images so far
-    rem = [[(part, 1, 0)] for part in R.weight_parts()]
+    # R - sum forward(f_mu), kept as its weight-w numerators rem[w] over den
+    shift, den, rem = Series3._SHIFT, R.d, [{} for _ in range(n + 1)]
+    for k, v in R.num.items():
+        rem[k >> shift][k] = v
     parts = []
     for nu in range(1, n + 1):
-        s_nu = _combine(Series3, n, 1, rem[nu])
+        s_nu = _reduced_series(Series3, n, den, dict(rem[nu]))
         if s_nu.is_zero():
             continue
         f_nu = inverse(s_nu)
-        image = forward(f_nu).weight_parts()
-        if image[nu] != s_nu:
+        image = forward(f_nu)
+        if den % image.d:
+            m = lcm(den, image.d) // den
+            den *= m
+            for w in range(nu, n + 1):
+                rem[w] = {k: (a * m, b * m) for k, (a, b) in rem[w].items()}
+        m = den // image.d
+        for k, (a, b) in image.num.items():
+            part = rem[k >> shift]
+            x, y = part.get(k, (0, 0))
+            part[k] = (x - a * m, y - b * m)
+        if any(a or b for a, b in rem[nu].values()):
             raise InternalInvariantError("graph transform recursion left weight %d" % nu)
-        for w in range(nu + 1, n + 1):
-            rem[w].append((image[w], -1, 0))
         parts.append((f_nu, 1, 0))
     return Hypersurface(_combine(Series3, n, 1, parts), check=False), P, Q, R, forward
 
@@ -434,9 +449,15 @@ def _run_stage(name, M, h, stages, verify):
     """Apply h to M and record it; with verify, check F2(P, conj P, Q) = R
     over the transform's own P, Q, R and forward table.  Rebuilding them
     would rerun the same deterministic code on the same input, so this costs
-    no independence; the check uses no inverse table, S or f_nu."""
+    no independence; the check uses no inverse table, remainder or f_nu."""
     M2, _, _, R, forward = _graph_transform_parts(M, h)
-    return _record(name, h, M2, stages, forward(M2.series) - R if verify else None)
+    resid = None
+    if verify:
+        # both sides are canonical, so they are equal exactly when the
+        # residual is zero; the difference is built only to report it
+        image = forward(M2.series)
+        resid = Series3.zero(R.n) if image == R else image - R
+    return _record(name, h, M2, stages, resid)
 
 
 def _record(name, h, M2, stages, resid):
@@ -556,7 +577,7 @@ def core_expression(f, g, n):
         acc = acc + eval_holo3(g, zv, w0, polynomial=True) * I_UNIT
     if not f.is_zero():
         acc = acc + Series3.zbar_var(n) * eval_holo3(f, zv, w0, polynomial=True) * 2
-    return (acc + acc.conj()) * HALF
+    return acc.re_im()[0]
 
 
 def _weight_monomials(delta):
@@ -732,6 +753,25 @@ def straighten_curve(M, curve, stages=None, verify=False):
 # ---------------------------------------------------------------------------
 
 
+def _z_slices(F, k, n):
+    """sum_{j > k} F_{j,k}(w) z^j as a HoloSeries of order n, read off F's
+    packed keys."""
+    num = {}
+    for key, v in F.num.items():
+        j, kk, l = Series3._unpack(key)
+        if kk == k < j:
+            num[HoloSeries._pack((j, l))] = v
+    return _reduced_series(HoloSeries, n, F.d, num)
+
+
+def _assert_no_terms(M, hit, where):
+    """InternalInvariantError unless M has no term z^j zbar^k u^l with
+    hit(j, k), read off its packed keys."""
+    left = sum(1 for key in M.series.num if hit(*Series3._unpack(key)[:2]))
+    if left:
+        raise InternalInvariantError("%s does not vanish (%d terms left)" % (where, left))
+
+
 def kill_harmonics(M, stages=None, verify=False):
     """Remove the harmonic slices (k = 0) of a straightened, adapted graph.
 
@@ -746,19 +786,14 @@ def kill_harmonics(M, stages=None, verify=False):
     if not F.pure_u_part().is_zero():
         raise MathPreconditionError("harmonic killing needs a straightened u-axis")
 
-    harm = HoloSeries(
-        n, {(j, l): v for (j, k, l), v in F.c.items() if k == 0 and j >= 1}
-    )
+    harm = _z_slices(F, 0, n)
     if harm.is_zero():
         return M
     zv, w = HoloSeries.z_var(n), HoloSeries.w_var(n)
     T = fixed_point(lambda T: w - eval_holo2(harm, zv, T) * I_UNIT, w, "harmonic inversion")
     h = Biholo(HoloSeries.z_var(n - 1), T * 2 - w)
     M2 = _run_stage("harmonics", M, h, stages, verify)
-    leftover = Series3(
-        n, {key: v for key, v in M2.series.c.items() if key[0] == 0 or key[1] == 0}
-    )
-    leftover.assert_zero("harmonic slices after harmonic killing")
+    _assert_no_terms(M2, lambda j, k: j == 0 or k == 0, "harmonic slices after harmonic killing")
     return M2
 
 
@@ -790,19 +825,15 @@ def absorb_k1(M, stages=None, verify=False):
     stages = [] if stages is None else stages
     F = M.series
     n = F.n
-    lam_corr = HoloSeries(
-        n - 1, {(j, l): v for (j, k, l), v in F.c.items() if k == 1 and j >= 2}
-    )
+    lam_corr = _z_slices(F, 1, n - 1)
     if lam_corr.is_zero():
         return M
     f = HoloSeries.z_var(n - 1) + lam_corr
     h = Biholo(f, HoloSeries.w_var(n))
     M2 = _run_stage("absorb", M, h, stages, verify)
-    leftover = Series3(
-        n,
-        {key: v for key, v in M2.series.c.items() if (key[1] == 1 and key[0] >= 2) or (key[0] == 1 and key[1] >= 2)},
+    _assert_no_terms(
+        M2, lambda j, k: min(j, k) == 1 < max(j, k), "degree-one slices after absorption"
     )
-    leftover.assert_zero("degree-one slices after absorption")
     return M2
 
 

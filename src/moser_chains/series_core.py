@@ -392,13 +392,6 @@ class WeightedSeries:
             type(self), self.n, self.d, {k: v for k, v in self.num.items() if lo <= k < hi}
         )
 
-    def weight_parts(self):
-        """[weight_part(0), ..., weight_part(n)], split in one pass."""
-        nums = [{} for _ in range(self.n + 1)]
-        for k, v in self.num.items():
-            nums[k >> self._SHIFT][k] = v
-        return [_reduced_series(type(self), self.n, self.d, num) for num in nums]
-
     def truncate(self, m):
         if m >= self.n:
             return self
@@ -787,6 +780,23 @@ class Series3(WeightedSeries):
         }
         return _series(Series3, self.n, self.d, num)
 
+    def re_im(self):
+        """(Re F, Im F) = ((F + conj F)/2, (F - conj F)/(2i)), both real, in one
+        pass that pairs each key with its z/zbar swap.  With F_K = (a + ib)/d
+        and F_swap(K) = (c + ie)/d, Re F_K = (a + c + i(b - e))/2d and
+        Im F_K = (b + e + i(c - a))/2d, and each series takes the conjugate
+        at the swapped key."""
+        num, re, im = self.num, {}, {}
+        for k, (a, b) in num.items():
+            s = k & ~0xFFFF00 | k >> 8 & 0xFF00 | (k & 0xFF00) << 8
+            if s in re:
+                continue
+            c, e = num.get(s, (0, 0))
+            re[k], im[k] = (a + c, b - e), (b + e, c - a)
+            re[s], im[s] = (a + c, e - b), (b + e, a - c)
+        d = 2 * self.d
+        return _reduced_series(Series3, self.n, d, re), _reduced_series(Series3, self.n, d, im)
+
     def is_real(self):
         """Exact Hermitian reality check: F equals its conjugate."""
         return self.conj().num == self.num
@@ -910,12 +920,13 @@ class PowerTable:
     ``power(i, e)`` is args[i]**e and ``head(key)`` the product of the powers
     that all but the last exponent of a key name (zs^j conj(zs)^k for a graph
     key (j, k, l)), with its low weight (None when it is zero); a zero
-    exponent adds no factor, and an all-zero head is the series one.  Both
-    are kept once built, so substitutions that share a table build each
-    power and each head product once.  ``near`` is the arguments' gap d
-    and offsets h_i (``_near_identity``), found once per table.  A graph or
-    curve substitution uses ``GraphTable``, which builds half of its powers
-    and heads as conjugates.
+    exponent adds no factor, and an all-zero head is the series one.  The
+    zeroth power is one and the first is the argument truncated to n, with
+    no product; higher powers and the heads are kept once built, so
+    substitutions that share a table build each of them once.  ``near`` is
+    the arguments' gap d and offsets h_i (``_near_identity``), found once
+    per table.  A graph or curve substitution uses ``GraphTable``, which
+    builds half of its powers and heads as conjugates.
     """
 
     __slots__ = ("args", "n", "pows", "heads", "near")
@@ -928,7 +939,7 @@ class PowerTable:
         self.args = args
         self.n = n
         one = type(args[0]).one(n)
-        self.pows = [[one] for _ in args]
+        self.pows = [[one, arg.truncate(n)] for arg in args]
         self.heads = {}
         self.near = _near_identity(args, n)
 
@@ -953,7 +964,10 @@ def _near_identity(args, n):
     """(d, [(i, h_i), ...]) when every args[i] is x_i + h_i, x_i the i-th
     variable (coefficient exactly 1), and every term of h_i is at least
     d >= 1 weights above x_i; the nonzero h_i are listed, and d is n + 1
-    when there is none.  (0, []) for any other arguments."""
+    when there is none.  (0, []) for any other arguments.
+
+    Each h_i is args[i] without its (den, 0) entry at x_i, which keeps the
+    content gcd at 1, so it is canonical with no reduction pass."""
     cls = type(args[0])
     if len(cls._UNITS) != len(args):
         return 0, []
@@ -961,7 +975,7 @@ def _near_identity(args, n):
     for i, (arg, x) in enumerate(zip(args, cls._UNITS)):
         if arg.num.get(x) != (arg.d, 0):
             return 0, []
-        h = _reduced_series(cls, arg.n, arg.d, {k: v for k, v in arg.num.items() if k != x})
+        h = _series(cls, arg.n, arg.d, {k: v for k, v in arg.num.items() if k != x})
         if h.num:
             d = min(d, h.low_weight() - (x >> cls._SHIFT))
             hs.append((i, h))
@@ -989,7 +1003,9 @@ def _substitute(F, table):
     terms of weight >= w + 2d.  So the terms with n - d < w <= n are copied,
     those with n - 2d < w <= n - d add one product (dF_band/dx_i) * h_i per
     argument, and those above n add nothing.  With d = 0 every term is
-    grouped, as a constant-term argument of a complete F needs.
+    grouped, as a constant-term argument of a complete F needs.  With d > n
+    (no argument has an offset) every term is copied, so the result is F at
+    the order n, returned as it is.
 
     On a mirror table (arguments (x, conj(x), t) with t real) the groups
     (j, k) and (k, j) of F with v_kjl = conj(v_jkl) -- all of them when F is
@@ -1011,6 +1027,8 @@ def _substitute(F, table):
     cls._check_substitution(F, table.args)
     conj = table._conj
     d, hs = table.near if type(F) is cls else (0, [])
+    if d > n:
+        return F.padded(n)
     shift, unpack, groups, kept, band = F._SHIFT, F._unpack, {}, {}, {}
     for key, v in F.num.items():
         w = key >> shift

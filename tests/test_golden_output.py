@@ -14,6 +14,12 @@ Three more hashes pin the chart path, ``stop_after="punctual"`` with
 60-term order-12 draws of the same generator; together they run the shear,
 the tilt, the bend and all three punctual stages.  Those values come from
 the code before the single-accumulator substitution.
+
+Three more pin the whole pipeline at the benchmark's ``chain_dense`` shape
+(single-stream 60-term order-10 draws) with ``verify=True``, which the
+benchmark never runs: every stage after the chain, from ``straighten`` to
+``reparam``, checks its residual here.  Those values come from the code
+before the one-pass Re/Im and the in-place remainder of ``graph_transform``.
 """
 
 import hashlib
@@ -44,12 +50,29 @@ CHART_GOLDEN = {
          "be2a65c1888aacb95d5391d0d36fc0372de65528c0a2ce6dc947c3444b4ecb22"),
 }
 
+CHAIN_GOLDEN = {
+    2: (["shear", "bend", "scale"],
+        "687b652f3e0ab1cd2b8f785fc02e8793b920260b7933062626cb2c726ca439cb"),
+    9: (["tilt"],
+        "9fce9e4f1dd6a1d43b2e1bfcabaa0bfce7be00d4e1cfc2a4560c12e17e4a25b5"),
+    24: (["bend"],
+         "815c9fb77fcf1ec59cb7130313ff8136b74b24c5b3efdd18e18b170334eb3183"),
+}
+
 
 def load_gen():
     spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen
+
+
+def chain_digest(result):
+    phi = result.chain_curve.phi
+    chain = [[m, str(phi.coeff(m).real), str(phi.coeff(m).imag)]
+             for m in range(phi.n + 1) if phi.coeff(m)]
+    blob = json.dumps([result.surface.to_json(), result.stage_names(), chain], sort_keys=True)
+    return len(chain), hashlib.sha256(blob.encode()).hexdigest()
 
 
 def test_order_14_ladder_surface_is_bit_identical():
@@ -59,12 +82,7 @@ def test_order_14_ladder_surface_is_bit_identical():
     result = normalize_hypersurface(Hypersurface.from_json(obj))
     assert result.completed
     assert result.stage_names() == GOLDEN_STAGES
-    phi = result.chain_curve.phi
-    chain = [[m, str(phi.coeff(m).real), str(phi.coeff(m).imag)]
-             for m in range(phi.n + 1) if phi.coeff(m)]
-    assert len(chain) == 4
-    blob = json.dumps([result.surface.to_json(), result.stage_names(), chain], sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_SHA256
+    assert chain_digest(result) == (4, GOLDEN_SHA256)
 
 
 @pytest.mark.parametrize("seed", sorted(CHART_GOLDEN))
@@ -77,3 +95,15 @@ def test_chart_path_draws_are_bit_identical(seed):
     assert all(s.residual_zero is True for s in result.stages)
     blob = json.dumps([result.surface.to_json(), result.stage_names()], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", sorted(CHAIN_GOLDEN))
+def test_chain_dense_draws_are_bit_identical_with_verify(seed):
+    chart, digest = CHAIN_GOLDEN[seed]
+    rng = random.Random(seed)
+    obj = load_gen().rand_surface_json(rng, rng, 10, 60)
+    result = normalize_hypersurface(Hypersurface.from_json(obj), verify=True)
+    assert result.completed
+    assert result.stage_names() == chart + GOLDEN_STAGES
+    assert all(s.residual_zero is True for s in result.stages)
+    assert chain_digest(result) == (2, digest)

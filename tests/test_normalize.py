@@ -285,6 +285,13 @@ class TestGraphTransform:
         with pytest.raises(MathPreconditionError):
             graph_transform(M, Biholo(HoloSeries.z_var(3), HoloSeries.w_var(8)))
 
+    def test_weight_one_surface_refused_up_front(self):
+        # E = g(z, u + iF) would be sound only to about weight n/2, which the
+        # map used to be blamed for; the message names the surface's term
+        F = Series3(8, {(1, 1, 0): ONE, (1, 0, 0): gr(1, 1), (0, 1, 0): gr(1, -1)})
+        with pytest.raises(MathPreconditionError, match="no weight-1 term .*shear"):
+            graph_transform(Hypersurface(F), Biholo.identity(8))
+
     def test_pure_scaling(self):
         # (z, w) -> (2z, 4w) maps the sphere to itself
         h = Biholo(HoloSeries(7, {(1, 0): gr(2)}), HoloSeries(8, {(0, 1): gr(4)}))
