@@ -900,13 +900,10 @@ def kill_f33_reparam(M, stages=None, verify=False):
 # chain finding on a surface normalized through weight 5
 # ---------------------------------------------------------------------------
 
-def _straighten_through_rotation(M, curve, stages, verify=False, stop_after=None):
-    """Straighten curve to the u-axis and run the stages through the rotation;
+def _through_rotation(M, stages, verify=False, stop_after=None):
+    """Run harmonics, levi, absorb and rotate on a straightened surface;
     returns (surface, stopped), stopped True when the checkpoint stop_after
     was reached (the surface is then the one at it)."""
-    M = straighten_curve(M, curve, stages, verify)
-    if stop_after == "straighten":
-        return M, True
     # the stages are looked up by name on each call, not kept in a module
     # constant, so a wrapper on the module's names (perfbench/tracing.py) counts
     for name, stage in (
@@ -921,10 +918,26 @@ def _straighten_through_rotation(M, curve, stages, verify=False, stop_after=None
     return M, False
 
 
+def _without_terms(M, cut):
+    """M without its terms z^j zbar^k u^l for which cut(j, k, l) holds; the
+    cut set must be closed under j <-> k, so that the result stays real."""
+    F = M.series
+    num = {key: v for key, v in F.num.items() if not cut(*Series3._unpack(key))}
+    return Hypersurface(_reduced_series(Series3, F.n, F.d, num), check=False)
+
+
 def _f32_slice_through_subpipeline(M, phi):
-    """Straighten phi's completion and run the stages through the rotation;
-    return the F_{3,2} slice of the result."""
-    M5, _ = _straighten_through_rotation(M, TransversalCurve.complete(M, phi), [])
+    """The F_{3,2} slice that straightening phi's completion and the stages
+    through the rotation leave.
+
+    The stages after ``straighten`` run on the straightened surface without
+    its terms z^j zbar^k u^l with j > 3 or k > 3.  Those terms span an ideal
+    I, closed under conjugation, that holds no F_{3,2} term, and the output
+    mod I depends only on the input mod I (see ``find_chain_curve``), so
+    the slice is the one the whole surface leaves.
+    """
+    M = straighten_curve(M, TransversalCurve.complete(M, phi))
+    M5, _ = _through_rotation(_without_terms(M, lambda j, k, l: j > 3 or k > 3), [])
     return M5.slice(3, 2)
 
 
@@ -956,32 +969,62 @@ def find_chain_curve(M):
     s^(1-2k), a coefficient of F of weight d >= 6 by s^(2-d), and r_m by
     s^(1-2m); a product of c with any other of these scales faster than r_m.
 
+    Weights: give c_k the weight 2k + 1 of the coefficients of F that scale
+    like it.  A term of the output then has the weight of the input term
+    that moves it at first order, and a product of factors of weights a and
+    b scales like weight a + b - 2.  Every factor (a coefficient of F of
+    weight >= 6, or a c_k) has weight >= 6, so a product with a factor of
+    weight d reaches only weights >= d + 4.  The u^q coefficient of F_{3,2}
+    has the odd weight 5 + 2q, so r_m has weight 2m + 1.
+
     The coefficients are solved in blocks of two.  A run for the block
     (m, m+1) carries the curve c_3..c_{m-1} and yields both r_m and r_{m+1}:
 
     * at first order c_m moves only r_m (t^m gives conj(phi'') in u^(m-2));
-    * r_{m+1} scales like s^(-1-2m), and a product of c_m with a coefficient
-      of F of weight >= 6 or with another c_k scales like s^(-3-2m) or
-      faster, so it first reaches r_{m+2};
+    * c_m has weight 2m + 1, so its products reach only weights >= 2m + 5
+      and first reach r_{m+2};
     * so c_m cannot move r_{m+1}, and r_{m+1} read without c_m is the one
       the curve through c_m leaves.  Blocks of three fail: a product of
-      c_m with a weight-6 coefficient of F scales like r_{m+2}, and moves it.
+      c_m with a weight-6 coefficient of F has weight 2m + 5, and moves
+      r_{m+2}.
 
-    The run for the block (m, top), top = min(m+1, mmax), is on the surface
-    truncated to order 2 top + 1, with the curve carried to t-order top.
-    That is sound:
+    The run for the block (m, top), top = min(m+1, mmax), gets only the
+    terms of F that can reach the residuals it reads, r_q for q <= top - 2:
 
-    * the u^q coefficient of F_{3,2} has weight 5 + 2q, so r_top is the
-      weight-(2 top + 1) coefficient q = top - 2;
-    * the subpipeline maps substitute arguments of weight >= 1 in z and >= 2
-      in w, so they never lower weight: input terms above weight 2 top + 1
-      cannot reach it;
-    * so coefficients q <= top - 2 of F_{3,2} from the truncated run equal
-      those of the full-order run.
+    * no term above weight 2 top + 1: the surface is truncated to that
+      order, with the curve carried to t-order top.  The subpipeline maps
+      substitute arguments of weight >= 1 in z and >= 2 in w, so they never
+      lower weight, and r_top has weight 2 top + 1;
+    * no term of weight 2m or 2m + 2.  Weight 2m moves at first order only
+      the even weight 2m, and in products only weights >= 2m + 4, so it
+      reaches neither r_m (2m + 1) nor r_{m+1} (2m + 3); weight 2m + 2 moves
+      2m + 2 and >= 2m + 6, so it misses r_{m+1}.  The first block (3, 4)
+      runs on z zbar + F_7 + F_9, where it is linear;
+    * every weight <= 2m - 1 stays.  The residuals r_q below r_m, which the
+      "reappeared" check reads, have weights <= 2m - 1 and come from those
+      terms at first order, and in products those terms reach r_m and
+      r_{m+1} too (weight 2m - 2 times a weight-7 factor has weight
+      2m + 3).  A block run without weight 2m - 1 as well trips the check.
 
-    A surface of order n takes ceil((mmax - 2)/2) runs, mmax = (n-1)//2.
-    normalize_hypersurface still checks the full-order slice(3, 2) after the
-    rotation, which certifies the found chain on every call.
+    Inside each run the stages after ``straighten`` see only the terms
+    z^j zbar^k u^l with j, k <= 3 (``_f32_slice_through_subpipeline``).
+    The other terms span I, a monomial ideal closed under conjugation, and
+    the output mod I depends only on the straightened surface mod I:
+
+    * each map of harmonics, levi, absorb and rotate has f(0, w) = 0, so
+      P = f(z, u + iF) lies in (z) and conj P in (zbar), and F' -> F'(P,
+      conj P, Q) maps I into I, as does every product with a term of I;
+    * the maps are built from slices of the surface, and the only slice
+      terms in I they read are harmonics' F_{j,0} and absorb's F_{j,1} with
+      j >= 4; those add map terms divisible by z^4, which land in I;
+    * F_{3,2} lies outside I.  ``straighten`` itself lowers the z-degree
+      (its f(0, w) = -phi(tau(w))), so it still gets the whole block input.
+
+    So coefficients q <= top - 2 of F_{3,2} from the cut run equal those of
+    a run on the whole surface.  A surface of order n takes
+    ceil((mmax - 2)/2) runs, mmax = (n-1)//2.  normalize_hypersurface still
+    checks the full-order slice(3, 2) after the rotation, which certifies
+    the found chain on every call.
     """
     F = M.series
     n = F.n
@@ -994,7 +1037,10 @@ def find_chain_curve(M):
     coeffs = {}
     for m in range(3, mmax + 1, 2):
         top = min(m + 1, mmax)
-        f32 = _f32_slice_through_subpipeline(M.with_order(2 * top + 1), UPoly(top, coeffs))
+        block = _without_terms(
+            M.with_order(2 * top + 1), lambda j, k, l: j + k + 2 * l in (2 * m, 2 * m + 2)
+        )
+        f32 = _f32_slice_through_subpipeline(block, UPoly(top, coeffs))
         for q in range(m - 2):
             if f32.coeff(q):
                 raise InternalInvariantError(
@@ -1115,7 +1161,10 @@ def normalize_hypersurface(M, curve=None, verify=False, stop_after=None):
         if stop_after == "adapt":
             return result(cur, False)
 
-    cur, stopped = _straighten_through_rotation(cur, chain, stages, verify, stop_after)
+    cur = straighten_curve(cur, chain, stages, verify)
+    if stop_after == "straighten":
+        return result(cur, False)
+    cur, stopped = _through_rotation(cur, stages, verify, stop_after)
     if stopped:
         return result(cur, False)
 

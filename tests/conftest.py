@@ -5,14 +5,26 @@ Coefficients are kept small (numerators/denominators of a few digits) so the
 exact pipelines stay fast.
 """
 
+import importlib.util
 import random
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from moser_chains.lie_jets import RPoly, IntrinsicField
 from moser_chains.series_core import GaussianRational, Series3, UPoly
+
+GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def load_gen():
+    """The benchmark's surface generator, ``perfbench/gen.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def rand_rat(rng, num=6, den=4, nonzero=False):

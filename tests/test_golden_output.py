@@ -23,17 +23,13 @@ before the one-pass Re/Im and the in-place remainder of ``graph_transform``.
 """
 
 import hashlib
-import importlib.util
 import json
 import random
 
-from pathlib import Path
-
 import pytest
 
+from conftest import load_gen
 from moser_chains import Hypersurface, normalize_hypersurface
-
-GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
 GOLDEN_SHA256 = "6620d7dacc435e389c7621e57562089c5b1315d3db0b091338837564aef44fb0"
 GOLDEN_STAGES = [
@@ -58,13 +54,6 @@ CHAIN_GOLDEN = {
     24: (["bend"],
          "815c9fb77fcf1ec59cb7130313ff8136b74b24c5b3efdd18e18b170334eb3183"),
 }
-
-
-def load_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 def chain_digest(result):

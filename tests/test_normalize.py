@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_gr, rand_rat, rand_real_series3
+from conftest import load_gen, rand_gr, rand_rat, rand_real_series3
 from moser_chains import normalize
 from moser_chains.errors import (
     InternalInvariantError,
@@ -38,6 +38,8 @@ from moser_chains.normalize import (
     transform_curve,
     translate_to_point,
     _f32_slice_through_subpipeline,
+    _through_rotation,
+    _without_terms,
     _punctual_system,
     _solve_punctual,
 )
@@ -913,6 +915,85 @@ class TestChain:
         assert len(calls) == runs == -(-(mmax - 2) // 2)
         # each block (m, m+1) runs at order 2 min(m+1, mmax) + 1
         assert calls == [2 * min(m + 1, mmax) + 1 for m in range(3, mmax + 1, 2)]
+
+    @pytest.mark.parametrize("n", [11, 13, 16, 17])
+    @pytest.mark.parametrize("seed", range(7, 12))
+    def test_cut_block_runs_match_full_input(self, monkeypatch, n, seed):
+        # the block (m, top) runs without weights 2m and 2m + 2 and, after
+        # straighten, without the terms with j > 3 or k > 3; its F_{3,2}
+        # coefficients through u^(top-2) are those of a run on the whole
+        # surface at order 2 top + 1.  Orders 11 and 16 end on a one-target
+        # block (top = m), 13 and 17 on a two-target one.  The surfaces are
+        # the seed's single-stream 30-term draws of the benchmark's generator,
+        # normalized through weight 5
+        rng = random.Random(seed)
+        obj = load_gen().rand_surface_json(rng, rng, n, 30)
+        M = normalize_hypersurface(Hypersurface.from_json(obj), stop_after="punctual").surface
+        runs = []
+        inner = normalize._f32_slice_through_subpipeline
+
+        def recorded(block, phi):
+            runs.append((phi, inner(block, phi)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(normalize, "_f32_slice_through_subpipeline", recorded)
+        find_chain_curve(M)
+        mmax = (n - 1) // 2
+        assert [phi.n for phi, _ in runs] == [min(m + 1, mmax) for m in range(3, mmax + 1, 2)]
+        for phi, f32 in runs:
+            top = phi.n
+            whole = M.with_order(2 * top + 1)
+            straight = straighten_curve(whole, TransversalCurve.complete(whole, phi))
+            full, _ = _through_rotation(straight, [])
+            for q in range(top - 1):
+                assert f32.coeff(q) == full.slice(3, 2).coeff(q), (top, q)
+
+    def test_block_runs_get_only_the_terms_that_reach_residuals(self, monkeypatch):
+        # the block (m, top) straightens a surface with no term of weight 2m
+        # or 2m + 2, and the stages after straighten see no term
+        # z^j zbar^k u^l with j > 3 or k > 3
+        rng = random.Random(7)
+        obj = load_gen().rand_surface_json(rng, rng, 17, 30)
+        M = normalize_hypersurface(Hypersurface.from_json(obj), stop_after="punctual").surface
+        seen = []
+        for name in ("straighten_curve", "kill_harmonics"):
+            def recorded(M, *args, inner=getattr(normalize, name), **kwargs):
+                seen.append({Series3._unpack(key) for key in M.series.num})
+                return inner(M, *args, **kwargs)
+
+            monkeypatch.setattr(normalize, name, recorded)
+        find_chain_curve(M)
+        blocks = (3, 5, 7)
+        assert len(seen) == 2 * len(blocks)
+        # the surface has terms of every weight the blocks drop, and terms
+        # with j > 3
+        weights = {j + k + 2 * l for j, k, l in M.series.c}
+        assert {2 * m + e for m in blocks for e in (0, 2)} <= weights
+        assert any(j > 3 for j, _, _ in M.series.c)
+        for m, straightened, harmonics in zip(blocks, seen[::2], seen[1::2]):
+            assert not {j + k + 2 * l for j, k, l in straightened} & {2 * m, 2 * m + 2}, m
+            assert all(j <= 3 and k <= 3 for j, k, _ in harmonics), m
+
+    def test_block_cut_one_weight_too_far_trips_reappeared_check(self, monkeypatch):
+        # weight 2m - 1 moves r_{m-1} at first order: a block run without it
+        # leaves the residual of the u^(m-3) coefficient that the block
+        # before solved, and find_chain_curve refuses it
+        rng = random.Random(21)
+        n = 13
+        pert = rand_real_series3(rng, n, terms=20, min_weight=6)
+        seeded = [(3, 2, m - 2, rand_gr(rng, nonzero=True)) for m in range(3, 7)]
+        M = Hypersurface(perturbed_sphere(n, *seeded).series + pert)
+        find_chain_curve(M)
+        blocks = iter((3, 5))
+        inner = normalize._f32_slice_through_subpipeline
+
+        def cut_too_far(block, phi):
+            m = next(blocks)
+            return inner(_without_terms(block, lambda j, k, l: j + k + 2 * l == 2 * m - 1), phi)
+
+        monkeypatch.setattr(normalize, "_f32_slice_through_subpipeline", cut_too_far)
+        with pytest.raises(InternalInvariantError, match="solved order 2 reappeared"):
+            find_chain_curve(M)
 
     def test_found_chain_is_verified_by_full_run(self, rng):
         for _ in range(3):
