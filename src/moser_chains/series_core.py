@@ -42,10 +42,12 @@ a table of the arguments' powers; each entry point only checks its arguments
 and fixes the order to which its result is sound.  The pipeline has no other
 substitution code: composing maps, pushing a map along a curve,
 reparametrizing a curve and moving a surface to another base point all go
-through this core.  A table holds the powers at one order; each entry point
-builds a fresh one.  ``GraphTable`` is the one table for F(x, conj(x), t),
-with x a graph's ``Series3`` or a curve's ``UPoly``, and it can be shared by
-several substitutions into the same arguments at its order.
+through this core.  A table (``PowerTable``) holds products of the
+arguments' powers for one order, each built only to the weight its reader
+needs; each entry point builds a fresh one.  ``GraphTable`` is the one table
+for F(x, conj(x), t), with x a graph's ``Series3`` or a curve's ``UPoly``,
+and it can be shared by several substitutions into the same arguments at its
+order.
 
 Every series equation the pipeline solves (``UPoly`` inverses and the stage
 equations of ``normalize``) goes through one solver, ``fixed_point``.
@@ -57,9 +59,11 @@ m of weight w to m + sum_i (dm/dx_i) h_i plus terms with two or more factors
 h_i, all of weight >= w + 2d.  To order n the core therefore copies the terms
 of weight above n - d, takes one product per argument for the band
 n - 2d < w <= n - d, and substitutes only the terms of weight <= n - 2d in
-full.  A graph or curve substitution F(x, conj(x), t) has a real t, so its
-table builds half of its powers and products as conjugates
-(``GraphTable``); the result stays exact for any F.
+full.  One copy rule covers the case with no band and no rest: an F whose
+every term lies above n - d (any F when no argument has an offset) comes
+back as it is, at order n.  A graph or curve substitution F(x, conj(x), t)
+has a real t, so its table builds half of its powers and products as
+conjugates (``GraphTable``); the result stays exact for any F.
 
 Coefficients are exact Gaussian rationals.  Series arithmetic -- sums,
 products, scalar multiples, conjugation, truncation, slices and the
@@ -95,6 +99,7 @@ import re
 
 from fractions import Fraction
 from math import gcd, inf, lcm
+from operator import mul
 
 from .errors import InternalInvariantError, ParseError
 
@@ -439,10 +444,7 @@ class WeightedSeries:
     def __mul__(self, other):
         cls = type(self)
         if isinstance(other, cls):
-            n = min(self.n, other.n)
-            num = {}
-            _mul_into(num, self, sorted(other.num.items()), n)
-            return _reduced_series(cls, n, self.d * other.d, num)
+            return _times(self, other, min(self.n, other.n))
         v = exact_scalar(other, "%s scalar operand" % cls.__name__)
         a, b = v._a, v._b
         num = {k: (x * a - y * b, x * b + y * a) for k, (x, y) in self.num.items()}
@@ -555,6 +557,14 @@ def _mul_into(num, x, ys, n):
             re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
             s = get(key)
             num[key] = (re, im) if s is None else (s[0] + re, s[1] + im)
+
+
+def _times(x, y, n):
+    """The product x * y to weight n, through the one product loop; the
+    caller vouches that the operands make it sound to n."""
+    num = {}
+    _mul_into(num, x, sorted(y.num.items()), n)
+    return _reduced_series(type(x), n, x.d * y.d, num)
 
 
 def _combine(cls, n, d, parts):
@@ -915,49 +925,73 @@ def _tail_bound(F, order, z_low, w_low, polynomial):
 
 
 class PowerTable:
-    """Powers of substitution arguments at one order n, built on demand.
+    """Powers of substitution arguments at one order n, and their products,
+    each built on demand only to the weight its reader needs.
 
-    ``power(i, e)`` is args[i]**e and ``head(key)`` the product of the powers
-    that all but the last exponent of a key name (zs^j conj(zs)^k for a graph
-    key (j, k, l)), with its low weight (None when it is zero); a zero
-    exponent adds no factor, and an all-zero head is the series one.  The
-    zeroth power is one and the first is the argument truncated to n, with
-    no product; higher powers and the heads are kept once built, so
-    substitutions that share a table build each of them once.  ``near`` is
-    the arguments' gap d and offsets h_i (``_near_identity``), found once
-    per table.  A graph or curve substitution uses ``GraphTable``, which
-    builds half of its powers and heads as conjugates.
+    ``power(i, e, m)`` is args[i]**e and ``head(key, m)`` the product of the
+    powers that all but the last exponent of a key name (zs^j conj(zs)^k for
+    a graph key (j, k, l)); a zero exponent adds no factor, and an all-zero
+    head is the series one.  Each is sound at least to weight m, and to the
+    full order when m is left out.  An entry is built through the one
+    product loop to weight m, capped at the arguments' orders (``caps``: a
+    power at its argument's, a head at the smallest of args[0] up to its
+    last factor), and kept with m (inf for a full read) in ``pows`` or
+    ``heads``: a later read to weight <= m returns it, and one to a higher
+    weight rebuilds it, with the powers it is made of.  So an entry read at
+    n is exactly the full product, and one read lower is the full one
+    truncated.  The zeroth power is one and the first is the argument
+    truncated to n, with no product.
+
+    ``lows`` are the arguments' low weights (n + 1 for a zero one).  The low
+    weight of a product is read off its exponents, sum_i e_i * low(x_i),
+    because the lowest-weight parts of nonzero series multiply to a nonzero
+    part.  So a power e is args[i]**(e - 1), read to m - low(x_i), times
+    args[i]; and each factor of a head is read to m less the low weights of
+    the others.  ``near`` is the arguments' gap d and offsets h_i
+    (``_near_identity``), found once per table.  A graph or curve
+    substitution uses ``GraphTable``, whose ``_conj`` makes half of the
+    powers and heads conjugates.
     """
 
-    __slots__ = ("args", "n", "pows", "heads", "near")
+    __slots__ = ("args", "n", "pows", "heads", "lows", "caps", "near")
 
     #: the conjugation of the arguments' class when the table mirrors
     #: (see ``GraphTable``), else None
     _conj = None
 
     def __init__(self, args, n):
-        self.args = args
-        self.n = n
-        one = type(args[0]).one(n)
-        self.pows = [[one, arg.truncate(n)] for arg in args]
+        self.args, self.n, self.near = args, n, _near_identity(args, n)
+        self.pows = [{0: (type(arg).one(n), inf), 1: (arg.truncate(n), inf)} for arg in args]
         self.heads = {}
-        self.near = _near_identity(args, n)
+        self.lows = [arg.low_weight() if arg.num else n + 1 for arg in args]
+        self.caps = [min(n, arg.n) for arg in args]
 
-    def power(self, i, e):
-        pows = self.pows[i]
-        while len(pows) <= e:
-            pows.append(pows[-1] * self.args[i])
-        return pows[e]
+    def power(self, i, e, m=inf):
+        got = self.pows[i].get(e)
+        if got is None or got[1] < m:
+            got = self.pows[i][e] = (self._power(i, e, m), m)
+        return got[0]
 
-    def head(self, key):
-        entry = self.heads.get(key)
-        if entry is None:
-            factors = [self.power(i, e) for i, e in enumerate(key) if e]
-            prod = factors[0] if factors else self.pows[0][0]
-            for factor in factors[1:]:
-                prod = prod * factor
-            entry = self.heads[key] = (prod, prod.low_weight())
-        return entry
+    def head(self, key, m=inf):
+        got = self.heads.get(key)
+        if got is None or got[1] < m:
+            got = self.heads[key] = (self._head(key, m), m)
+        return got[0]
+
+    def _power(self, i, e, m):
+        if self._conj and i == 1:
+            return self._conj(self.power(0, e, m))
+        return _times(self.power(i, e - 1, m - self.lows[i]), self.args[i], min(m, self.caps[i]))
+
+    def _head(self, key, m):
+        if self._conj and key[1] > key[0]:
+            return self._conj(self.head(key[::-1], m))
+        prod = None
+        for i, e in enumerate(key):
+            if e:
+                b = self.power(i, e, m - sum(map(mul, key, self.lows)) + e * self.lows[i])
+                prod = b if prod is None else _times(prod, b, min(m, *self.caps[: i + 1]))
+        return self.pows[0][0][0] if prod is None else prod
 
 
 def _near_identity(args, n):
@@ -992,9 +1026,13 @@ def _substitute(F, table):
     all-zero head needs no product.  The result has the type of the
     arguments, whose class checks F first (``_check_substitution``).
 
-    A head product whose lowest weight is w multiplies the inner sum, so a
-    term of the inner sum above weight n - w only makes output above the
-    order n: the inner sum is built to weight n - w only.
+    A group reads its head and its powers of Q only to the weight they can
+    reach the order n at.  The head has low weight w = sum_i e_i * low(x_i),
+    from its key (``PowerTable``), and the inner sum low weight
+    min(l) * low(Q); a term of either above n less the other's low weight
+    only makes output above n.  So the head is read to n - min(l) * low(Q),
+    the powers of Q and the inner sum to n - w, and a group with
+    w + min(l) * low(Q) > n (a zero argument, say) is skipped.
 
     When F has the arguments' class and the table's arguments are x_i + h_i
     with every h_i at least d >= 1 weights above x_i (``_near_identity``),
@@ -1003,9 +1041,11 @@ def _substitute(F, table):
     terms of weight >= w + 2d.  So the terms with n - d < w <= n are copied,
     those with n - 2d < w <= n - d add one product (dF_band/dx_i) * h_i per
     argument, and those above n add nothing.  With d = 0 every term is
-    grouped, as a constant-term argument of a complete F needs.  With d > n
-    (no argument has an offset) every term is copied, so the result is F at
-    the order n, returned as it is.
+    grouped, as a constant-term argument of a complete F needs.  When every
+    term of F lies above n - d -- F of any weight when no argument has an
+    offset (d = n + 1) -- every term is copied: ``F.padded(n)`` is returned
+    after the one pass that sorts the terms, with no summing or reduction
+    pass.
 
     On a mirror table (arguments (x, conj(x), t) with t real) the groups
     (j, k) and (k, j) of F with v_kjl = conj(v_jkl) -- all of them when F is
@@ -1027,8 +1067,6 @@ def _substitute(F, table):
     cls._check_substitution(F, table.args)
     conj = table._conj
     d, hs = table.near if type(F) is cls else (0, [])
-    if d > n:
-        return F.padded(n)
     shift, unpack, groups, kept, band = F._SHIFT, F._unpack, {}, {}, {}
     for key, v in F.num.items():
         w = key >> shift
@@ -1039,6 +1077,8 @@ def _substitute(F, table):
             kept[key] = v
             if w <= n - d:
                 band[key] = v
+    if d and not (groups or band):
+        return F.padded(n)
     grads = [(g, h) for i, h in hs if (g := _derivative(_series(cls, n, F.d, band), i))]
     mirrored = set()
     if conj:
@@ -1049,9 +1089,10 @@ def _substitute(F, table):
         del groups[k, j]
     heads = []
     for head, pairs in sorted(groups.items()):
-        prod, low = table.head(head)
-        if low is not None:
-            pows = [(table.power(last, l), a, b) for l, (a, b) in pairs.items()]
+        low, reach = sum(map(mul, head, table.lows)), n - min(pairs) * table.lows[last]
+        if low <= reach:
+            prod = table.head(head, reach)
+            pows = [(table.power(last, l, n - low), a, b) for l, (a, b) in pairs.items()]
             heads.append((head, prod, low, pows, prod.d * F.d * lcm(*(p.d for p, _, _ in pows))))
     den = lcm(F.d, *(F.d * h.d for _, h in grads), *(part[-1] for part in heads))
     acc, mirror = {}, {}
@@ -1100,9 +1141,10 @@ class GraphTable(PowerTable):
     t must be real, which is checked once, here.  Conjugation is then a ring
     automorphism that fixes t and swaps x with conj(x), so conj(x)^e =
     conj(x^e) and x^k conj(x)^j = conj(x^j conj(x)^k): ``power(1, e)`` and
-    ``head((j, k))`` for k > j are built as conjugates of entries the table
-    has, with no series product.  Conjugation keeps every weight, so the low
-    weights and the truncation agree too.
+    ``head((j, k))`` for k > j are built as conjugates of the entries read to
+    the same weight, with no series product (``PowerTable._power`` and
+    ``_head``).  Conjugation keeps every weight, so the low weights and the
+    truncation agree too.
 
     Calling the table is ``eval_graph(F, x, t)`` with the table's powers, for
     substituting several series F into the same arguments: F(x, conj(x), t)
@@ -1119,24 +1161,6 @@ class GraphTable(PowerTable):
         super().__init__((x, conj(x), t), n)
         self._conj = conj
         self.bounds = _bounds(x, t)
-
-    def power(self, i, e):
-        if i != 1:
-            return super().power(i, e)
-        pows = self.pows[1]
-        while len(pows) <= e:
-            pows.append(self._conj(self.power(0, len(pows))))
-        return pows[e]
-
-    def head(self, key):
-        j, k = key
-        if k <= j:
-            return super().head(key)
-        entry = self.heads.get(key)
-        if entry is None:
-            prod, low = self.head((k, j))
-            entry = self.heads[key] = (self._conj(prod), low)
-        return entry
 
     def __call__(self, F):
         n = _tail_bound(F, *self.bounds, False)

@@ -530,6 +530,33 @@ class TestAdaptChart:
         with pytest.raises(LeviDegenerateError):
             adapt_chart(bad)
 
+    def test_levi_degenerate_after_shear_raises(self):
+        # v = z zbar + 2 Re(alpha z) + 2 Re(beta z u): the raw z zbar
+        # coefficient is 1, but the shear that removes alpha z sends
+        # u to u - Re(nu z) with nu = -2i alpha, which leaves the z zbar
+        # coefficient 1 - 2 Re(i beta conj(alpha)) = 0 here
+        alpha, beta = gr(2, -1), gr("-3/2", "1/2")
+        assert 1 - 2 * (beta * gr(0, 1) * alpha.conjugate()).real == 0
+        M = perturbed_sphere(6, (1, 0, 0, alpha), (1, 0, 1, beta))
+        assert M.series.coeff(1, 1, 0) == ONE
+        with pytest.raises(LeviDegenerateError):
+            normalize_hypersurface(M)
+
+    def test_benchmark_draw_levi_degenerate_after_shear(self):
+        # the generator checks only the raw z zbar coefficient, so its
+        # chart_verify draw for seed 571, surface 2, is the surface above
+        obj = load_gen().rand_surface_json(
+            random.Random("chart_verify/monomials/2"),
+            random.Random("chart_verify/571/coefficients/2"),
+            9,
+            60,
+        )
+        F = Hypersurface.from_json(obj).series
+        assert F.coeff(1, 1, 0) == ONE
+        assert (F.coeff(1, 0, 0), F.coeff(1, 0, 1)) == (gr(2, -1), gr("-3/2", "1/2"))
+        with pytest.raises(LeviDegenerateError):
+            normalize_hypersurface(Hypersurface(F), verify=True, stop_after="punctual")
+
     def test_negative_levi_single_scale(self):
         M = Hypersurface(Series3.hermitian_square(8) * gr(-2))
         stages = []

@@ -819,7 +819,7 @@ class TestSubstitution:
         built = len(products)
         assert built
         mirrored = [table.power(1, e) for e in range(4)]
-        mirrored += [table.head(head)[0] for head in ((0, 1), (0, 2), (1, 2), (0, 3))]
+        mirrored += [table.head(head) for head in ((0, 1), (0, 2), (1, 2), (0, 3))]
         assert len(products) == built
 
         a, r = gr("1/2", -3), gr("5/7")
