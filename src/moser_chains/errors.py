@@ -6,7 +6,10 @@ Three kinds of failure are kept apart on purpose:
   out-of-range configuration), including a scalar that is not an exact
   (Gaussian) rational, an order that is not an integer in range or an
   exponent key that is not a tuple of integers >= 0 of the class's length,
-  passed to any constructor, scalar product or pipeline entry point.
+  passed to any constructor, scalar product or pipeline entry point, and a
+  pipeline argument of the wrong type (a surface that is not a
+  ``Hypersurface``, a map that is not a ``Biholo``, a curve that is not a
+  ``TransversalCurve``).
 * ``MathPreconditionError`` -- the input is well-formed but violates a
   mathematical hypothesis of the requested operation (e.g. a degenerate
   Levi form, a map that does not fix the origin).

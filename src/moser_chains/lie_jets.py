@@ -1,4 +1,4 @@
-"""Jet prolongation calculus for vector fields on graph coordinates.
+"""Vector fields and their jet prolongation, on named coordinates.
 
 A hypersurface in graph form carries intrinsic coordinates (u, x, y) with
 z = x + iy; curves transversal to the complex tangent are graphs
@@ -11,12 +11,14 @@ implements:
   only as scratch space for the total derivative (they must cancel from any
   second prolongation), and (a2, b2) are offset parameters used by the
   jet-locus analysis.
-* ``IntrinsicField`` -- xi d_u + phi d_x + psi d_y with coefficients in
-  (u, x, y) only.
+* ``VectorField`` -- one class for every field of the symbolic half:
+  sum_v comp[v] d_v, with ``HoloSeries`` components on (z, w) (the sphere's
+  isotropy algebra) or ``RPoly`` components on (u, x, y) (its intrinsic
+  fields) and on 2-jet space (their prolongations); ``bracket`` is its Lie
+  bracket.
 * ``total_derivative`` -- the total u-derivative on 2-jet pullbacks.
-* ``prolong2`` -- second prolongation of an intrinsic field to the 2-jet
+* ``prolong2`` -- second prolongation of a field on (u, x, y) to the 2-jet
   coordinates, with the third-order slots checked to cancel identically.
-* brackets of intrinsic fields and of prolonged fields.
 
 Coefficients are exact Gaussian rationals over one denominator, as in every
 series.  They are real everywhere except inside
@@ -29,7 +31,7 @@ instead of truncating, and a constructor key past it raises ParseError.
 from __future__ import annotations
 
 from functools import reduce
-from operator import mul, or_
+from operator import add, mul, or_
 
 from .errors import InternalInvariantError, ParseError
 from .series_core import PowerTable, WeightedSeries, _derivative, _reduced_series, _substitute
@@ -182,42 +184,48 @@ def _check_vars(p, allowed, what):
     extra = p.vars_used() - set(allowed)
     if extra:
         raise InternalInvariantError(
-            "%s uses variables %s outside %s" % (what, sorted(extra), allowed)
+            "%s uses variables %s outside %s" % (what, sorted(extra), list(allowed))
         )
 
 
-class IntrinsicField:
-    """xi d_u + phi d_x + psi d_y with polynomial coefficients in (u, x, y)."""
+class VectorField:
+    """The field sum_v comp[v] d_v on the coordinates named by comp's keys.
 
-    __slots__ = ("xi", "phi", "psi")
+    Components are ``RPoly`` on jet coordinates (u, x, y) or 2-jet space,
+    or ``HoloSeries`` on (z, w), whose ``diff`` takes "z" and "w".  An RPoly
+    component may use only the field's own coordinates.
+    """
 
-    def __init__(self, xi, phi, psi):
-        for p, nm in ((xi, "xi"), (phi, "phi"), (psi, "psi")):
-            _check_vars(p, BASE_VARS, "intrinsic field component " + nm)
-        self.xi = xi
-        self.phi = phi
-        self.psi = psi
+    __slots__ = ("comp",)
+
+    def __init__(self, comp):
+        for name, p in comp.items():
+            if isinstance(p, RPoly):
+                _check_vars(p, comp, "field component " + name)
+        self.comp = dict(comp)
 
     def apply(self, h):
-        """Derivative of a function h(u, x, y) along the field."""
-        return self.xi * h.diff("u") + self.phi * h.diff("x") + self.psi * h.diff("y")
+        """Derivative of a function h of the field's coordinates along it."""
+        if isinstance(h, RPoly):
+            _check_vars(h, self.comp, "function")
+        return reduce(add, (p * h.diff(name) for name, p in self.comp.items()))
 
     def __eq__(self, other):
-        if not isinstance(other, IntrinsicField):
+        if not isinstance(other, VectorField):
             return NotImplemented
-        return self.xi == other.xi and self.phi == other.phi and self.psi == other.psi
+        return self.comp == other.comp
 
     def __repr__(self):
-        return "IntrinsicField(xi=%r, phi=%r, psi=%r)" % (self.xi, self.phi, self.psi)
+        return "VectorField(%r)" % (self.comp,)
 
 
-def bracket_intrinsic(a, b):
-    """Lie bracket [a, b] of two intrinsic fields."""
-    return IntrinsicField(
-        a.apply(b.xi) - b.apply(a.xi),
-        a.apply(b.phi) - b.apply(a.phi),
-        a.apply(b.psi) - b.apply(a.psi),
-    )
+def bracket(v, w):
+    """Lie bracket [v, w] of two fields on the same coordinates."""
+    if v.comp.keys() != w.comp.keys():
+        raise InternalInvariantError(
+            "bracket of fields on %s and %s" % (list(v.comp), list(w.comp))
+        )
+    return VectorField({name: v.apply(w.comp[name]) - w.apply(v.comp[name]) for name in v.comp})
 
 
 def total_derivative(p):
@@ -234,83 +242,28 @@ def total_derivative(p):
     return out
 
 
-class JetField2:
-    """A vector field on 2-jet space (u, x, y, x1, y1, x2, y2)."""
-
-    __slots__ = ("comp",)
-
-    def __init__(self, comp):
-        self.comp = {}
-        for name in JET2_VARS:
-            p = comp.get(name, RPoly.zero())
-            _check_vars(p, JET2_VARS, "jet field component " + name)
-            self.comp[name] = p
-
-    def apply(self, h):
-        _check_vars(h, JET2_VARS, "jet function")
-        out = RPoly.zero()
-        for name, p in self.comp.items():
-            d = h.diff(name)
-            if not d.is_zero():
-                out = out + p * d
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, JetField2):
-            return NotImplemented
-        return self.comp == other.comp
-
-    def __repr__(self):
-        return "JetField2(%r)" % (self.comp,)
-
-
 def prolong2(field):
-    """Second prolongation of an intrinsic field to 2-jet space.
+    """Second prolongation of a field xi d_u + phi d_x + psi d_y on (u, x, y)
+    to 2-jet space (u, x, y, x1, y1, x2, y2).
 
     The first-prolonged components are
         phi1 = D(phi - xi x1) + xi x2,   psi1 = D(psi - xi y1) + xi y2,
     and the second-prolonged ones
         phi2 = D(D(phi - xi x1)) + xi x3,  psi2 = D(D(psi - xi y1)) + xi y3.
-    The x3/y3 contributions must cancel identically; if they do not, the
-    input was not an intrinsic field and we refuse to continue.
+    A field on other coordinates is refused.  The x3/y3 contributions
+    cancel identically, which is checked.
     """
-    x1 = RPoly.var("x1")
-    y1 = RPoly.var("y1")
-    x2 = RPoly.var("x2")
-    y2 = RPoly.var("y2")
-    x3 = RPoly.var("x3")
-    y3 = RPoly.var("y3")
-
-    char_x = field.phi - field.xi * x1
-    char_y = field.psi - field.xi * y1
-
-    phi1 = total_derivative(char_x) + field.xi * x2
-    psi1 = total_derivative(char_y) + field.xi * y2
-    phi2 = total_derivative(total_derivative(char_x)) + field.xi * x3
-    psi2 = total_derivative(total_derivative(char_y)) + field.xi * y3
-
-    for p, nm in ((phi1, "phi1"), (psi1, "psi1"), (phi2, "phi2"), (psi2, "psi2")):
-        if p.uses_var("x3") or p.uses_var("y3"):
-            raise InternalInvariantError(
-                "third-order jet variables failed to cancel in %s" % nm
-            )
-
-    return JetField2(
-        {
-            "u": field.xi,
-            "x": field.phi,
-            "y": field.psi,
-            "x1": phi1,
-            "y1": psi1,
-            "x2": phi2,
-            "y2": psi2,
-        }
-    )
-
-
-def bracket_jet(v, w):
-    """Lie bracket of two fields on 2-jet space."""
-    comp = {}
-    for name in JET2_VARS:
-        comp[name] = v.apply(w.comp[name]) - w.apply(v.comp[name])
-    return JetField2(comp)
+    if field.comp.keys() != set(BASE_VARS):
+        raise InternalInvariantError(
+            "prolong2 takes a field on (u, x, y), not on %s" % list(field.comp)
+        )
+    xi = field.comp["u"]
+    comp = dict(field.comp)
+    for c in ("x", "y"):
+        d1 = total_derivative(comp[c] - xi * RPoly.var(c + "1"))
+        comp[c + "1"] = d1 + xi * RPoly.var(c + "2")
+        comp[c + "2"] = total_derivative(d1) + xi * RPoly.var(c + "3")
+    for name in JET2_VARS[3:]:
+        if comp[name].uses_var("x3") or comp[name].uses_var("y3"):
+            raise InternalInvariantError("third-order jet variables failed to cancel in d_" + name)
+    return VectorField(comp)

@@ -69,11 +69,11 @@ def _exact_real(value, what):
     return value.real
 
 
-def _check_order(n, least, what):
-    """ParseError unless the order n is an integer >= least (a bool is not);
-    the series constructors check the orders >= 0 themselves."""
-    if not is_json_count(n, least):
-        raise ParseError("%s order must be an integer >= %d, not %r" % (what, least, n))
+def _check_type(value, cls, what):
+    """ParseError unless value is a cls: a pipeline entry point refuses a
+    wrong-typed argument as malformed input."""
+    if not isinstance(value, cls):
+        raise ParseError("%s must be a %s, not %s" % (what, cls.__name__, type(value).__name__))
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +156,9 @@ class Biholo:
 
     @classmethod
     def identity(cls, n):
-        _check_order(n, 1, "identity map")
-        return cls(HoloSeries.z_var(n - 1), HoloSeries.w_var(n))
+        # w_var checks n, so z_var's n - 1 is an integer >= -1, refused below 0
+        g = HoloSeries.w_var(n)
+        return cls(HoloSeries.z_var(n - 1), g)
 
     def compose(self, inner):
         """self after inner (apply inner first)."""
@@ -265,7 +266,6 @@ def isotropy_map(lam, alpha, r, n):
     ``GaussianRational``) and n an integer >= 1; anything else raises
     ParseError.
     """
-    _check_order(n, 1, "isotropy map")
     lam = exact_scalar(lam, "isotropy parameter lambda")
     alpha = exact_scalar(alpha, "isotropy parameter alpha")
     r = _exact_real(r, "isotropy parameter r")
@@ -301,6 +301,7 @@ def translate_to_point(M, z0, u0, v0=None):
     substitution; if v0 is given it is validated against it.  The
     coordinates must be exact, as in ``isotropy_map``.
     """
+    _check_type(M, Hypersurface, "surface")
     F = M.series
     z0 = exact_scalar(z0, "z-coordinate")
     u0 = _exact_real(u0, "u-coordinate")
@@ -367,6 +368,8 @@ def graph_transform(M, h):
     weight part of a real series is real, so each step's remainder is, and
     the image is the sum of the real f_nu, added once at the end.
     """
+    _check_type(M, Hypersurface, "surface")
+    _check_type(h, Biholo, "map")
     return _graph_transform_parts(M, h)[:3]
 
 
@@ -434,6 +437,9 @@ def fundamental_identity_residual(M, h, M_target, polynomial=False):
     the solver's internals).  It builds P and E afresh; the shear, which
     has no transform, is the one stage that it checks (``_run_stage``).
     """
+    _check_type(M, Hypersurface, "surface")
+    _check_type(h, Biholo, "map")
+    _check_type(M_target, Hypersurface, "target surface")
     n = min(M.n, M_target.n)
     _, P, Q, R = _transform_ingredients(M.with_order(n), h, polynomial=polynomial)
     composed = eval_graph(M_target.series, P, Q, polynomial=polynomial)
@@ -1026,6 +1032,7 @@ def find_chain_curve(M):
     checks the full-order slice(3, 2) after the rotation, which certifies
     the found chain on every call.
     """
+    _check_type(M, Hypersurface, "surface")
     F = M.series
     n = F.n
     low = (F - Series3.hermitian_square(n)).low_weight()
@@ -1129,6 +1136,9 @@ def normalize_hypersurface(M, curve=None, verify=False, stop_after=None):
     supplied curve there is no "punctual" checkpoint, and asking for it
     raises ParseError.
     """
+    _check_type(M, Hypersurface, "surface")
+    if curve is not None:
+        _check_type(curve, TransversalCurve, "curve")
     if stop_after is not None and stop_after not in PIPELINE_STEPS:
         raise ParseError(
             "unknown checkpoint %r; expected one of %s" % (stop_after, ", ".join(PIPELINE_STEPS))

@@ -49,8 +49,10 @@ for F(x, conj(x), t), with x a graph's ``Series3`` or a curve's ``UPoly``,
 and it can be shared by several substitutions into the same arguments at its
 order.
 
-Every series equation the pipeline solves (``UPoly`` inverses and the stage
-equations of ``normalize``) goes through one solver, ``fixed_point``.
+The ``UPoly`` inverses and the series equations of ``normalize`` (the
+isotropy denominator, the harmonic inversion, the reparametrization) go
+through one solver, ``fixed_point``; ``normalize.graph_transform`` instead
+solves its image weight by weight, one linear step per weight.
 
 Most substitutions the pipeline makes are tangent to the identity: every
 argument is x_i + h_i, with x_i the i-th variable of its class and every term
@@ -881,11 +883,10 @@ class HoloSeries(WeightedSeries):
         num = {cls._pack((0, m)): v for m, v in p.num.items() if 2 * m <= n}
         return _reduced_series(cls, n, p.d, num)
 
-    def diff_z(self):
-        return _reduced_series(HoloSeries, max(self.n - 1, 0), self.d, _derivative(self, 0))
-
-    def diff_w(self):
-        return _reduced_series(HoloSeries, max(self.n - 2, 0), self.d, _derivative(self, 1))
+    def diff(self, name):
+        """d/dz or d/dw, by name; the order drops by the variable's weight."""
+        i = ("z", "w").index(name)
+        return _reduced_series(HoloSeries, max(self.n - 1 - i, 0), self.d, _derivative(self, i))
 
 
 # ---------------------------------------------------------------------------

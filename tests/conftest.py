@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from moser_chains.lie_jets import RPoly, IntrinsicField
+from moser_chains.lie_jets import RPoly, VectorField
 from moser_chains.series_core import GaussianRational, Series3, UPoly
 
 GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
@@ -94,10 +94,8 @@ def rand_rpoly(rng, names=("u", "x", "y"), max_deg=3, terms=3):
 
 
 def rand_intrinsic(rng, max_deg=2, terms=2):
-    return IntrinsicField(
-        rand_rpoly(rng, max_deg=max_deg, terms=terms),
-        rand_rpoly(rng, max_deg=max_deg, terms=terms),
-        rand_rpoly(rng, max_deg=max_deg, terms=terms),
+    return VectorField(
+        {name: rand_rpoly(rng, max_deg=max_deg, terms=terms) for name in ("u", "x", "y")}
     )
 
 

@@ -1,6 +1,7 @@
 """Exact input has one gate: every entry point refuses a non-exact scalar, a
 bad order or a bad exponent key with ParseError and accepts an int, a
-Fraction or a GaussianRational."""
+Fraction or a GaussianRational.  A pipeline entry point also refuses an
+argument of the wrong type with ParseError."""
 
 from fractions import Fraction
 
@@ -8,7 +9,16 @@ import pytest
 
 from moser_chains.errors import ParseError
 from moser_chains.lie_jets import MAX_DEGREE, NVARS, RPoly
-from moser_chains.normalize import Hypersurface, isotropy_map, translate_to_point
+from moser_chains.normalize import (
+    Biholo,
+    Hypersurface,
+    find_chain_curve,
+    fundamental_identity_residual,
+    graph_transform,
+    isotropy_map,
+    normalize_hypersurface,
+    translate_to_point,
+)
 from moser_chains.series_core import (
     GaussianRational,
     HoloSeries,
@@ -49,7 +59,8 @@ SCALAR_ENTRIES = {
     "translate_to_point v0": lambda v: translate_to_point(_SURFACE, 0, 0, v),
 }
 
-#: entry points that take one order; isotropy_map needs an order >= 1
+#: entry points that take one order; Biholo.identity and isotropy_map need an
+#: order >= 1
 ORDER_ENTRIES = {
     "Series3()": lambda n: Series3(n),
     "HoloSeries()": lambda n: HoloSeries(n),
@@ -65,6 +76,7 @@ ORDER_ENTRIES = {
     "holo_from_json": lambda n: holo_from_json([], n),
     "Hypersurface.sphere": lambda n: Hypersurface.sphere(n),
     "isotropy_map": lambda n: isotropy_map(1, 0, 0, n),
+    "Biholo.identity": lambda n: Biholo.identity(n),
 }
 
 BAD_SCALARS = (0.5, 0.5j, None, "x")
@@ -104,6 +116,41 @@ def test_exact_height_accepted():
 def test_integer_orders_accepted(entry):
     for n in GOOD_ORDERS:
         ORDER_ENTRIES[entry](n)
+
+
+@pytest.mark.parametrize("entry", ["isotropy_map", "Biholo.identity"])
+def test_order_zero_map_refused(entry):
+    # a map carries f at order n - 1, so its order is at least 1
+    with pytest.raises(ParseError):
+        ORDER_ENTRIES[entry](0)
+    ORDER_ENTRIES[entry](1)
+
+
+_SPHERE = Hypersurface.sphere(8)
+_IDENTITY = Biholo.identity(8)
+
+#: pipeline entry points called with one argument of the wrong type
+WRONG_TYPES = {
+    "normalize_hypersurface M": lambda: normalize_hypersurface("x"),
+    "normalize_hypersurface Series3": lambda: normalize_hypersurface(_SPHERE.series),
+    "normalize_hypersurface curve": lambda: normalize_hypersurface(_SPHERE, curve=UPoly.var(4)),
+    "graph_transform map": lambda: graph_transform(_SPHERE, "h"),
+    "graph_transform M": lambda: graph_transform(_SPHERE.series, _IDENTITY),
+    "fundamental_identity_residual map": lambda: fundamental_identity_residual(
+        _SPHERE, "h", _SPHERE
+    ),
+    "fundamental_identity_residual target": lambda: fundamental_identity_residual(
+        _SPHERE, _IDENTITY, _SPHERE.series
+    ),
+    "translate_to_point M": lambda: translate_to_point(_SPHERE.series, 0, 0),
+    "find_chain_curve M": lambda: find_chain_curve(_SPHERE.series),
+}
+
+
+@pytest.mark.parametrize("entry", list(WRONG_TYPES))
+def test_wrong_type_refused_with_parse_error(entry):
+    with pytest.raises(ParseError):
+        WRONG_TYPES[entry]()
 
 
 def test_complex_part_refused():

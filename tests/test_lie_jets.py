@@ -8,14 +8,13 @@ from conftest import rand_intrinsic, rand_rat, rand_rpoly
 
 from moser_chains.errors import InternalInvariantError, ParseError
 from moser_chains.lie_jets import (
-    IntrinsicField,
-    JetField2,
     RPoly,
-    bracket_intrinsic,
-    bracket_jet,
+    VectorField,
+    bracket,
     prolong2,
     total_derivative,
 )
+from moser_chains.series_core import HoloSeries
 
 
 def V(name):
@@ -81,14 +80,14 @@ class TestTotalDerivative:
 
 class TestProlongation:
     def test_translation_is_flat(self):
-        f = IntrinsicField(RPoly.zero(), RPoly.const(1), RPoly.zero())
+        f = VectorField({"u": RPoly.zero(), "x": RPoly.const(1), "y": RPoly.zero()})
         p = prolong2(f)
         assert p.comp["x1"].is_zero() and p.comp["x2"].is_zero()
         assert p.comp["y1"].is_zero() and p.comp["y2"].is_zero()
 
     def test_scaling_field(self):
         # x d_x + y d_y + 2u d_u
-        f = IntrinsicField(2 * V("u"), V("x"), V("y"))
+        f = VectorField({"u": 2 * V("u"), "x": V("x"), "y": V("y")})
         p = prolong2(f)
         assert p.comp["x1"] == -V("x1")
         assert p.comp["y1"] == -V("y1")
@@ -103,46 +102,68 @@ class TestProlongation:
             D = total_derivative
             x1, x2 = V("x1"), V("x2")
             y1, y2 = V("y1"), V("y2")
-            assert p.comp["x2"] == D(D(f.phi)) - D(D(f.xi)) * x1 - 2 * D(f.xi) * x2
-            assert p.comp["y2"] == D(D(f.psi)) - D(D(f.xi)) * y1 - 2 * D(f.xi) * y2
-            assert p.comp["x1"] == D(f.phi) - D(f.xi) * x1
-            assert p.comp["y1"] == D(f.psi) - D(f.xi) * y1
+            xi, phi, psi = f.comp["u"], f.comp["x"], f.comp["y"]
+            assert p.comp["x2"] == D(D(phi)) - D(D(xi)) * x1 - 2 * D(xi) * x2
+            assert p.comp["y2"] == D(D(psi)) - D(D(xi)) * y1 - 2 * D(xi) * y2
+            assert p.comp["x1"] == D(phi) - D(xi) * x1
+            assert p.comp["y1"] == D(psi) - D(xi) * y1
 
     def test_intrinsic_field_validation(self):
         with pytest.raises(InternalInvariantError):
-            IntrinsicField(V("x1"), RPoly.zero(), RPoly.zero())
+            VectorField({"u": V("x1"), "x": RPoly.zero(), "y": RPoly.zero()})
+
+    def test_prolong2_refuses_field_off_base_coordinates(self, rng):
+        # a prolonged field, a field on (z, w) and one on (u, x) alone
+        jet = prolong2(rand_intrinsic(rng))
+        holo = VectorField({"z": HoloSeries.z_var(4), "w": HoloSeries.w_var(4)})
+        partial = VectorField({"u": RPoly.zero(), "x": RPoly.const(1)})
+        for field in (jet, holo, partial):
+            with pytest.raises(InternalInvariantError):
+                prolong2(field)
+
+    def test_apply_refuses_function_off_its_coordinates(self, rng):
+        f = rand_intrinsic(rng)
+        with pytest.raises(InternalInvariantError):
+            f.apply(V("x1"))
+        with pytest.raises(InternalInvariantError):
+            prolong2(f).apply(V("x3"))
 
 
 class TestBrackets:
     def test_simple_bracket(self):
         # [d_x, x d_x] = d_x
-        a = IntrinsicField(RPoly.zero(), RPoly.const(1), RPoly.zero())
-        b = IntrinsicField(RPoly.zero(), V("x"), RPoly.zero())
-        assert bracket_intrinsic(a, b) == a
+        a = VectorField({"u": RPoly.zero(), "x": RPoly.const(1), "y": RPoly.zero()})
+        b = VectorField({"u": RPoly.zero(), "x": V("x"), "y": RPoly.zero()})
+        assert bracket(a, b) == a
+
+    def test_bracket_refuses_fields_on_different_coordinates(self, rng):
+        a = rand_intrinsic(rng)
+        holo = VectorField({"z": HoloSeries.z_var(4), "w": HoloSeries.w_var(4)})
+        for other in (prolong2(a), holo):
+            for pair in ((a, other), (other, a)):
+                with pytest.raises(InternalInvariantError):
+                    bracket(*pair)
 
     def test_antisymmetry_random(self, rng):
         for _ in range(20):
             a = rand_intrinsic(rng)
             b = rand_intrinsic(rng)
-            ab = bracket_intrinsic(a, b)
-            ba = bracket_intrinsic(b, a)
-            assert ab.xi == -ba.xi and ab.phi == -ba.phi and ab.psi == -ba.psi
+            ab = bracket(a, b)
+            ba = bracket(b, a)
+            assert all(ab.comp[nm] == -ba.comp[nm] for nm in ("u", "x", "y"))
 
     def test_jacobi(self, rng):
         for _ in range(6):
             a = rand_intrinsic(rng, max_deg=2, terms=2)
             b = rand_intrinsic(rng, max_deg=2, terms=2)
             c = rand_intrinsic(rng, max_deg=2, terms=2)
-            total = bracket_intrinsic(a, bracket_intrinsic(b, c))
-            total = IntrinsicField(
-                total.xi + bracket_intrinsic(b, bracket_intrinsic(c, a)).xi
-                + bracket_intrinsic(c, bracket_intrinsic(a, b)).xi,
-                total.phi + bracket_intrinsic(b, bracket_intrinsic(c, a)).phi
-                + bracket_intrinsic(c, bracket_intrinsic(a, b)).phi,
-                total.psi + bracket_intrinsic(b, bracket_intrinsic(c, a)).psi
-                + bracket_intrinsic(c, bracket_intrinsic(a, b)).psi,
-            )
-            assert total.xi.is_zero() and total.phi.is_zero() and total.psi.is_zero()
+            total = bracket(a, bracket(b, c))
+            total = VectorField({
+                nm: total.comp[nm] + bracket(b, bracket(c, a)).comp[nm]
+                + bracket(c, bracket(a, b)).comp[nm]
+                for nm in ("u", "x", "y")
+            })
+            assert all(total.comp[nm].is_zero() for nm in ("u", "x", "y"))
 
     def test_prolongation_is_bracket_morphism(self, rng):
         # prolong2([a, b]) == [prolong2(a), prolong2(b)] -- a strong
@@ -150,6 +171,6 @@ class TestBrackets:
         for _ in range(8):
             a = rand_intrinsic(rng, max_deg=2, terms=2)
             b = rand_intrinsic(rng, max_deg=2, terms=2)
-            lhs = prolong2(bracket_intrinsic(a, b))
-            rhs = bracket_jet(prolong2(a), prolong2(b))
+            lhs = prolong2(bracket(a, b))
+            rhs = bracket(prolong2(a), prolong2(b))
             assert lhs == rhs

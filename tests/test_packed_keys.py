@@ -95,7 +95,7 @@ class TestLayout:
         assert (zj * z).is_zero() and (ul * z).c == {(1, 0, 127): 1}
         assert zj.conj().c == {(0, 255, 0): 1}
         h = HoloSeries(255, {(254, 0): 1}) * HoloSeries.z_var(255)
-        assert h.c == {(255, 0): 1} and h.diff_z().c == {(254, 0): 255}
+        assert h.c == {(255, 0): 1} and h.diff("z").c == {(254, 0): 255}
         p = RPoly.var("b2", 24) * RPoly.var("b2", 24)
         assert p.c == {(0,) * (NVARS - 1) + (MAX_DEGREE,): 1} and p.degree() == MAX_DEGREE
 
@@ -162,8 +162,8 @@ class TestKeyArithmetic:
             n = rng.randint(1, 10)
             h = rand_holo(rng, n)
             c = h.c
-            assert h.diff_z().c == {(j - 1, l): v * j for (j, l), v in c.items() if j}
-            assert h.diff_w().c == {(j, l - 1): v * l for (j, l), v in c.items() if l}
+            assert h.diff("z").c == {(j - 1, l): v * j for (j, l), v in c.items() if j}
+            assert h.diff("w").c == {(j, l - 1): v * l for (j, l), v in c.items() if l}
             p = rand_rpoly(rng)
             c = p.c
             for i, name in enumerate(VAR_NAMES):

@@ -3,12 +3,12 @@
 import pytest
 
 from moser_chains.errors import InternalInvariantError
-from moser_chains.lie_jets import IntrinsicField, RPoly, bracket_intrinsic
+from moser_chains.lie_jets import RPoly, VectorField, bracket
+from moser_chains.linalg import rank
+from moser_chains.normalize import _punctual_system, core_expression
 from moser_chains.series_core import HoloSeries, gr
 from moser_chains.sphere_isotropy import (
     FIELD_NAMES,
-    ExtrinsicField,
-    bracket_ext,
     commutator_table,
     expand_in_basis,
     intrinsic_fields,
@@ -46,7 +46,7 @@ class TestCommutators:
 
     def test_expand_rejects_outside_span(self):
         fields = standard_fields()
-        rogue = ExtrinsicField(HoloSeries.one(8), HoloSeries.zero(8))
+        rogue = VectorField({"z": HoloSeries.one(8), "w": HoloSeries.zero(8)})
         with pytest.raises(InternalInvariantError):
             expand_in_basis(rogue, fields)
 
@@ -57,7 +57,7 @@ class TestTangency:
             assert tangency_residual(f).is_zero(), nm
 
     def test_non_tangent_detected(self):
-        bad = ExtrinsicField(HoloSeries.zero(8), HoloSeries.one(8) * gr(0, 1))
+        bad = VectorField({"z": HoloSeries.zero(8), "w": HoloSeries.one(8) * gr(0, 1)})
         assert not tangency_residual(bad).is_zero()
         with pytest.raises(InternalInvariantError):
             intrinsic_pushforward(bad)
@@ -66,20 +66,24 @@ class TestTangency:
 # frozen intrinsic forms of the five pushed-forward fields
 def _expected_intrinsic():
     u, x, y = V("u"), V("x"), V("y")
+
+    def field(xi, phi, psi):
+        return VectorField({"u": xi, "x": phi, "y": psi})
+
     return {
-        "dilation": IntrinsicField(2 * u, x, y),
-        "rotation": IntrinsicField(RPoly.zero(), -y, x),
-        "parabolic1": IntrinsicField(
+        "dilation": field(2 * u, x, y),
+        "rotation": field(RPoly.zero(), -y, x),
+        "parabolic1": field(
             -2 * x * x * x - 2 * x * y * y - 2 * y * u,
             u - 4 * x * y,
             3 * x * x - y * y,
         ),
-        "parabolic2": IntrinsicField(
+        "parabolic2": field(
             2 * x * u - 2 * y * x * x - 2 * y * y * y,
             x * x - 3 * y * y,
             u + 4 * x * y,
         ),
-        "inversion": IntrinsicField(
+        "inversion": field(
             u * u - (x * x + y * y) * (x * x + y * y),
             x * u - x * x * y - y * y * y,
             x * x * x + x * y * y + y * u,
@@ -102,6 +106,35 @@ class TestPushforward:
             for nm2 in FIELD_NAMES:
                 if nm1 >= nm2:
                     continue
-                pushed = intrinsic_pushforward(bracket_ext(ext[nm1], ext[nm2]))
-                direct = bracket_intrinsic(intr[nm1], intr[nm2])
+                pushed = intrinsic_pushforward(bracket(ext[nm1], ext[nm2]))
+                direct = bracket(intr[nm1], intr[nm2])
                 assert pushed == direct, (nm1, nm2)
+
+
+class TestPunctualKernel:
+    """The two halves meet at the punctual stages: the maps that leave the
+    sphere's weight-delta slice alone are the isotropy fields homogeneous of
+    weights (delta - 1, delta)."""
+
+    # the standard fields homogeneous of weights (delta - 1, delta)
+    HOMOGENEOUS = {3: {"parabolic1", "parabolic2"}, 4: {"inversion"}, 5: set()}
+
+    def test_kernel_dimension(self):
+        for delta, dim in ((3, 2), (4, 1), (5, 0)):
+            columns = _punctual_system(delta)[3]
+            matrix = [[col[r] for col in columns] for r in range(len(columns[0]))]
+            assert len(columns) - rank(matrix) == dim, delta
+            assert len(self.HOMOGENEOUS[delta]) == dim
+
+    def test_homogeneous_fields_are_the_kernel(self):
+        fields = standard_fields()
+        for delta, names in self.HOMOGENEOUS.items():
+            homogeneous = {
+                nm
+                for nm, f in fields.items()
+                if f.comp["z"] == f.comp["z"].weight_part(delta - 1)
+                and f.comp["w"] == f.comp["w"].weight_part(delta)
+            }
+            assert homogeneous == names, delta
+            for nm in names:
+                assert core_expression(fields[nm].comp["z"], fields[nm].comp["w"], delta).is_zero()
