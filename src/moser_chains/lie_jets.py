@@ -251,7 +251,9 @@ def prolong2(field):
     and the second-prolonged ones
         phi2 = D(D(phi - xi x1)) + xi x3,  psi2 = D(D(psi - xi y1)) + xi y3.
     A field on other coordinates is refused.  The x3/y3 contributions
-    cancel identically, which is checked.
+    cancel identically: phi and xi depend on (u, x, y) only, so the x3 term
+    of D(D(phi - xi x1)) is exactly -xi x3 (the same for y), and
+    ``VectorField`` would refuse a component left with one.
     """
     if field.comp.keys() != set(BASE_VARS):
         raise InternalInvariantError(
@@ -263,7 +265,4 @@ def prolong2(field):
         d1 = total_derivative(comp[c] - xi * RPoly.var(c + "1"))
         comp[c + "1"] = d1 + xi * RPoly.var(c + "2")
         comp[c + "2"] = total_derivative(d1) + xi * RPoly.var(c + "3")
-    for name in JET2_VARS[3:]:
-        if comp[name].uses_var("x3") or comp[name].uses_var("y3"):
-            raise InternalInvariantError("third-order jet variables failed to cancel in d_" + name)
     return VectorField(comp)

@@ -103,7 +103,7 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import mul
 
-from .errors import InternalInvariantError, ParseError
+from .errors import InternalInvariantError, MathPreconditionError, ParseError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
@@ -671,7 +671,7 @@ class UPoly(WeightedSeries):
         other(0) = 0.  The core substitutes p(z, w) = self(w) at z = 0,
         w = other; a term of self above weight n only makes output above n."""
         if 0 in other.num:
-            raise InternalInvariantError("UPoly.compose needs arg(0) = 0")
+            raise MathPreconditionError("UPoly.compose needs arg(0) = 0")
         n = min(self.n, other.n)
         p = HoloSeries.from_w_series(self, 2 * n)
         return _substitute(p, PowerTable((UPoly.zero(n), other), n))
@@ -680,10 +680,10 @@ class UPoly(WeightedSeries):
         """Functional inverse tau with self(tau(t)) = t; needs c0=0, c1 != 0.
         tau = (t - rest(tau)) / c1, where rest = self - c1 t."""
         if self.coeff(0):
-            raise InternalInvariantError("reversion needs a series with no constant term")
+            raise MathPreconditionError("reversion needs a series with no constant term")
         a1 = self.coeff(1)
         if not a1:
-            raise InternalInvariantError("reversion needs a nonzero linear coefficient")
+            raise MathPreconditionError("reversion needs a nonzero linear coefficient")
         inv1 = ONE / a1
         t = UPoly.var(self.n)
         rest = self - t * a1
@@ -693,7 +693,7 @@ class UPoly(WeightedSeries):
         """Multiplicative inverse b = (1 - (a - a0) b) / a0; needs a0 != 0."""
         a0 = self.coeff(0)
         if not a0:
-            raise InternalInvariantError("UPoly.inverse needs a unit constant term")
+            raise MathPreconditionError("UPoly.inverse needs a unit constant term")
         inv0 = ONE / a0
         one = UPoly.one(self.n)
         rest = self - one * a0
@@ -707,13 +707,13 @@ class UPoly(WeightedSeries):
         not a Gaussian rational.
         """
         if self.coeff(0) != ONE:
-            raise InternalInvariantError("UPoly.sqrt needs constant term 1")
+            raise MathPreconditionError("UPoly.sqrt needs constant term 1")
         return fixed_point(lambda s: s + (self - s * s) * HALF, UPoly.one(self.n), "UPoly.sqrt")
 
     def exp(self):
         """exp e = 1 + integral(a' e) of a series a with no constant term."""
         if self.coeff(0):
-            raise InternalInvariantError("UPoly.exp needs a series with no constant term")
+            raise MathPreconditionError("UPoly.exp needs a series with no constant term")
         one = UPoly.one(self.n)
         da = self.derivative()
         return fixed_point(lambda e: one + (da * e).integrate(), one, "UPoly.exp")
@@ -812,10 +812,6 @@ class Series3(WeightedSeries):
     def is_real(self):
         """Exact Hermitian reality check: F equals its conjugate."""
         return self.conj().num == self.num
-
-    def assert_real(self, where="series"):
-        if not self.is_real():
-            raise InternalInvariantError("%s is not a real series" % where)
 
     def assert_zero(self, where="series"):
         if not self.is_zero():

@@ -59,8 +59,7 @@ SCALAR_ENTRIES = {
     "translate_to_point v0": lambda v: translate_to_point(_SURFACE, 0, 0, v),
 }
 
-#: entry points that take one order; Biholo.identity and isotropy_map need an
-#: order >= 1
+#: entry points that take one order; the three map entries need an order >= 1
 ORDER_ENTRIES = {
     "Series3()": lambda n: Series3(n),
     "HoloSeries()": lambda n: HoloSeries(n),
@@ -77,6 +76,7 @@ ORDER_ENTRIES = {
     "Hypersurface.sphere": lambda n: Hypersurface.sphere(n),
     "isotropy_map": lambda n: isotropy_map(1, 0, 0, n),
     "Biholo.identity": lambda n: Biholo.identity(n),
+    "Biholo.from_json": lambda n: Biholo.from_json({"trunc_order": n}),
 }
 
 BAD_SCALARS = (0.5, 0.5j, None, "x")
@@ -118,11 +118,13 @@ def test_integer_orders_accepted(entry):
         ORDER_ENTRIES[entry](n)
 
 
-@pytest.mark.parametrize("entry", ["isotropy_map", "Biholo.identity"])
+@pytest.mark.parametrize("entry", ["isotropy_map", "Biholo.identity", "Biholo.from_json"])
 def test_order_zero_map_refused(entry):
-    # a map carries f at order n - 1, so its order is at least 1
-    with pytest.raises(ParseError):
-        ORDER_ENTRIES[entry](0)
+    # a map carries f at order n - 1, so its order is at least 1; the
+    # refusal names the order the caller passed, not f's n - 1
+    for n in (0, -1):
+        with pytest.raises(ParseError, match=r"map order must be an integer >= 1, not %d$" % n):
+            ORDER_ENTRIES[entry](n)
     ORDER_ENTRIES[entry](1)
 
 

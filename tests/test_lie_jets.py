@@ -7,7 +7,9 @@ import pytest
 from conftest import rand_intrinsic, rand_rat, rand_rpoly
 
 from moser_chains.errors import InternalInvariantError, ParseError
+from moser_chains.chain_locus import prolonged_fields
 from moser_chains.lie_jets import (
+    JET2_VARS,
     RPoly,
     VectorField,
     bracket,
@@ -107,6 +109,16 @@ class TestProlongation:
             assert p.comp["y2"] == D(D(psi)) - D(D(xi)) * y1 - 2 * D(xi) * y2
             assert p.comp["x1"] == D(phi) - D(xi) * x1
             assert p.comp["y1"] == D(psi) - D(xi) * y1
+
+    def test_no_third_order_jet_variable_survives(self, rng):
+        # phi and xi depend on (u, x, y) only, so the x3/y3 terms cancel: no
+        # second prolongation, of an isotropy field or a random one, uses them
+        fields = list(prolonged_fields().values())
+        fields += [prolong2(rand_intrinsic(rng)) for _ in range(10)]
+        for field in fields:
+            assert field.comp.keys() == set(JET2_VARS)
+            for p in field.comp.values():
+                assert not p.uses_var("x3") and not p.uses_var("y3")
 
     def test_intrinsic_field_validation(self):
         with pytest.raises(InternalInvariantError):

@@ -14,7 +14,7 @@ from moser_chains.errors import (
     MathPreconditionError,
     ParseError,
 )
-from moser_chains.linalg import solve
+from moser_chains.linalg import rank, solve
 from moser_chains.normalize import (
     Biholo,
     Hypersurface,
@@ -50,6 +50,7 @@ from moser_chains.series_core import (
     HoloSeries,
     Series3,
     UPoly,
+    eval_graph,
     gr,
 )
 
@@ -503,19 +504,47 @@ class TestOrderArguments:
 # ---------------------------------------------------------------------------
 
 
+def four_move_surface():
+    """A surface on which adapt_chart runs all four moves."""
+    F = Series3.zero(8)
+    F = F + Series3.monomial(8, 1, 0, 0, gr("1/2", "1/3")) + Series3.monomial(8, 0, 1, 0, gr("1/2", "-1/3"))
+    F = F + Series3.monomial(8, 0, 0, 1, gr("2/7"))
+    F = F + Series3.monomial(8, 2, 0, 0, gr("1/5", "-1/2")) + Series3.monomial(8, 0, 2, 0, gr("1/5", "1/2"))
+    F = F + Series3.hermitian_square(8) * gr(-3)
+    return Hypersurface(F)
+
+
 class TestAdaptChart:
     def test_all_four_moves(self):
-        F = Series3.zero(8)
-        F = F + Series3.monomial(8, 1, 0, 0, gr("1/2", "1/3")) + Series3.monomial(8, 0, 1, 0, gr("1/2", "-1/3"))
-        F = F + Series3.monomial(8, 0, 0, 1, gr("2/7"))
-        F = F + Series3.monomial(8, 2, 0, 0, gr("1/5", "-1/2")) + Series3.monomial(8, 0, 2, 0, gr("1/5", "1/2"))
-        F = F + Series3.hermitian_square(8) * gr(-3)
-        M = Hypersurface(F)
         stages = []
-        Ma = adapt_chart(M, stages, verify=True)
+        Ma = adapt_chart(four_move_surface(), stages, verify=True)
         assert [s.name for s in stages] == ["shear", "tilt", "bend", "scale"]
         low = Ma.series.up_to_weight(2)
         assert low == Series3.hermitian_square(8).up_to_weight(2)
+
+    def test_shear_check_is_live(self, monkeypatch):
+        # a z-linear term the shear leaves is refused at the shear, before
+        # the tilt's transform would refuse the surface as a precondition
+        def leaky(F, zs, us, polynomial=False):
+            z_term = Series3.monomial(F.n, 1, 0, 0, ONE) + Series3.monomial(F.n, 0, 1, 0, ONE)
+            return eval_graph(F, zs, us, polynomial) + z_term
+
+        monkeypatch.setattr(normalize, "eval_graph", leaky)
+        with pytest.raises(InternalInvariantError, match="w-shear failed"):
+            adapt_chart(four_move_surface())
+
+    @pytest.mark.parametrize("move", ["tilt", "bend", "scale"])
+    def test_postcondition_catches_each_later_move(self, monkeypatch, move):
+        # a move that leaves its surface unchanged leaves its weight-2 term
+        # (u, z^2 or the Levi coefficient -3); the one final check sees it
+        run_stage = normalize._run_stage
+
+        def skipping(name, M, h, stages, verify):
+            return M if name == move else run_stage(name, M, h, stages, verify)
+
+        monkeypatch.setattr(normalize, "_run_stage", skipping)
+        with pytest.raises(InternalInvariantError, match="adapted chart postcondition"):
+            adapt_chart(four_move_surface(), verify=True)
 
     def test_idempotent(self, rng):
         M = rand_surface(rng)
@@ -584,6 +613,33 @@ class TestPunctual:
             f_keys, g_keys, monos, columns = _punctual_system(delta)
             assert len(columns) == n_unknowns
             assert len(columns[0]) == n_rows
+
+    def test_system_has_full_row_rank(self):
+        # rank = row count (6, 9, 12): every target is solvable, so the
+        # solve operator needs no consistency rows
+        for delta in (3, 4, 5):
+            columns = _punctual_system(delta)[3]
+            mat = [[col[r] for col in columns] for r in range(len(columns[0]))]
+            assert rank(mat) == len(mat)
+
+    @pytest.mark.parametrize("bad", [3, 4, 5])
+    def test_remainder_check_is_live(self, monkeypatch, bad):
+        # doubling one weight's solution leaves minus its target there; the
+        # stage residual still vanishes, as the transform of the doubled map
+        # is right, so the remainder check is what refuses it
+        solve_punctual = normalize._solve_punctual
+
+        def doubled(delta, target):
+            fc, gc = solve_punctual(delta, target)
+            if delta == bad:
+                fc, gc = ({k: v * 2 for k, v in c.items()} for c in (fc, gc))
+            return fc, gc
+
+        # an adapted surface with a term at each of the weights 3, 4 and 5
+        M = perturbed_sphere(8, (2, 1, 0, gr(1, 2)), (2, 2, 0, gr(3)), (3, 2, 0, gr("1/2", -1)))
+        monkeypatch.setattr(normalize, "_solve_punctual", doubled)
+        with pytest.raises(InternalInvariantError, match="weight-%d normalization left" % bad):
+            punctual_normalize(M, [], verify=True)
 
     def test_cached_solver_matches_solve(self, rng):
         # the cached operator gives linalg.solve's particular solution on
@@ -1033,6 +1089,44 @@ class TestChain:
 # ---------------------------------------------------------------------------
 # full pipeline behaviour
 # ---------------------------------------------------------------------------
+
+
+class TestNormalFormShape:
+    # Chern-Moser: F = z zbar + the sum of F_jk z^j zbar^k with
+    # min(j, k) >= 2 and F_22 = F_32 = F_23 = F_33 = 0
+    def classes(self, n):
+        """Each (j, k, l) with j >= k and weight 1 to n, a real class."""
+        return [
+            (j, k, l)
+            for l in range(n // 2 + 1)
+            for k in range(n + 1)
+            for j in range(k, n + 1)
+            if 0 < j + k + 2 * l <= n
+        ]
+
+    def test_each_monomial_class(self):
+        # one class added at a time to a normal form: every class outside
+        # the normal form's shape is refused, every other one passes; the
+        # z zbar class changes the Levi coefficient away from 1
+        n = 10
+        base = normalize_hypersurface(rand_surface(random.Random(11), n=n, terms=10)).surface
+        assert_normal_form(base)
+        allowed = 0
+        for j, k, l in self.classes(n):
+            v = gr("2/3") if j == k else gr("2/3", "-1/5")
+            M = Hypersurface(perturbed_sphere(n, (j, k, l, v)).series + base.series - sphere(n).series)
+            if k <= 1 or (j, k) in ((2, 2), (3, 2), (3, 3)):
+                with pytest.raises(InternalInvariantError, match="not in normal form"):
+                    assert_normal_form(M)
+            else:
+                assert_normal_form(M)
+                allowed += 1
+        assert allowed == 20
+
+    def test_levi_coefficient_must_be_one(self):
+        for c in (0, 2, -1):
+            with pytest.raises(InternalInvariantError):
+                assert_normal_form(Hypersurface(Series3.hermitian_square(8) * c, check=False))
 
 
 class TestPipeline:
