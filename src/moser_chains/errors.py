@@ -12,7 +12,10 @@ Three kinds of failure are kept apart on purpose:
   ``TransversalCurve``).
 * ``MathPreconditionError`` -- the input is well-formed but violates a
   mathematical hypothesis of the requested operation (e.g. a degenerate
-  Levi form, a map that does not fix the origin).
+  Levi form, a map that does not fix the origin, a slice outside a series'
+  order, a substitution that is not sound -- a constant-term argument to a
+  truncated series, a u-argument that is not real -- or vector fields on
+  other coordinates than the operation takes).
 * ``InternalInvariantError`` -- the library caught itself producing something
   inconsistent (a residual that should vanish identically does not, a
   pivot that must exist is missing).  Always a bug, never user error.

@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import add, mul, or_
 
-from .errors import InternalInvariantError, ParseError
+from .errors import InternalInvariantError, MathPreconditionError, ParseError
 from .series_core import PowerTable, WeightedSeries, _derivative, _reduced_series, _substitute
 
 VAR_NAMES = ("u", "x", "y", "x1", "y1", "x2", "y2", "x3", "y3", "a2", "b2")
@@ -183,7 +183,7 @@ _VARS = tuple(RPoly.var(name) for name in VAR_NAMES)
 def _check_vars(p, allowed, what):
     extra = p.vars_used() - set(allowed)
     if extra:
-        raise InternalInvariantError(
+        raise MathPreconditionError(
             "%s uses variables %s outside %s" % (what, sorted(extra), list(allowed))
         )
 
@@ -222,7 +222,7 @@ class VectorField:
 def bracket(v, w):
     """Lie bracket [v, w] of two fields on the same coordinates."""
     if v.comp.keys() != w.comp.keys():
-        raise InternalInvariantError(
+        raise MathPreconditionError(
             "bracket of fields on %s and %s" % (list(v.comp), list(w.comp))
         )
     return VectorField({name: v.apply(w.comp[name]) - w.apply(v.comp[name]) for name in v.comp})
@@ -256,7 +256,7 @@ def prolong2(field):
     ``VectorField`` would refuse a component left with one.
     """
     if field.comp.keys() != set(BASE_VARS):
-        raise InternalInvariantError(
+        raise MathPreconditionError(
             "prolong2 takes a field on (u, x, y), not on %s" % list(field.comp)
         )
     xi = field.comp["u"]

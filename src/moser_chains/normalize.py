@@ -8,7 +8,8 @@ The central objects:
 * ``graph_transform`` -- the induced graph function of the image surface,
   solved weight by weight; its independent correctness oracle is the
   identity F'(P, conj P, Re E) = Im E (``fundamental_identity_residual``),
-  which each stage checks over its transform's own P, E and forward table.
+  which each stage checks over its transform's own P, E and forward table;
+  the vertical moves of the adapted chart have a closed-form image instead.
 * the pipeline stages: adapted chart, punctual normalization through weight
   5, chain straightening (with the chain found automatically or supplied),
   harmonic killing, Levi normalization, degree-one absorption, the unitary
@@ -441,8 +442,8 @@ def fundamental_identity_residual(M, h, M_target, polynomial=False):
     Writing E = g(z, u+iF) and P = f(z, u+iF), the target graph F' must
     satisfy  F'(P, conj P, Re E) - Im E = 0  identically; the returned series
     is that left-hand side, computed by forward substitution only (no use of
-    the solver's internals).  It builds P and E afresh; the shear, which
-    has no transform, is the one stage that it checks (``_run_stage``).
+    the solver's internals).  It builds P and E afresh; it checks the
+    stages with no transform, the vertical moves (``_vertical_stage``).
     """
     _check_type(M, Hypersurface, "surface")
     _check_type(h, Biholo, "map")
@@ -475,8 +476,8 @@ def _run_stage(name, M, h, stages, verify):
 
 def _record(name, h, M2, stages, resid):
     """Append the stage h: M -> M2 and return M2; resid, its residual of the
-    graph identity (``fundamental_identity_residual``'s for the shear), must
-    vanish, or is None when verify is off."""
+    graph identity (``fundamental_identity_residual``'s for a vertical
+    move), must vanish, or is None when verify is off."""
     if resid is not None:
         resid.assert_zero("independent residual after stage %r" % name)
     stages.append(Stage(name, h, M2, None if resid is None else True))
@@ -488,6 +489,30 @@ def _record(name, h, M2, stages, resid):
 # ---------------------------------------------------------------------------
 
 
+def _vertical_image(F, a, p):
+    """F' = a F(z, zbar, (u - Re p)/a) + Im p, the image of v = F under
+    (z, a w + p(z)), for a real a != 0 and p = {(j, 0): p_j} with j >= 1."""
+    n = F.n
+    shift, harm = {(0, 0, 1): ONE / a}, {}
+    for (j, _), c in p.items():
+        shift[j, 0, 0], shift[0, j, 0] = c * (-HALF / a), c.conjugate() * (-HALF / a)
+        harm[j, 0, 0], harm[0, j, 0] = c * (-HALF * I_UNIT), c.conjugate() * (HALF * I_UNIT)
+    return eval_graph(F, Series3.z_var(n), Series3(n, shift), polynomial=True) * a + Series3(n, harm)
+
+
+def _vertical_stage(name, M, a, p, stages, verify):
+    """Apply h = (z, a w + p(z)) to M in closed form and record it; with
+    verify, ``fundamental_identity_residual`` checks the image by forward
+    substitution.  Q = a u + Re p and R = a F + Im p do not contain F, so
+    F'(z, zbar, Q) = R is solved by one substitution, exact for the surface's
+    terms (polynomial=True): the transform's weight loop is not needed."""
+    n = M.n
+    h = Biholo(HoloSeries.z_var(n - 1), HoloSeries(n, {(0, 1): a, **p}))
+    M1 = Hypersurface(_vertical_image(M.series, a, p), check=False)
+    resid = fundamental_identity_residual(M, h, M1, polynomial=True) if verify else None
+    return _record(name, h, M1, stages, resid)
+
+
 def adapt_chart(M, stages=None, verify=False):
     """Normalize through weight 2: F = z zbar + (weight >= 3).
 
@@ -496,41 +521,28 @@ def adapt_chart(M, stages=None, verify=False):
     and the real scale w' = w/e normalizing the Levi coefficient (error if it
     vanishes: the surface is Levi degenerate at the origin).
 
-    The shear checks its result (a z-linear term left would make the next
-    transform refuse the surface first); the others are checked at the end,
-    on the weight-2 part, where no later move cancels what one leaves: the
-    bend changes only z^2 and zbar^2 there, and the scale only rescales.
+    The shear, bend and scale are vertical, w' = a w + p(z) with a real, so
+    their image is one substitution (``_vertical_stage``).  The tilt is not:
+    a = 1 - ic is not real, so Q = u + cF contains F and the image needs the
+    transform's weight loop (``_run_stage``).
+
+    The shear checks its result (a z-linear term left would make the tilt's
+    transform refuse the surface first, as a precondition); the others are
+    checked at the end, on the weight-2 part, where no later move cancels
+    what one leaves: the bend changes only z^2 and zbar^2 there, and the
+    scale only rescales.
     """
     stages = [] if stages is None else stages
-    F = M.series
-    n = F.n
 
     # -- shear: kill the z-linear coefficient exactly ------------------------
-    alpha = F.coeff(1, 0, 0)
+    alpha = M.series.coeff(1, 0, 0)
     if alpha:
-        c = F.coeff(0, 0, 1)
-        nu = (alpha * 2) / (c + I_UNIT)
-        nub = nu.conjugate()
-        shift = Series3(
-            n,
-            {(0, 0, 1): ONE, (1, 0, 0): -(nu * HALF), (0, 1, 0): -(nub * HALF)},
-        )
-        harm = Series3(
-            n,
-            {(1, 0, 0): nu * (I_UNIT * (-1)) * HALF, (0, 1, 0): nub * I_UNIT * HALF},
-        )
-        # real, as in translate_to_point: harm is real too
-        F1 = eval_graph(F, Series3.z_var(n), shift, polynomial=True) + harm
-        if F1.coeff(1, 0, 0):
+        nu = (alpha * 2) / (M.series.coeff(0, 0, 1) + I_UNIT)
+        M = _vertical_stage("shear", M, ONE, {(1, 0): nu}, stages, verify)
+        if M.series.coeff(1, 0, 0):
             raise InternalInvariantError("w-shear failed to kill the z-linear term")
-        h = Biholo(
-            HoloSeries.z_var(n - 1),
-            HoloSeries(n, {(0, 1): ONE, (1, 0): nu}),
-        )
-        M1 = Hypersurface(F1, check=False)
-        resid = fundamental_identity_residual(M, h, M1, polynomial=True) if verify else None
-        M = _record("shear", h, M1, stages, resid)
-        F = M.series
+    F = M.series
+    n = F.n
 
     # -- tilt: kill the u-linear coefficient ---------------------------------
     c = F.coeff(0, 0, 1)
@@ -545,12 +557,7 @@ def adapt_chart(M, stages=None, verify=False):
     # -- bend: kill the z^2 harmonic ------------------------------------------
     beta = F.coeff(2, 0, 0)
     if beta:
-        zeta = beta * I_UNIT * (-2)
-        h = Biholo(
-            HoloSeries.z_var(n - 1),
-            HoloSeries(n, {(0, 1): ONE, (2, 0): zeta}),
-        )
-        M = _run_stage("bend", M, h, stages, verify)
+        M = _vertical_stage("bend", M, ONE, {(2, 0): beta * I_UNIT * (-2)}, stages, verify)
         F = M.series
 
     # -- scale: normalize the Levi coefficient --------------------------------
@@ -558,11 +565,7 @@ def adapt_chart(M, stages=None, verify=False):
     if not e:
         raise LeviDegenerateError("Levi form vanishes at the origin")
     if e != ONE:
-        h = Biholo(
-            HoloSeries.z_var(n - 1),
-            HoloSeries(n, {(0, 1): ONE / e}),
-        )
-        M = _run_stage("scale", M, h, stages, verify)
+        M = _vertical_stage("scale", M, ONE / e, {}, stages, verify)
         F = M.series
 
     if F.up_to_weight(2) != Series3.hermitian_square(n):

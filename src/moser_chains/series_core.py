@@ -821,7 +821,7 @@ class Series3(WeightedSeries):
         """The u-series F_{j,k}(u), sound to u-order floor((n-j-k)/2)."""
         order = (self.n - j - k) // 2
         if order < 0:
-            raise InternalInvariantError(
+            raise MathPreconditionError(
                 "slice (%d,%d) outside truncation order %d" % (j, k, self.n)
             )
         jk = j << 16 | k << 8
@@ -912,7 +912,7 @@ def _tail_bound(F, order, z_low, w_low, polynomial):
     """
     if not polynomial:
         if z_low == 0 or w_low == 0:
-            raise InternalInvariantError("substitution argument with a constant term")
+            raise MathPreconditionError("substitution argument with a constant term")
         tail = F.n + 1
         if z_low is not None:
             order = min(order, z_low * tail - 1)
@@ -1153,7 +1153,7 @@ class GraphTable(PowerTable):
 
     def __init__(self, x, t, n):
         if not t.is_real():
-            raise InternalInvariantError("graph substitution needs a real u-argument")
+            raise MathPreconditionError("graph substitution needs a real u-argument")
         conj = type(x).conj
         super().__init__((x, conj(x), t), n)
         self._conj = conj

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import rand_intrinsic, rand_rat, rand_rpoly
 
-from moser_chains.errors import InternalInvariantError, ParseError
+from moser_chains.errors import MathPreconditionError, ParseError
 from moser_chains.chain_locus import prolonged_fields
 from moser_chains.lie_jets import (
     JET2_VARS,
@@ -121,7 +121,7 @@ class TestProlongation:
                 assert not p.uses_var("x3") and not p.uses_var("y3")
 
     def test_intrinsic_field_validation(self):
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(MathPreconditionError):
             VectorField({"u": V("x1"), "x": RPoly.zero(), "y": RPoly.zero()})
 
     def test_prolong2_refuses_field_off_base_coordinates(self, rng):
@@ -130,14 +130,14 @@ class TestProlongation:
         holo = VectorField({"z": HoloSeries.z_var(4), "w": HoloSeries.w_var(4)})
         partial = VectorField({"u": RPoly.zero(), "x": RPoly.const(1)})
         for field in (jet, holo, partial):
-            with pytest.raises(InternalInvariantError):
+            with pytest.raises(MathPreconditionError):
                 prolong2(field)
 
     def test_apply_refuses_function_off_its_coordinates(self, rng):
         f = rand_intrinsic(rng)
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(MathPreconditionError):
             f.apply(V("x1"))
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(MathPreconditionError):
             prolong2(f).apply(V("x3"))
 
 
@@ -153,7 +153,7 @@ class TestBrackets:
         holo = VectorField({"z": HoloSeries.z_var(4), "w": HoloSeries.w_var(4)})
         for other in (prolong2(a), holo):
             for pair in ((a, other), (other, a)):
-                with pytest.raises(InternalInvariantError):
+                with pytest.raises(MathPreconditionError):
                     bracket(*pair)
 
     def test_antisymmetry_random(self, rng):

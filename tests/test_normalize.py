@@ -536,15 +536,28 @@ class TestAdaptChart:
     @pytest.mark.parametrize("move", ["tilt", "bend", "scale"])
     def test_postcondition_catches_each_later_move(self, monkeypatch, move):
         # a move that leaves its surface unchanged leaves its weight-2 term
-        # (u, z^2 or the Levi coefficient -3); the one final check sees it
-        run_stage = normalize._run_stage
+        # (u, z^2 or the Levi coefficient -3); the one final check sees it.
+        # The tilt runs the transform's loop, bend and scale the closed form
+        route = "_run_stage" if move == "tilt" else "_vertical_stage"
+        inner = getattr(normalize, route)
 
-        def skipping(name, M, h, stages, verify):
-            return M if name == move else run_stage(name, M, h, stages, verify)
+        def skipping(name, M, *rest):
+            return M if name == move else inner(name, M, *rest)
 
-        monkeypatch.setattr(normalize, "_run_stage", skipping)
+        monkeypatch.setattr(normalize, route, skipping)
         with pytest.raises(InternalInvariantError, match="adapted chart postcondition"):
             adapt_chart(four_move_surface(), verify=True)
+
+    def test_vertical_image_is_the_weight_loop(self, rng):
+        # h = (z, a w + p(z)), a real and nonzero, p(0) = 0: the closed form
+        # equals the transform's weight loop exactly (g_z(0) = 0 there)
+        for n in (7, 8, 9):
+            for _ in range(4):
+                M = rand_surface(rng, n=n, terms=10, min_weight=2)
+                a = gr(rand_rat(rng, nonzero=True))
+                p = {(j, 0): rand_gr(rng) for j in rng.sample(range(2, n + 1), 3)}
+                h = Biholo(HoloSeries.z_var(n - 1), HoloSeries(n, {(0, 1): a, **p}))
+                assert normalize._vertical_image(M.series, a, p) == graph_transform(M, h)[0].series
 
     def test_idempotent(self, rng):
         M = rand_surface(rng)
@@ -784,11 +797,12 @@ class TestStages:
 
 class TestStageResidual:
     """With verify=True each stage is checked by the graph identity over the
-    P, Q, R and forward table its transform built (``_run_stage``)."""
+    P, Q, R and forward table its transform built (``_run_stage``), and each
+    closed-form vertical move by ``fundamental_identity_residual``."""
 
     def test_one_build_per_transform_stage(self, monkeypatch):
-        # P, E, Q and R are built once per transform stage, and once more for
-        # the shear's standalone residual (it has no transform)
+        # P, E, Q and R are built once per transform stage, and once for
+        # each vertical move's standalone residual (it has no transform)
         calls = []
         inner = normalize._transform_ingredients
 
@@ -819,8 +833,29 @@ class TestStageResidual:
         monkeypatch.setattr(normalize, "_graph_transform_parts", perturbed)
         # unchecked, the bump passes every stage postcondition
         assert not normalize_hypersurface(M, stop_after="punctual").completed
-        with pytest.raises(InternalInvariantError, match="independent residual after stage 'bend'"):
+        # shear, bend and scale are closed form; punctual3 is the first loop
+        with pytest.raises(InternalInvariantError, match="independent residual after stage 'punctual3'"):
             normalize_hypersurface(M, verify=True, stop_after="punctual")
+
+    @pytest.mark.parametrize("move", ["bend", "scale"])
+    def test_perturbed_closed_form_image_raises(self, monkeypatch, move):
+        # the closed-form image of bend (p = zeta z^2) or scale (p = 0) is
+        # checked by fundamental_identity_residual under verify
+        inner = normalize._vertical_image
+        F = four_move_surface().series
+        M = Hypersurface(F - F.weight_part(1))
+        bump = Series3.monomial(8, 4, 3, 0, ONE) + Series3.monomial(8, 3, 4, 0, ONE)
+
+        def perturbed(F, a, p):
+            img = inner(F, a, p)
+            return img + bump if bool(p) == (move == "bend") else img
+
+        monkeypatch.setattr(normalize, "_vertical_image", perturbed)
+        stages = []
+        adapt_chart(M, stages)
+        assert [s.name for s in stages] == ["tilt", "bend", "scale"]
+        with pytest.raises(InternalInvariantError, match="independent residual after stage '%s'" % move):
+            adapt_chart(M, verify=True)
 
 
 class TestGroupOracles:

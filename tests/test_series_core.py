@@ -408,7 +408,7 @@ class TestSeries3:
     def test_slice_outside_the_order_refused(self):
         F = Series3.hermitian_square(6)
         assert F.slice_jk(4, 2).is_zero()
-        with pytest.raises(InternalInvariantError, match="outside truncation order 6"):
+        with pytest.raises(MathPreconditionError, match="outside truncation order 6"):
             F.slice_jk(4, 3)
 
     def test_weight_parts(self):
@@ -640,7 +640,7 @@ class TestSubstitution:
     def test_graph_requires_real_u(self):
         F = Series3.hermitian_square(6)
         us = Series3.u_var(6) * gr(0, 1)
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(MathPreconditionError):
             eval_graph(F, Series3.z_var(6), us)
 
     def test_curve_substitution(self):
@@ -673,9 +673,9 @@ class TestSubstitution:
 
     def test_constant_term_argument_rejected(self):
         F = Series3.hermitian_square(6)
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(MathPreconditionError, match="constant term"):
             eval_graph(F, Series3.z_var(6) + Series3.one(6), Series3.u_var(6))
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(MathPreconditionError, match="constant term"):
             eval_holo3(HoloSeries.w_var(6), Series3.z_var(6), Series3.u_var(6) + Series3.one(6))
 
     def test_truncation_consistency_random(self, rng):
@@ -881,7 +881,7 @@ class TestSubstitution:
         with pytest.raises(InternalInvariantError):
             GraphTable(zs, us, n - 2)(rand_series3(rng, n, terms=4))
         # and eval_graph's argument checks still run
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(MathPreconditionError):
             GraphTable(zs, us * gr(0, 1), n)(Series3.hermitian_square(n))
 
     def test_shared_curve_table(self, rng):
@@ -908,11 +908,11 @@ class TestSubstitution:
         # the u-argument's reality is checked once, when the table is built,
         # for a graph and for a curve, before any F is substituted
         n = 6
-        with pytest.raises(InternalInvariantError, match="real u-argument"):
+        with pytest.raises(MathPreconditionError, match="real u-argument"):
             GraphTable(Series3.z_var(n), Series3.u_var(n) * gr(0, 1), n)
-        with pytest.raises(InternalInvariantError, match="real u-argument"):
+        with pytest.raises(MathPreconditionError, match="real u-argument"):
             GraphTable(Series3.z_var(n), Series3.u_var(n) + Series3.z_var(n), n)
-        with pytest.raises(InternalInvariantError, match="real u-argument"):
+        with pytest.raises(MathPreconditionError, match="real u-argument"):
             GraphTable(UPoly.var(n), UPoly.var(n) * gr(1, 1), n)
 
     def test_compose_against_term_sum(self, rng):

@@ -56,6 +56,20 @@ class TestTangency:
         for nm, f in standard_fields().items():
             assert tangency_residual(f).is_zero(), nm
 
+    def test_heisenberg_translations(self):
+        # the translations (z, w) -> (z + a, w + b + 2i conj(a) z + i|a|^2)
+        # are automorphisms of v = z zbar; their fields d_z + 2iz d_w,
+        # i d_z + 2z d_w and d_w are tangent, and the first two bracket to
+        # 4 d_w, the center (the order drops by the weight of w)
+        n = 8
+        t1 = VectorField({"z": HoloSeries.one(n), "w": HoloSeries(n, {(1, 0): gr(0, 2)})})
+        t2 = VectorField({"z": HoloSeries.one(n) * gr(0, 1), "w": HoloSeries(n, {(1, 0): gr(2)})})
+        t3 = VectorField({"z": HoloSeries.zero(n), "w": HoloSeries.one(n)})
+        for t in (t1, t2, t3):
+            assert tangency_residual(t).is_zero()
+        four_dw = VectorField({"z": HoloSeries.zero(n - 2), "w": HoloSeries.one(n - 2) * 4})
+        assert bracket(t1, t2) == four_dw
+
     def test_non_tangent_detected(self):
         bad = VectorField({"z": HoloSeries.zero(8), "w": HoloSeries.one(8) * gr(0, 1)})
         assert not tangency_residual(bad).is_zero()
