@@ -9,7 +9,7 @@ The central objects:
   solved weight by weight; its independent correctness oracle is the
   identity F'(P, conj P, Re E) = Im E (``fundamental_identity_residual``),
   which each stage checks over its transform's own P, E and forward table;
-  the vertical moves of the adapted chart have a closed-form image instead.
+  a vertical map (z, a w + p(z)), a real, has a closed-form image instead.
 * the pipeline stages: adapted chart, punctual normalization through weight
   5, chain straightening (with the chain found automatically or supplied),
   harmonic killing, Levi normalization, degree-one absorption, the unitary
@@ -443,7 +443,7 @@ def fundamental_identity_residual(M, h, M_target, polynomial=False):
     satisfy  F'(P, conj P, Re E) - Im E = 0  identically; the returned series
     is that left-hand side, computed by forward substitution only (no use of
     the solver's internals).  It builds P and E afresh; it checks the
-    stages with no transform, the vertical moves (``_vertical_stage``).
+    stages with no transform, the vertical maps (``_run_stage``).
     """
     _check_type(M, Hypersurface, "surface")
     _check_type(h, Biholo, "map")
@@ -459,36 +459,6 @@ def fundamental_identity_residual(M, h, M_target, polynomial=False):
 # ---------------------------------------------------------------------------
 
 
-def _run_stage(name, M, h, stages, verify):
-    """Apply h to M and record it; with verify, check F2(P, conj P, Q) = R
-    over the transform's own P, Q, R and forward table.  Rebuilding them
-    would rerun the same deterministic code on the same input, so this costs
-    no independence; the check uses no inverse table, remainder or f_nu."""
-    M2, _, _, R, forward = _graph_transform_parts(M, h)
-    resid = None
-    if verify:
-        # both sides are canonical, so they are equal exactly when the
-        # residual is zero; the difference is built only to report it
-        image = forward(M2.series)
-        resid = Series3.zero(R.n) if image == R else image - R
-    return _record(name, h, M2, stages, resid)
-
-
-def _record(name, h, M2, stages, resid):
-    """Append the stage h: M -> M2 and return M2; resid, its residual of the
-    graph identity (``fundamental_identity_residual``'s for a vertical
-    move), must vanish, or is None when verify is off."""
-    if resid is not None:
-        resid.assert_zero("independent residual after stage %r" % name)
-    stages.append(Stage(name, h, M2, None if resid is None else True))
-    return M2
-
-
-# ---------------------------------------------------------------------------
-# adapted chart: kill weight-1 and harmonic weight-2 data, scale the Levi form
-# ---------------------------------------------------------------------------
-
-
 def _vertical_image(F, a, p):
     """F' = a F(z, zbar, (u - Re p)/a) + Im p, the image of v = F under
     (z, a w + p(z)), for a real a != 0 and p = {(j, 0): p_j} with j >= 1."""
@@ -500,17 +470,47 @@ def _vertical_image(F, a, p):
     return eval_graph(F, Series3.z_var(n), Series3(n, shift), polynomial=True) * a + Series3(n, harm)
 
 
-def _vertical_stage(name, M, a, p, stages, verify):
-    """Apply h = (z, a w + p(z)) to M in closed form and record it; with
-    verify, ``fundamental_identity_residual`` checks the image by forward
-    substitution.  Q = a u + Re p and R = a F + Im p do not contain F, so
-    F'(z, zbar, Q) = R is solved by one substitution, exact for the surface's
-    terms (polynomial=True): the transform's weight loop is not needed."""
-    n = M.n
-    h = Biholo(HoloSeries.z_var(n - 1), HoloSeries(n, {(0, 1): a, **p}))
-    M1 = Hypersurface(_vertical_image(M.series, a, p), check=False)
-    resid = fundamental_identity_residual(M, h, M1, polynomial=True) if verify else None
-    return _record(name, h, M1, stages, resid)
+def _run_stage(name, M, h, stages, verify):
+    """Apply h to M and return the image; with verify, check it; append the
+    stage when stages is a list.  The route is read off h's packed keys, f's
+    first, so a loop stage builds no scalar here.
+
+    * h = (z, a w + p(z)) with a real (f is z, and no term of g but a w has
+      a w): Q = a u + Re p and R = a F + Im p do not contain F, so
+      F'(z, zbar, Q) = R is one substitution, exact for the surface's terms
+      (``_vertical_image``), checked by ``fundamental_identity_residual``.
+    * any other h: the transform's weight loop, checked F2(P, conj P, Q) = R
+      over its own P, Q, R and forward table.  Rebuilding them would rerun
+      the same deterministic code on the same input, so this costs no
+      independence; the check uses no inverse table, remainder or f_nu.
+    """
+    f, g = h.f, h.g
+    z_key, w_key = HoloSeries._UNITS
+    a = g.num.get(w_key)
+    if f.d == 1 and f.num == {z_key: (1, 0)} and a is not None and not a[1] and not any(
+        k & HoloSeries._MASK for k in g.num if k != w_key
+    ):
+        p = g.c
+        M2 = Hypersurface(_vertical_image(M.series, p.pop((0, 1)), p), check=False)
+        resid = fundamental_identity_residual(M, h, M2, polynomial=True) if verify else None
+    else:
+        M2, _, _, R, forward = _graph_transform_parts(M, h)
+        resid = None
+        if verify:
+            # both sides are canonical, so they are equal exactly when the
+            # residual is zero; the difference is built only to report it
+            image = forward(M2.series)
+            resid = Series3.zero(R.n) if image == R else image - R
+    if resid is not None:
+        resid.assert_zero("independent residual after stage %r" % name)
+    if stages is not None:
+        stages.append(Stage(name, h, M2, None if resid is None else True))
+    return M2
+
+
+# ---------------------------------------------------------------------------
+# adapted chart: kill weight-1 and harmonic weight-2 data, scale the Levi form
+# ---------------------------------------------------------------------------
 
 
 def adapt_chart(M, stages=None, verify=False):
@@ -521,10 +521,10 @@ def adapt_chart(M, stages=None, verify=False):
     and the real scale w' = w/e normalizing the Levi coefficient (error if it
     vanishes: the surface is Levi degenerate at the origin).
 
-    The shear, bend and scale are vertical, w' = a w + p(z) with a real, so
-    their image is one substitution (``_vertical_stage``).  The tilt is not:
-    a = 1 - ic is not real, so Q = u + cF contains F and the image needs the
-    transform's weight loop (``_run_stage``).
+    Each move is a map (z, a w + p(z)).  The shear, bend and scale have a
+    real, so ``_run_stage`` finds their image in closed form, by one
+    substitution.  The tilt's a = 1 - ic is not real, so Q = u + cF contains
+    F and ``_run_stage`` runs the transform's weight loop for it.
 
     The shear checks its result (a z-linear term left would make the tilt's
     transform refuse the surface first, as a precondition); the others are
@@ -532,43 +532,38 @@ def adapt_chart(M, stages=None, verify=False):
     what one leaves: the bend changes only z^2 and zbar^2 there, and the
     scale only rescales.
     """
-    stages = [] if stages is None else stages
+    n = M.n
+
+    def move(name, M, g):
+        h = Biholo(HoloSeries.z_var(n - 1), HoloSeries(n, g))
+        return _run_stage(name, M, h, stages, verify)
 
     # -- shear: kill the z-linear coefficient exactly ------------------------
     alpha = M.series.coeff(1, 0, 0)
     if alpha:
         nu = (alpha * 2) / (M.series.coeff(0, 0, 1) + I_UNIT)
-        M = _vertical_stage("shear", M, ONE, {(1, 0): nu}, stages, verify)
+        M = move("shear", M, {(0, 1): ONE, (1, 0): nu})
         if M.series.coeff(1, 0, 0):
             raise InternalInvariantError("w-shear failed to kill the z-linear term")
-    F = M.series
-    n = F.n
 
     # -- tilt: kill the u-linear coefficient ---------------------------------
-    c = F.coeff(0, 0, 1)
+    c = M.series.coeff(0, 0, 1)
     if c:
-        h = Biholo(
-            HoloSeries.z_var(n - 1),
-            HoloSeries(n, {(0, 1): ONE - I_UNIT * c}),
-        )
-        M = _run_stage("tilt", M, h, stages, verify)
-        F = M.series
+        M = move("tilt", M, {(0, 1): ONE - I_UNIT * c})
 
     # -- bend: kill the z^2 harmonic ------------------------------------------
-    beta = F.coeff(2, 0, 0)
+    beta = M.series.coeff(2, 0, 0)
     if beta:
-        M = _vertical_stage("bend", M, ONE, {(2, 0): beta * I_UNIT * (-2)}, stages, verify)
-        F = M.series
+        M = move("bend", M, {(0, 1): ONE, (2, 0): beta * I_UNIT * (-2)})
 
     # -- scale: normalize the Levi coefficient --------------------------------
-    e = F.coeff(1, 1, 0)
+    e = M.series.coeff(1, 1, 0)
     if not e:
         raise LeviDegenerateError("Levi form vanishes at the origin")
     if e != ONE:
-        M = _vertical_stage("scale", M, ONE / e, {}, stages, verify)
-        F = M.series
+        M = move("scale", M, {(0, 1): ONE / e})
 
-    if F.up_to_weight(2) != Series3.hermitian_square(n):
+    if M.series.up_to_weight(2) != Series3.hermitian_square(n):
         raise InternalInvariantError("adapted chart postcondition failed")
     return M
 
@@ -698,7 +693,6 @@ def _solve_punctual(delta, target):
 
 def punctual_normalize(M, stages=None, verify=False):
     """Kill all weight 3, 4 and 5 terms of an adapted surface."""
-    stages = [] if stages is None else stages
     F = M.series
     n = F.n
     if n < 6:
@@ -745,9 +739,9 @@ def straighten_curve(M, curve, stages=None, verify=False):
 
     The map is z' = z - phi(tau(w)), w' = tau(w) with tau the functional
     inverse of psi; afterwards the graph function vanishes along z = 0.
+    The caller vouches that the curve lies on M (``TransversalCurve.complete``
+    builds it there, or ``validate_on`` checked it); it is not checked here.
     """
-    stages = [] if stages is None else stages
-    curve.validate_on(M)
     n = M.n
     trivial_phi = curve.phi.is_zero()
     trivial_psi = curve.psi == UPoly.var(curve.psi.n)
@@ -793,7 +787,6 @@ def kill_harmonics(M, stages=None, verify=False):
     With harm = sum_{j >= 1} F_{j,0}(u) z^j and T = w - i harm(z, T) (u = T
     inverts w = u + i harm(z, u)), the map is w' = w - 2i harm(z, T) = 2T - w.
     """
-    stages = [] if stages is None else stages
     F = M.series
     n = F.n
     if F.coeff(1, 0, 0) or F.coeff(0, 0, 1) or F.coeff(2, 0, 0):
@@ -819,7 +812,6 @@ def kill_harmonics(M, stages=None, verify=False):
 
 def normalize_levi(M, stages=None, verify=False):
     """Scale z by 1/sqrt(F_{1,1}(u)) so the Levi slice becomes constant 1."""
-    stages = [] if stages is None else stages
     n = M.n
     f11 = M.slice(1, 1)
     if f11.coeff(0) - ONE:
@@ -837,7 +829,6 @@ def normalize_levi(M, stages=None, verify=False):
 
 def absorb_k1(M, stages=None, verify=False):
     """Absorb all F_{j,1} slices (j >= 2) into z' = z + Lambda(z, w)."""
-    stages = [] if stages is None else stages
     F = M.series
     n = F.n
     lam_corr = _z_slices(F, 1, n - 1)
@@ -858,7 +849,6 @@ def kill_f22_rotation(M, stages=None, verify=False):
     The map is z' = z lambda(w), lambda = exp(-(i/2) integral(F22)), so
     2i lambda' = F22 lambda; F22 is real, so lambda conj(lambda) = 1.
     """
-    stages = [] if stages is None else stages
     n = M.n
     f22 = M.slice(2, 2)
     if f22.is_zero():
@@ -880,7 +870,6 @@ def kill_f33_reparam(M, stages=None, verify=False):
     z' = z phi(w), w' = psi(w) with phi = 1/eta, psi' = phi^2, psi(0) = 0;
     psi then satisfies psi''' = (3/2) psi''^2 / psi' - 3 F33 psi'.
     """
-    stages = [] if stages is None else stages
     n = M.n
     f33 = M.slice(3, 3)
     if f33.is_zero():
@@ -952,7 +941,7 @@ def _f32_slice_through_subpipeline(M, phi):
     the slice is the one the whole surface leaves.
     """
     M = straighten_curve(M, TransversalCurve.complete(M, phi))
-    M5, _ = _through_rotation(_without_terms(M, lambda j, k, l: j > 3 or k > 3), [])
+    M5, _ = _through_rotation(_without_terms(M, lambda j, k, l: j > 3 or k > 3), None)
     return M5.slice(3, 2)
 
 
@@ -1118,7 +1107,11 @@ class PipelineResult:
         return [s.name for s in self.stages]
 
     def composite_map(self):
-        """All stage maps composed (applied left to right)."""
+        """All stage maps composed (applied left to right).  After a shear it
+        is sound only to about weight n/2; the exact certificate is then the
+        composite of ``stages[1:]`` mapping ``stages[0].surface`` onto the
+        result with a zero ``fundamental_identity_residual``, plus the
+        shear's own residual (``test_composite_after_shear_reproduces_final_surface``)."""
         if not self.stages:
             return Biholo.identity(self.surface.n)
         total = self.stages[0].map

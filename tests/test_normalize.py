@@ -537,14 +537,14 @@ class TestAdaptChart:
     def test_postcondition_catches_each_later_move(self, monkeypatch, move):
         # a move that leaves its surface unchanged leaves its weight-2 term
         # (u, z^2 or the Levi coefficient -3); the one final check sees it.
-        # The tilt runs the transform's loop, bend and scale the closed form
-        route = "_run_stage" if move == "tilt" else "_vertical_stage"
-        inner = getattr(normalize, route)
+        # Every move, loop (tilt) or closed form (bend, scale), is applied
+        # by _run_stage
+        inner = normalize._run_stage
 
         def skipping(name, M, *rest):
             return M if name == move else inner(name, M, *rest)
 
-        monkeypatch.setattr(normalize, route, skipping)
+        monkeypatch.setattr(normalize, "_run_stage", skipping)
         with pytest.raises(InternalInvariantError, match="adapted chart postcondition"):
             adapt_chart(four_move_surface(), verify=True)
 
@@ -856,6 +856,57 @@ class TestStageResidual:
         assert [s.name for s in stages] == ["tilt", "bend", "scale"]
         with pytest.raises(InternalInvariantError, match="independent residual after stage '%s'" % move):
             adapt_chart(M, verify=True)
+
+
+class TestPostChainGuards:
+    """Each check after the chain is found, tripped by a fault at the stage
+    runner on a surface where every stage has work (skipping a stage with no
+    work would trip nothing)."""
+
+    @staticmethod
+    def surface():
+        return graph_transform(sphere(8), rand_contract_map(random.Random(2), 8))[0]
+
+    MESSAGES = {
+        "straighten": "straightened curve is not the u-axis",
+        "harmonics": "harmonic slices after harmonic killing does not vanish",
+        "levi": "Levi slice not normalized to 1",
+        "absorb": "degree-one slices after absorption does not vanish",
+        "rotate": "F22 slice survived the rotation",
+        "reparam": "F33 slice survived the reparametrization",
+        "transport": r"degree-\(4,2\) slice transport law violated",
+    }
+
+    @pytest.mark.parametrize("stage", list(MESSAGES))
+    def test_faulty_stage_trips_its_check(self, monkeypatch, stage):
+        # a skipped stage leaves the slices its own check reads; "transport"
+        # adds z^4 zbar^2 + conj to the reparametrized image, which keeps
+        # F33 empty but breaks the degree-(4,2) slice transport law
+        inner = normalize._run_stage
+        bump = Series3.monomial(8, 4, 2, 0, ONE) + Series3.monomial(8, 2, 4, 0, ONE)
+
+        def faulty(name, M, *rest):
+            if name == stage:
+                return M
+            M2 = inner(name, M, *rest)
+            if name == "reparam" and stage == "transport":
+                return Hypersurface(M2.series + bump)
+            return M2
+
+        monkeypatch.setattr(normalize, "_run_stage", faulty)
+        with pytest.raises(InternalInvariantError, match=self.MESSAGES[stage]):
+            normalize_hypersurface(self.surface())
+
+    def test_wrong_found_chain_trips_the_obstruction_check(self, monkeypatch):
+        inner = normalize.find_chain_curve
+
+        def wrong(M):
+            phi = inner(M)
+            return phi + UPoly(phi.n, {3: ONE})
+
+        monkeypatch.setattr(normalize, "find_chain_curve", wrong)
+        with pytest.raises(InternalInvariantError, match="found curve left a chain obstruction"):
+            normalize_hypersurface(self.surface())
 
 
 class TestGroupOracles:
