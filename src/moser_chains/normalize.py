@@ -6,9 +6,10 @@ The central objects:
   order bounds the *transforms*, the stored terms are the surface).
 * ``Biholo``       -- an origin-fixing map (z, w) |-> (f(z,w), g(z,w)).
 * ``graph_transform`` -- the induced graph function of the image surface,
-  solved weight by weight; its independent correctness oracle is the
-  identity F'(P, conj P, Re E) = Im E (``fundamental_identity_residual``),
-  which each stage checks over its transform's own P, E and forward table;
+  solved weight by weight in coordinates with an identity leading part;
+  its independent correctness oracle is the identity
+  F'(P, conj P, Re E) = Im E (``fundamental_identity_residual``), which
+  each stage checks over its transform's own P, E and a table of (P, Re E);
   a vertical map (z, a w + p(z)), a real, has a closed-form image instead.
 * the pipeline stages: adapted chart, punctual normalization through weight
   5, chain straightening (with the chain found automatically or supplied),
@@ -48,6 +49,7 @@ from .series_core import (
     UPoly,
     _combine,
     _reduced_series,
+    _tail_bound,
     eval_curve,
     eval_graph,
     eval_holo2,
@@ -330,21 +332,30 @@ def translate_to_point(M, z0, u0, v0=None):
 
 
 def _transform_ingredients(M, h, polynomial=False):
+    """(n, P, Q, R): P = f(z, u + iF), Q + iR = g(z, u + iF), Q and R real.
+    Only the offsets f - z and g - w are substituted, and z, u and F added
+    back, so f = z gives P = z and g = w gives Q = u and R = F for free."""
     F = M.series
     n = F.n
-    zv = Series3.z_var(n)
-    big_w = _combine(Series3, n, 1, ((Series3.u_var(n), 1, 0), (F, 0, 1)))
-    P = eval_holo3(h.f, zv, big_w, polynomial=polynomial)
-    if P.n < n:
+    # g(z, u + iF) is sound to this weight whether or not its offset is zero
+    if _tail_bound(h.g, n, 1, min(F.low_weight() or 2, 2), polynomial) < n:
+        raise MathPreconditionError("map w-component truncated below the surface order")
+    zv, uv = Series3.z_var(n), Series3.u_var(n)
+    f_off = h.f - HoloSeries.z_var(h.f.n)
+    g_off = h.g - HoloSeries.w_var(h.g.n)
+    P, Q, R = zv, uv, F
+    if f_off.num or g_off.num:
+        big_w = _combine(Series3, n, 1, ((uv, 1, 0), (F, 0, 1)))
+    if f_off.num:
         # f is carried to weight n-1 only; the missing weight-n slice of P
         # cannot reach weights <= n in any product that also carries weight
         # >= 1 from elsewhere, and the identity has no weight-1 content, so
         # declaring it zero is sound for everything computed here.
-        P = P.padded(n)
-    E = eval_holo3(h.g, zv, big_w, polynomial=polynomial)
-    if E.n < n:
-        raise MathPreconditionError("map w-component truncated below the surface order")
-    return (n, P) + E.re_im()
+        P = (zv + eval_holo3(f_off, zv, big_w, polynomial=polynomial)).padded(n)
+    if g_off.num:
+        re, im = eval_holo3(g_off, zv, big_w, polynomial=polynomial).re_im()
+        Q, R = uv + re, F + im
+    return n, P, Q, R
 
 
 def graph_transform(M, h):
@@ -355,26 +366,25 @@ def graph_transform(M, h):
     nonzero).  P and Q are the new z and u coordinates as series over the
     source; a stage checks its image over them (``_run_stage``).
 
-    Q = Re E and R = Im E come from one pass over E (``Series3.re_im``).
-    The image is solved weight by weight.  The remainder R - sum forward(f_mu)
-    is kept as one numerator dict per weight over one running denominator;
-    each forward image is added into it once, in place, and step nu reads
-    its weight nu only: forward(f_nu) has no term below weight nu, so the
-    remainder vanishes exactly when each step leaves its own weight zero,
-    which is checked.  Every step substitutes into the same arguments, so
-    the powers of the inverse coordinates and of (P, Q) are built once per
-    call, in one GraphTable each.  Every stage after ``adapt_chart`` has an
-    identity leading part (lambda = 1, sigma = 1, q2 = 0): the inverse table
-    then has no offset and each inverse step returns its argument, and the
-    forward steps pass most terms through (the near-identity rule of
-    ``series_core._substitute``).  Both tables substitute real series into
-    real u-arguments, so each builds its mirrored groups once.
+    The image F' solves F'(P, conj P, Q) = R.  With L = (lambda z, sigma u +
+    q2) the leading part of (P, Q), the loop solves G(P~, conj P~, Q~) = R
+    over (P~, Q~) = L^-1 o (P, Q), whose leading part is the identity, and
+    F' = G o L^-1.  Every stage but the tilt has L = 1, so F' = G; the tilt
+    pays q2(P~) before the loop and G o L^-1 after it.
 
-    The image is real without a check: R = Im E is real, and each table
-    substitutes into (x, conj x, t) with t real, checked once, so
-    conjugation commutes with it and a real series goes to a real one; every
-    weight part of a real series is real, so each step's remainder is, and
-    the image is the sum of the real f_nu, added once at the end.
+    The loop's table of (P~, Q~) has gap d (``GraphTable.near``): a term of
+    weight w goes to itself plus terms of weight >= w + d, so G's weight-nu
+    part is the remainder R - sum table(g_mu) at weight nu.  Each weight
+    nu <= n - 2d takes one step, the band n - 2d < nu <= n - d one call, as
+    its images land above n - d, and the top d weights are copied.  The
+    remainder is one numerator dict per weight over one running
+    denominator, each image added into it in place; each step and each
+    weight of the band must leave its own weights zero, which is checked.
+
+    The image is real without a check: R is real, and the table substitutes
+    into (x, conj x, t) with t real, checked once, so conjugation commutes
+    with it and a real series goes to a real one; so each remainder slice,
+    G and G o L^-1 are real.
     """
     _check_type(M, Hypersurface, "surface")
     _check_type(h, Biholo, "map")
@@ -382,7 +392,8 @@ def graph_transform(M, h):
 
 
 def _graph_transform_parts(M, h):
-    """``graph_transform``'s (surface, P, Q), R = Im E and its forward table."""
+    """``graph_transform``'s (surface, P, Q), R and a table of (P, Q), the
+    loop's own when L = 1, for the stage check."""
     if M.series.coeff(1, 0, 0) or M.series.coeff(0, 1, 0):
         # u + iF would have low weight 1, so E would be sound to about n/2
         raise MathPreconditionError(
@@ -401,39 +412,49 @@ def _graph_transform_parts(M, h):
     if not sigma:
         raise MathPreconditionError("image is not a graph over (z, u): u-part degenerates")
     lam = P.coeff(1, 0, 0)
-
-    zs_inv = Series3.z_var(n) * (ONE / lam)
     q2 = Q.weight_part(2) - Series3.monomial(n, 0, 0, 1, sigma)
-    uv = Series3.u_var(n)
-    us_inv = (uv - eval_graph(q2, zs_inv, uv)) * (ONE / sigma)
-
-    inverse = GraphTable(zs_inv, us_inv, n)
-    forward = GraphTable(P, Q, n)
-    # R - sum forward(f_mu), kept as its weight-w numerators rem[w] over den
+    identity = lam == ONE and sigma == ONE and not q2.num
+    if identity:
+        table = forward = GraphTable(P, Q, n)
+    else:
+        pt = P * (ONE / lam)
+        table = GraphTable(pt, (Q - eval_graph(q2, pt, Q)) * (ONE / sigma), n)
+    # R - sum table(g_mu), kept as its weight-w numerators rem[w] over den
     shift, den, rem = Series3._SHIFT, R.d, [{} for _ in range(n + 1)]
     for k, v in R.num.items():
         rem[k >> shift][k] = v
-    parts = []
-    for nu in range(1, n + 1):
-        s_nu = _reduced_series(Series3, n, den, dict(rem[nu]))
-        if s_nu.is_zero():
-            continue
-        f_nu = inverse(s_nu)
-        image = forward(f_nu)
-        if den % image.d:
-            m = lcm(den, image.d) // den
-            den *= m
-            for w in range(nu, n + 1):
-                rem[w] = {k: (a * m, b * m) for k, (a, b) in rem[w].items()}
-        m = den // image.d
-        for k, (a, b) in image.num.items():
-            part = rem[k >> shift]
-            x, y = part.get(k, (0, 0))
-            part[k] = (x - a * m, y - b * m)
-        if any(a or b for a, b in rem[nu].values()):
-            raise InternalInvariantError("graph transform recursion left weight %d" % nu)
-        parts.append((f_nu, 1, 0))
-    return Hypersurface(_combine(Series3, n, 1, parts), check=False), P, Q, R, forward
+    d, parts, nu = table.near[0], [], 1
+    while nu <= n:
+        # a step per weight through n - 2d, one call for the band through
+        # n - d, and the top d weights copied: their images add nothing else
+        top = nu if nu <= n - 2 * d else n - d if nu <= n - d else n
+        s = _reduced_series(
+            Series3, n, den, {k: v for w in range(nu, top + 1) for k, v in rem[w].items()}
+        )
+        if s.num and top <= n - d:
+            image = table(s)
+            if den % image.d:
+                m = lcm(den, image.d) // den
+                den *= m
+                for w in range(nu, n + 1):
+                    rem[w] = {k: (a * m, b * m) for k, (a, b) in rem[w].items()}
+            m = den // image.d
+            for k, (a, b) in image.num.items():
+                part = rem[k >> shift]
+                x, y = part.get(k, (0, 0))
+                part[k] = (x - a * m, y - b * m)
+            for w in range(nu, top + 1):
+                if any(a or b for a, b in rem[w].values()):
+                    raise InternalInvariantError("graph transform recursion left weight %d" % w)
+        parts.append((s, 1, 0))
+        nu = top + 1
+    G = _combine(Series3, n, 1, parts)
+    if not identity:
+        zs_inv = Series3.z_var(n) * (ONE / lam)
+        uv = Series3.u_var(n)
+        G = eval_graph(G, zs_inv, (uv - eval_graph(q2, zs_inv, uv)) * (ONE / sigma))
+        forward = GraphTable(P, Q, n)
+    return Hypersurface(G, check=False), P, Q, R, forward
 
 
 def fundamental_identity_residual(M, h, M_target, polynomial=False):
@@ -480,9 +501,10 @@ def _run_stage(name, M, h, stages, verify):
       F'(z, zbar, Q) = R is one substitution, exact for the surface's terms
       (``_vertical_image``), checked by ``fundamental_identity_residual``.
     * any other h: the transform's weight loop, checked F2(P, conj P, Q) = R
-      over its own P, Q, R and forward table.  Rebuilding them would rerun
-      the same deterministic code on the same input, so this costs no
-      independence; the check uses no inverse table, remainder or f_nu.
+      over its own P, Q, R and table of (P, Q), the loop's own when the
+      leading part is the identity.  Rebuilding them would rerun the same
+      deterministic code on the same input, so this costs no independence;
+      the check uses no remainder, loop slice or map back by L^-1.
     """
     f, g = h.f, h.g
     z_key, w_key = HoloSeries._UNITS

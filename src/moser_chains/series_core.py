@@ -52,7 +52,7 @@ order.
 The ``UPoly`` inverses and the series equations of ``normalize`` (the
 isotropy denominator, the harmonic inversion, the reparametrization) go
 through one solver, ``fixed_point``; ``normalize.graph_transform`` instead
-solves its image weight by weight, one linear step per weight.
+solves its image weight by weight, with the near-identity rule below.
 
 Most substitutions the pipeline makes are tangent to the identity: every
 argument is x_i + h_i, with x_i the i-th variable of its class and every term

@@ -20,6 +20,13 @@ Three more pin the whole pipeline at the benchmark's ``chain_dense`` shape
 benchmark never runs: every stage after the chain, from ``straighten`` to
 ``reparam``, checks its residual here.  Those values come from the code
 before the one-pass Re/Im and the in-place remainder of ``graph_transform``.
+
+The six chart and chain draws also pin every stage, not only the final
+surface: a second hash covers each stage's name, map JSON and surface JSON
+(``stages_digest``), so an intermediate surface or map that moves fails even
+when a later stage hides it.  Seeds 76 and 9 run the tilt, the one move
+whose transform has a leading part other than the identity.  Those values
+come from the code before the transform solved in identity-led coordinates.
 """
 
 import hashlib
@@ -39,20 +46,26 @@ GOLDEN_STAGES = [
 
 CHART_GOLDEN = {
     31: (["bend", "punctual5"],
-         "1a2125337c7ec3fadeb845dbd87455ca0d57b812d3e17f7f138a594e3fc3f096"),
+         "1a2125337c7ec3fadeb845dbd87455ca0d57b812d3e17f7f138a594e3fc3f096",
+         "228f5a556322a5901e27c8398c49d9160cea63808dc3212c45aa035b345c35e5"),
     61: (["shear", "punctual3", "punctual4", "punctual5"],
-         "cebea3c0c486b5547e75a0c9f997c2e8f614390429a060e43fb6703aab17a7ca"),
+         "cebea3c0c486b5547e75a0c9f997c2e8f614390429a060e43fb6703aab17a7ca",
+         "60d69f0c957a88c40e273f7db9dc978191c10dc377d51e0d92ffa29122bd7191"),
     76: (["tilt", "punctual3", "punctual4", "punctual5"],
-         "be2a65c1888aacb95d5391d0d36fc0372de65528c0a2ce6dc947c3444b4ecb22"),
+         "be2a65c1888aacb95d5391d0d36fc0372de65528c0a2ce6dc947c3444b4ecb22",
+         "b6dd24d9091fdc5b65cb93f3a8158fa6e4a61905757c7c3cf1db541db3defc87"),
 }
 
 CHAIN_GOLDEN = {
     2: (["shear", "bend", "scale"],
-        "687b652f3e0ab1cd2b8f785fc02e8793b920260b7933062626cb2c726ca439cb"),
+        "687b652f3e0ab1cd2b8f785fc02e8793b920260b7933062626cb2c726ca439cb",
+        "ebaca47784e410a6a36a7da5ae051b31bcbaf0bf5d0aff68b7ef82e3c1663fc9"),
     9: (["tilt"],
-        "9fce9e4f1dd6a1d43b2e1bfcabaa0bfce7be00d4e1cfc2a4560c12e17e4a25b5"),
+        "9fce9e4f1dd6a1d43b2e1bfcabaa0bfce7be00d4e1cfc2a4560c12e17e4a25b5",
+        "d3e640fb70608541bfa6cb54206ae82cc7ee1191f3a762086ee950ec6a7ce32b"),
     24: (["bend"],
-         "815c9fb77fcf1ec59cb7130313ff8136b74b24c5b3efdd18e18b170334eb3183"),
+         "815c9fb77fcf1ec59cb7130313ff8136b74b24c5b3efdd18e18b170334eb3183",
+         "f31329e84faf1383865462dd2ad9249ceef7a6cee1d1ec4e027e78a6029403ac"),
 }
 
 
@@ -62,6 +75,14 @@ def chain_digest(result):
              for m in range(phi.n + 1) if phi.coeff(m)]
     blob = json.dumps([result.surface.to_json(), result.stage_names(), chain], sort_keys=True)
     return len(chain), hashlib.sha256(blob.encode()).hexdigest()
+
+
+def stages_digest(result):
+    """sha256 of every stage's name, map JSON and surface JSON, in order."""
+    blob = json.dumps(
+        [[s.name, s.map.to_json(), s.surface.to_json()] for s in result.stages], sort_keys=True
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def test_order_14_ladder_surface_is_bit_identical():
@@ -76,7 +97,7 @@ def test_order_14_ladder_surface_is_bit_identical():
 
 @pytest.mark.parametrize("seed", sorted(CHART_GOLDEN))
 def test_chart_path_draws_are_bit_identical(seed):
-    stages, digest = CHART_GOLDEN[seed]
+    stages, digest, each_stage = CHART_GOLDEN[seed]
     rng = random.Random(seed)
     obj = load_gen().rand_surface_json(rng, rng, 12, 60)
     result = normalize_hypersurface(Hypersurface.from_json(obj), verify=True, stop_after="punctual")
@@ -84,11 +105,12 @@ def test_chart_path_draws_are_bit_identical(seed):
     assert all(s.residual_zero is True for s in result.stages)
     blob = json.dumps([result.surface.to_json(), result.stage_names()], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+    assert stages_digest(result) == each_stage
 
 
 @pytest.mark.parametrize("seed", sorted(CHAIN_GOLDEN))
 def test_chain_dense_draws_are_bit_identical_with_verify(seed):
-    chart, digest = CHAIN_GOLDEN[seed]
+    chart, digest, each_stage = CHAIN_GOLDEN[seed]
     rng = random.Random(seed)
     obj = load_gen().rand_surface_json(rng, rng, 10, 60)
     result = normalize_hypersurface(Hypersurface.from_json(obj), verify=True)
@@ -96,3 +118,4 @@ def test_chain_dense_draws_are_bit_identical_with_verify(seed):
     assert result.stage_names() == chart + GOLDEN_STAGES
     assert all(s.residual_zero is True for s in result.stages)
     assert chain_digest(result) == (2, digest)
+    assert stages_digest(result) == each_stage

@@ -275,6 +275,57 @@ def rand_contract_map(rng, n, allow_fw=True):
     return Biholo(HoloSeries(n - 1, fc), HoloSeries(n, gc))
 
 
+def gap_map(rng, n, d):
+    """An identity-led map (z + f1, w + g1): f1 of weight >= 1 + d with a
+    z^(1+d) term, g1 of weight >= 2 + d.  Over a surface with no weight-1
+    term its (P, Q) has gap exactly d."""
+    fc = {(1, 0): ONE, (1 + d, 0): rand_gr(rng, nonzero=True)}
+    gc = {(0, 1): ONE}
+    for _ in range(4):
+        j, l = rng.randrange(0, 4), rng.randrange(0, 3)
+        if 1 + d <= j + 2 * l <= n - 1 and (j, l) not in fc:
+            fc[(j, l)] = rand_gr(rng)
+        if 2 + d <= j + 2 * l <= n:
+            gc[(j, l)] = rand_gr(rng)
+    return Biholo(HoloSeries(n - 1, fc), HoloSeries(n, gc))
+
+
+class LoopCalls:
+    """Each table that ``normalize`` builds, in ``made``, and each call of
+    one, as (table, argument), in ``calls``; the call numbered ``bad`` (from
+    1) returns its image doubled.  Without verify the calls are the
+    transform loop's only."""
+
+    def __init__(self, monkeypatch):
+        self.made, self.calls, self.bad = [], [], 0
+        log = self
+
+        class Recording(GraphTable):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                log.made.append(self)
+
+            def __call__(self, F):
+                log.calls.append((self, F))
+                out = super().__call__(F)
+                return out * 2 if len(log.calls) == log.bad else out
+
+        monkeypatch.setattr(normalize, "GraphTable", Recording)
+
+
+def loop_kind(table, F, n):
+    """"step" for a call on one weight <= n - 2d, "band" for one on weights
+    in the band n - 2d < w <= n - d, d the table's gap; else None."""
+    d, low, high = table.near[0], F.low_weight(), max(F.num) >> Series3._SHIFT
+    if low == high <= n - 2 * d:
+        return "step"
+    if n - 2 * d < low and high <= n - d:
+        return "band"
+    return None
+
+
 class TestGraphTransform:
     def test_contract_violations(self):
         M = sphere(8)
@@ -287,6 +338,13 @@ class TestGraphTransform:
             )
         with pytest.raises(MathPreconditionError):
             graph_transform(M, Biholo(HoloSeries.z_var(3), HoloSeries.w_var(8)))
+        # g carried to n - 1 on an order-n surface, with and without an offset
+        for g in (HoloSeries.w_var(7), HoloSeries(7, {(0, 1): ONE, (2, 1): gr(1, 1)})):
+            with pytest.raises(MathPreconditionError, match="w-component truncated below"):
+                graph_transform(M, Biholo(HoloSeries.z_var(7), g))
+        # g = i w: Q = Re(i (u + i z zbar)) = -z zbar has no u term
+        with pytest.raises(MathPreconditionError, match="u-part degenerates"):
+            graph_transform(M, Biholo(HoloSeries.z_var(7), HoloSeries(8, {(0, 1): gr(0, 1)})))
 
     def test_weight_one_surface_refused_up_front(self):
         # E = g(z, u + iF) would be sound only to about weight n/2, which the
@@ -320,37 +378,55 @@ class TestGraphTransform:
             resid = fundamental_identity_residual(M, h, img)
             assert resid.is_zero()
 
-    def test_leading_part_shapes_certified(self, rng):
-        # the inverse steps are skipped only for an identity leading part
-        # (lambda = 1, sigma = 1, q2 = 0); a leading part with lambda != 1 or
-        # sigma != 1, and the tilt w -> (1 - ic) w, whose q2 = c z zbar, must
-        # still be inverted
+    def test_leading_part_shapes_certified(self, rng, monkeypatch):
+        # only an identity leading part (lambda = 1, sigma = 1, q2 = 0) is
+        # solved over (P, Q) directly; any other -- lambda != 1 or sigma != 1
+        # (the linear maps, an isotropy map with sigma = |lambda|^2), q2 =
+        # Re(b z^2) from a z^2 term in g, or the tilt w -> (1 - ic) w, whose
+        # q2 = c z zbar -- is solved over an identity-led table of
+        # L^-1 o (P, Q), the first table made, and mapped back, and the check
+        # gets a second table, of (P, Q)
         n = 8
-        c = gr("2/3")
+        c, lam0, b = gr("2/3"), gr(2, 1), gr(1, -3)
         u = Series3.u_var(n)
+        log = LoopCalls(monkeypatch)
 
         def linear(lam, sigma):
             return Biholo(HoloSeries(n - 1, {(1, 0): lam}), HoloSeries(n, {(0, 1): sigma}))
 
         tilt = Biholo(HoloSeries.z_var(n - 1), HoloSeries(n, {(0, 1): ONE - gr(0, 1) * c}))
-        for _ in range(3):
-            M = Hypersurface(
+        iso = isotropy_map(lam0, gr(1, 2), gr("1/2"), n)
+        bent = Biholo(iso.f, iso.g + HoloSeries(n, {(2, 0): b}))
+        re_bz2 = Series3(n, {(2, 0, 0): b * gr("1/2"), (0, 2, 0): b.conjugate() * gr("1/2")})
+        for M in [sphere(n)] + [
+            Hypersurface(
                 Series3.hermitian_square(n) + rand_real_series3(rng, n, terms=6, min_weight=3)
             )
+            for _ in range(3)
+        ]:
             identity_led = Biholo(
                 HoloSeries(n - 1, {(1, 0): ONE, (2, 0): rand_gr(rng), (0, 1): rand_gr(rng)}),
                 HoloSeries(n, {(0, 1): ONE, (1, 1): rand_gr(rng), (0, 2): rand_gr(rng)}),
             )
             for h, lam, q_2 in (
                 (identity_led, ONE, u),
-                (linear(gr(2, 1), gr("1/3")), gr(2, 1), u * gr("1/3")),
+                (linear(lam0, gr("1/3")), lam0, u * gr("1/3")),
                 (linear(ONE, gr("1/3")), ONE, u * gr("1/3")),
-                (linear(gr(2, 1), ONE), gr(2, 1), u),
+                (linear(lam0, ONE), lam0, u),
                 (tilt, ONE, u + Series3.hermitian_square(n) * c),
+                (iso, lam0, u * 5),
+                (bent, lam0, u * 5 + re_bz2),
             ):
-                img, P, Q = graph_transform(M, h)
+                del log.made[:]
+                img, P, Q, _, forward = normalize._graph_transform_parts(M, h)
                 assert P.coeff(1, 0, 0) == lam and Q.weight_part(2) == q_2
+                table = log.made[0]
+                assert table.near[0] >= 1
+                assert log.made == ([table] if h is identity_led else [table, forward])
+                assert table is forward or table.args[0] != P or table.args[2] != Q
                 assert fundamental_identity_residual(M, h, img).is_zero()
+                if h is iso and M == sphere(n):
+                    assert img == M
 
     def test_residual_detects_wrong_target(self, rng):
         M = rand_surface(rng, terms=5)
@@ -362,44 +438,36 @@ class TestGraphTransform:
 
     def test_stage_residual_is_the_oracle(self, rng):
         # the stage check, forward(F2) - R over the transform's own P, Q, R
-        # and table, is fundamental_identity_residual term for term
+        # and its table of (P, conj P, Q) -- the loop's own for an identity
+        # leading part, a fresh one otherwise -- is
+        # fundamental_identity_residual term for term
         for _ in range(3):
-            M = rand_surface(rng, terms=5)
-            h = rand_contract_map(rng, 8)
-            img, _, _, R, forward = normalize._graph_transform_parts(M, h)
-            assert (forward(img.series) - R).is_zero()
-            wrong = Hypersurface(img.series + Series3.monomial(8, 2, 2, 1, gr("1/13")), check=False)
-            resid = forward(wrong.series) - R
-            assert not resid.is_zero()
-            assert resid == fundamental_identity_residual(M, h, wrong)
+            M = rand_surface(rng, terms=5, min_weight=2)
+            for h in (rand_contract_map(rng, 8), gap_map(rng, 8, 1)):
+                img, P, Q, R, forward = normalize._graph_transform_parts(M, h)
+                assert forward.args == (P, P.conj(), Q)
+                assert (forward(img.series) - R).is_zero()
+                wrong = Hypersurface(
+                    img.series + Series3.monomial(8, 2, 2, 1, gr("1/13")), check=False
+                )
+                resid = forward(wrong.series) - R
+                assert not resid.is_zero()
+                assert resid == fundamental_identity_residual(M, h, wrong)
 
     def test_remainder_check_is_live(self, monkeypatch):
-        # doubling the f_nu of any one step leaves that step's weight nonzero
-        M = rand_surface(random.Random(4), n=8, terms=10)
-        h = rand_contract_map(random.Random(5), 8)
-        steps = []
-
-        class Inverse(GraphTable):
-            __slots__ = ()
-
-            def __call__(self, F):
-                steps.append(F.low_weight())
-                out = super().__call__(F)
-                return out * 2 if len(steps) == bad else out
-
-        def tables(*args):
-            # the inverse table is the transform's first
-            made.append(None)
-            return (Inverse if len(made) == 1 else GraphTable)(*args)
-
-        monkeypatch.setattr(normalize, "GraphTable", tables)
-        made, bad = [], 0
+        # doubling the image of any one step, or of the band's one call,
+        # leaves the lowest weight of its argument nonzero
+        n = 10
+        M = rand_surface(random.Random(4), n=n, terms=10, min_weight=2)
+        h = gap_map(random.Random(5), n, 2)
+        log = LoopCalls(monkeypatch)
         graph_transform(M, h)
-        weights = list(steps)
-        assert len(weights) > 2
-        for bad, nu in enumerate(weights, 1):
-            del made[:], steps[:]
-            with pytest.raises(InternalInvariantError, match="left weight %d" % nu):
+        kinds = [loop_kind(table, F, n) for table, F in log.calls]
+        assert "step" in kinds and "band" in kinds
+        lows = [F.low_weight() for _, F in log.calls]
+        for log.bad, nu in enumerate(lows, 1):
+            del log.calls[:]
+            with pytest.raises(InternalInvariantError, match="recursion left weight %d$" % nu):
                 graph_transform(M, h)
 
     def test_image_is_real(self, rng):
@@ -417,6 +485,35 @@ class TestGraphTransform:
                 assert img.series.is_real()
                 assert img.series.conj() == img.series
                 assert fundamental_identity_residual(M, h, img).is_zero()
+
+
+class TestIdentityLedLoop:
+    """The transform solves over (P~, Q~) = L^-1 o (P, Q), L = (lambda z,
+    sigma u + q2) the leading part, in one loop of steps, one band call and
+    copies (``graph_transform``)."""
+
+    def test_identity_map_copies_every_weight(self, rng, monkeypatch):
+        # no offset: the gap is n + 1, so every weight of R = F is copied
+        log = LoopCalls(monkeypatch)
+        for n in (6, 9):
+            M = rand_surface(rng, n, terms=8, min_weight=2)
+            img, _, _, _, table = normalize._graph_transform_parts(M, Biholo.identity(n))
+            assert img == M and table.near == (n + 1, [])
+            assert not log.calls
+
+    @pytest.mark.parametrize("n", range(8, 14))
+    def test_band_step_at_each_order(self, rng, monkeypatch, n):
+        # every call is one step or the band's one call, and both occur
+        log = LoopCalls(monkeypatch)
+        for d in (2, 3):
+            del log.calls[:]
+            M = rand_surface(rng, n, terms=10, min_weight=2)
+            h = gap_map(rng, n, d)
+            img, _, _ = graph_transform(M, h)
+            kinds = [loop_kind(table, F, n) for table, F in log.calls]
+            assert kinds.count("band") == 1 and kinds.count("step") == len(kinds) - 1
+            assert {table.near[0] for table, _ in log.calls} == {d}
+            assert fundamental_identity_residual(M, h, img).is_zero()
 
 
 # ---------------------------------------------------------------------------
