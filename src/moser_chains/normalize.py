@@ -11,6 +11,10 @@ The central objects:
   F'(P, conj P, Re E) = Im E (``fundamental_identity_residual``), which
   each stage checks over its transform's own P, E and a table of (P, Re E);
   a vertical map (z, a w + p(z)), a real, has a closed-form image instead.
+* ``_homological_operator`` -- the weight-delta linearization L(f, g) =
+  Re(i g + 2 zbar f) on the model w = u + i z zbar, with the unit columns N
+  of the normal-form monomials, built in closed form and solved by type
+  block j - k; the punctual stages are its delta <= 5 case.
 * the pipeline stages: adapted chart, punctual normalization through weight
   5, chain straightening (with the chain found automatically or supplied),
   harmonic killing, Levi normalization, degree-one absorption, the unitary
@@ -28,7 +32,7 @@ from __future__ import annotations
 import functools
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import mul
 
 from .errors import (
@@ -42,13 +46,14 @@ from .series_core import (
     HALF,
     I_UNIT,
     ONE,
-    GaussianRational,
+    ZERO,
     GraphTable,
     HoloSeries,
     Series3,
     UPoly,
     _combine,
     _reduced_series,
+    _series,
     _tail_bound,
     eval_curve,
     eval_graph,
@@ -331,30 +336,44 @@ def translate_to_point(M, z0, u0, v0=None):
 # ---------------------------------------------------------------------------
 
 
+def _is_variable(s, i):
+    """True when the HoloSeries s is its variable z (i = 0) or w (1)."""
+    return s.d == 1 and s.num == {HoloSeries._UNITS[i]: (1, 0)}
+
+
 def _transform_ingredients(M, h, polynomial=False):
-    """(n, P, Q, R): P = f(z, u + iF), Q + iR = g(z, u + iF), Q and R real.
-    Only the offsets f - z and g - w are substituted, and z, u and F added
-    back, so f = z gives P = z and g = w gives Q = u and R = F for free."""
+    """(n, P, Q, R): P = f(z, W) and Q + iR = g(z, W), W = u + iF, Q and R
+    real; f = z gives P = z and g = w gives Q = u and R = F for free.  F's
+    weight-1 terms are refused unless ``polynomial``: g(z, W) would be sound
+    only to about weight n/2."""
     F = M.series
     n = F.n
-    # g(z, u + iF) is sound to this weight whether or not its offset is zero
+    if not polynomial and F.low_weight() == 1:
+        raise MathPreconditionError(
+            "graph transform needs a surface with no weight-1 term"
+            " (the shear in adapt_chart removes it)"
+        )
+    # g(z, W) is sound to this weight whether or not g is w
     if _tail_bound(h.g, n, 1, min(F.low_weight() or 2, 2), polynomial) < n:
         raise MathPreconditionError("map w-component truncated below the surface order")
     zv, uv = Series3.z_var(n), Series3.u_var(n)
-    f_off = h.f - HoloSeries.z_var(h.f.n)
-    g_off = h.g - HoloSeries.w_var(h.g.n)
+    f_moves, g_moves = not _is_variable(h.f, 0), not _is_variable(h.g, 1)
     P, Q, R = zv, uv, F
-    if f_off.num or g_off.num:
-        big_w = _combine(Series3, n, 1, ((uv, 1, 0), (F, 0, 1)))
-    if f_off.num:
+    if f_moves or g_moves:
+        # W = u + iF is canonical as F is: gcd(d, F) = 1 and its u entry adds d
+        u_key, d = Series3._UNITS[2], F.d
+        num = {k: (-b, a) for k, (a, b) in F.num.items()}
+        a, b = num.get(u_key, (0, 0))
+        num[u_key] = (a + d, b)
+        big_w = _series(Series3, n, d, num)
+    if f_moves:
         # f is carried to weight n-1 only; the missing weight-n slice of P
         # cannot reach weights <= n in any product that also carries weight
         # >= 1 from elsewhere, and the identity has no weight-1 content, so
         # declaring it zero is sound for everything computed here.
-        P = (zv + eval_holo3(f_off, zv, big_w, polynomial=polynomial)).padded(n)
-    if g_off.num:
-        re, im = eval_holo3(g_off, zv, big_w, polynomial=polynomial).re_im()
-        Q, R = uv + re, F + im
+        P = eval_holo3(h.f, zv, big_w, polynomial=polynomial).padded(n)
+    if g_moves:
+        Q, R = eval_holo3(h.g, zv, big_w, polynomial=polynomial).re_im()
     return n, P, Q, R
 
 
@@ -394,12 +413,6 @@ def graph_transform(M, h):
 def _graph_transform_parts(M, h):
     """``graph_transform``'s (surface, P, Q), R and a table of (P, Q), the
     loop's own when L = 1, for the stage check."""
-    if M.series.coeff(1, 0, 0) or M.series.coeff(0, 1, 0):
-        # u + iF would have low weight 1, so E would be sound to about n/2
-        raise MathPreconditionError(
-            "graph transform needs a surface with no weight-1 term"
-            " (the shear in adapt_chart removes it)"
-        )
     if h.g.coeff(1, 0):
         raise MathPreconditionError("graph transform needs g_z(0) = 0")
     if not h.f.coeff(1, 0):
@@ -464,7 +477,8 @@ def fundamental_identity_residual(M, h, M_target, polynomial=False):
     satisfy  F'(P, conj P, Re E) - Im E = 0  identically; the returned series
     is that left-hand side, computed by forward substitution only (no use of
     the solver's internals).  It builds P and E afresh; it checks the
-    stages with no transform, the vertical maps (``_run_stage``).
+    stages with no transform, the vertical maps (``_run_stage``).  F's
+    weight-1 terms are refused unless ``polynomial``.
     """
     _check_type(M, Hypersurface, "surface")
     _check_type(h, Biholo, "map")
@@ -506,10 +520,9 @@ def _run_stage(name, M, h, stages, verify):
       deterministic code on the same input, so this costs no independence;
       the check uses no remainder, loop slice or map back by L^-1.
     """
-    f, g = h.f, h.g
-    z_key, w_key = HoloSeries._UNITS
+    g, w_key = h.g, HoloSeries._UNITS[1]
     a = g.num.get(w_key)
-    if f.d == 1 and f.num == {z_key: (1, 0)} and a is not None and not a[1] and not any(
+    if _is_variable(h.f, 0) and a is not None and not a[1] and not any(
         k & HoloSeries._MASK for k in g.num if k != w_key
     ):
         p = g.c
@@ -603,6 +616,7 @@ def core_expression(f, g, n):
     prenormalized surface by exactly minus this expression when (f, g) are
     homogeneous of weights (delta-1, delta).  f and g are treated as
     complete polynomials, whatever their stored truncation order.
+    ``_operator_columns`` builds its columns in closed form.
     """
     zv = Series3.z_var(n)
     w0 = Series3.u_var(n) + Series3.hermitian_square(n) * I_UNIT
@@ -616,101 +630,107 @@ def core_expression(f, g, n):
 
 def _weight_monomials(delta):
     """(j, k, l) with j + k + 2l = delta and j >= k, sorted."""
-    out = []
-    for l in range(delta // 2 + 1):
-        rest = delta - 2 * l
-        for k in range(rest // 2 + 1):
-            j = rest - k
-            if j >= k:
-                out.append((j, k, l))
-    return sorted(out)
-
-
-def _holo_keys(weight):
-    """(j, l) with j + 2l = weight, sorted."""
-    return sorted((weight - 2 * l, l) for l in range(weight // 2 + 1))
-
-
-def _series_rows(series, monos):
-    """The Re/Im numerator rows, over series.d, of a real series on the
-    monomials: a and, off the diagonal, b of each coefficient (a + ib)/d."""
-    rows = []
-    for (j, k, l) in monos:
-        a, b = series.num.get(Series3._pack((j, k, l)), (0, 0))
-        rows.append(a)
-        if j != k:
-            rows.append(b)
-    return rows
-
-
-@functools.cache
-def _punctual_system(delta):
-    """Probe matrix of the core expression for homogeneous (f, g) at delta.
-
-    Returns (f_keys, g_keys, monos, columns): monos are the weight-delta
-    monomials whose Re/Im parts make the rows, and the columns run over the
-    real and imaginary parts of each f/g coefficient, exact rationals.
-    """
-    f_keys = _holo_keys(delta - 1)
-    g_keys = _holo_keys(delta)
-    monos = _weight_monomials(delta)
-    f0, g0 = HoloSeries.zero(delta - 1), HoloSeries.zero(delta)
-    cores = [
-        core_expression(HoloSeries(delta - 1, {jk: val}), g0, delta)
-        for jk in f_keys for val in (ONE, I_UNIT)
-    ] + [
-        core_expression(f0, HoloSeries(delta, {jk: val}), delta)
-        for jk in g_keys for val in (ONE, I_UNIT)
-    ]
-    columns = [[Fraction(x, core.d) for x in _series_rows(core, monos)] for core in cores]
-    return f_keys, g_keys, monos, columns
-
-
-@functools.cache
-def _punctual_solver(delta):
-    """The solve operator of ``_punctual_system(delta)``: (den, rows).
-
-    [A | I] reduces to [E | T] with T A = E in reduced row echelon form.  So
-    A x = b has a solution exactly when the rows of T past the rank take b
-    to zero; at delta = 3, 4 and 5 the rank is the row count (6, 9 and 12),
-    so there are no such rows and every b is solved.  Then x[pivot of row i]
-    = (T b)_i with the free variables zero is ``linalg.solve``'s solution:
-    x = rows b / den, with an integer row per unknown (zero for a free one)
-    over one denominator.
-    """
-    columns = _punctual_system(delta)[3]
-    size, unknowns = len(columns[0]), len(columns)
-    red, pivots = rref(
-        [[col[r] for col in columns] + [Fraction(r == i) for i in range(size)] for r in range(size)]
+    return sorted(
+        (delta - 2 * l - k, k, l) for l in range(delta // 2 + 1) for k in range(delta // 2 - l + 1)
     )
-    den = lcm(*(x.denominator for row in red for x in row[unknowns:]))
-    t = [[int(x * den) for x in row[unknowns:]] for row in red]
-    rows = [[0] * size] * unknowns
-    rank = 0
-    for c in pivots:
-        if c < unknowns:
-            rows[c] = t[rank]
-            rank += 1
-    return den, rows
 
 
-def _solve_punctual(delta, target):
-    """Solve core_expression(f, g) = target for homogeneous (f, g)."""
-    f_keys, g_keys, monos, _ = _punctual_system(delta)
-    den, rows = _punctual_solver(delta)
-    rhs = _series_rows(target, monos)
-    sol = [Fraction(sum(map(mul, row, rhs)), den * target.d) for row in rows]
-    # reassemble complex coefficients from the (re, im) unknown pairs
-    fc = {}
-    gc = {}
-    idx = 0
-    for keys, store in ((f_keys, fc), (g_keys, gc)):
-        for jk in keys:
-            val = GaussianRational(sol[idx], sol[idx + 1])
-            idx += 2
-            if val:
-                store[jk] = val
-    return fc, gc
+#: i^e for e mod 4, as Gaussian-integer pairs
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _operator_columns(delta):
+    """The columns of [L | N] at weight delta, in closed form.
+
+    Returns (labels, columns).  A label (part, key, unit) names the unit
+    coefficient (ONE or I_UNIT) at key (j, l) of f (part 0) or g (1), keys
+    sorted, or at the monomial (j, k, l) of N (2).  A column is its nonzero
+    rows {(j, k, l, im): Fraction}: the real (im = 0) or the imaginary part
+    (im = 1) of L's coefficient at (j, k, l), j >= k, only the real one for
+    j = k.
+
+    With w0 = u + i z zbar, w0^l = sum_m C(l, m) i^m u^(l-m) (z zbar)^m, so
+    the unit c z^a w^l of f gives 2c zbar z^a w0^l, terms z^(a+m) zbar^(1+m)
+    u^(l-m), and that of g gives i c z^a w0^l, terms z^(a+m) zbar^m u^(l-m),
+    with no substitution.  A term h z^p zbar^q u^r puts h/2 at (p, q, r) and
+    conj(h)/2 at (q, p, r), so a column lies in the rows of one type j - k:
+    |a - 1| for f and a for g.  N's unit columns follow L's.
+    """
+    labels, columns = [], []
+    for part, weight, zbar, scale, e in ((0, delta - 1, 1, 2, 0), (1, delta, 0, 1, 1)):
+        for l in range(weight // 2, -1, -1):
+            a = weight - 2 * l
+            for s, unit in enumerate((ONE, I_UNIT)):
+                col = {}
+                for m in range(l + 1):
+                    x, y = _I_POWERS[(m + s + e) % 4]
+                    v, p, q = Fraction(scale * comb(l, m), 2), a + m, zbar + m
+                    if p < q:
+                        p, q, y = q, p, -y
+                    for im, t in ((0, x), (1, y)) if p > q else ((0, 2 * x),):
+                        if t:
+                            col[p, q, l - m, im] = v * t
+                labels.append((part, (a, l), unit))
+                columns.append(col)
+    for j, k, l in _weight_monomials(delta):
+        if k >= 2 and (j, k) not in _EMPTY_SLICES:
+            for im, unit in enumerate((ONE, I_UNIT)[: 1 + (j != k)]):
+                labels.append((2, (j, k, l), unit))
+                columns.append({(j, k, l, im): Fraction(1)})
+    return labels, columns
+
+
+@functools.cache
+def _homological_operator(delta):
+    """The solve operator of [L | N] at weight delta: (labels, keys, den,
+    rows), keys the rows (j, k, l, im) in the order of the sorted monomials.
+    x = rows b / den, one integer row per unknown (zero for a free one) over
+    one denominator, solves [L | N] x = b for every b.
+
+    The columns and rows of one type t make a block, and rref runs on each
+    block's [A_t | I] alone, which reduces to [E_t | T_t], T_t A_t = E_t.
+    Pivots go left to right inside a block and the blocks share no row, so
+    the pivots and T are those of rref on the whole [A | I], and x[pivot of
+    row i] = (T b)_i, free variables zero, is ``linalg.solve``'s solution.
+    Every block has full row rank (checked for delta = 3 to 15: L's rank is
+    its row count at 3, 4 and 5, and from 5 on every block is square), so no
+    b is left unsolved.
+    """
+    labels, columns = _operator_columns(delta)
+    keys = [(j, k, l, im) for j, k, l in _weight_monomials(delta) for im in range(1 + (j != k))]
+    blocks, zero, solved, dens = {}, Fraction(0), [], []
+    for c, col in enumerate(columns):
+        j, k, _, _ = next(iter(col))
+        blocks.setdefault(j - k, []).append(c)
+    for t, cols in blocks.items():
+        rs = [r for r, key in enumerate(keys) if key[0] - key[1] == t]
+        red, pivots = rref(
+            [[columns[c].get(keys[r], zero) for c in cols] + [Fraction(r == s) for s in rs]
+             for r in rs]
+        )
+        size = len(cols)
+        dens += (x.denominator for row in red for x in row[size:])
+        solved += ((cols[p], rs, row[size:]) for p, row in zip(pivots, red) if p < size)
+    den = lcm(*dens)
+    rows = [[0] * len(keys) for _ in columns]
+    for c, rs, t in solved:
+        for r, x in zip(rs, t):
+            rows[c][r] = int(x * den)
+    return labels, keys, den, rows
+
+
+def _solve_homological(delta, target):
+    """Split target, a real series of weight delta, as L(f, g) + N: the
+    coefficient dicts (fc, gc, nc) of f, g and N in the operator's solution."""
+    labels, keys, den, rows = _homological_operator(delta)
+    rhs = [target.num.get(Series3._pack(key[:3]), (0, 0))[key[3]] for key in keys]
+    out = ({}, {}, {})
+    for (part, key, unit), row in zip(labels, rows):
+        x = sum(map(mul, row, rhs))
+        if x:
+            c = out[part]
+            c[key] = c.get(key, ZERO) + unit * Fraction(x, den * target.d)
+    return out
 
 
 def punctual_normalize(M, stages=None, verify=False):
@@ -725,7 +745,7 @@ def punctual_normalize(M, stages=None, verify=False):
         target = M.series.weight_part(delta)
         if target.is_zero():
             continue
-        fc, gc = _solve_punctual(delta, target)
+        fc, gc, _ = _solve_homological(delta, target)
         f = HoloSeries.z_var(n - 1) + HoloSeries(n - 1, fc)
         g = HoloSeries.w_var(n) + HoloSeries(n, gc)
         M = _run_stage("punctual%d" % delta, M, Biholo(f, g), stages, verify)

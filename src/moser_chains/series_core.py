@@ -108,16 +108,22 @@ from .errors import InternalInvariantError, MathPreconditionError, ParseError
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
 
-def parse_rational(text):
-    """Parse "p" or "p/q" (reduced or not) into an exact rational."""
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
+def _rational_parts(text):
+    """The integers (p, q), q > 0, of "p" or "p/q" (reduced or not) or of
+    an int; ParseError for anything else."""
+    if type(text) is int:
+        return text, 1
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ParseError("bad rational literal: %r" % (text,))
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
+    p, _, q = text.partition("/")
+    if q and not int(q):
         raise ParseError("zero denominator in rational literal %r" % (text,))
+    return int(p), int(q or 1)
+
+
+def parse_rational(text):
+    """Parse "p" or "p/q" (reduced or not) into an exact rational."""
+    return Fraction(*_rational_parts(text))
 
 
 class GaussianRational:
@@ -1226,9 +1232,8 @@ def _terms_from_json(raw, n, cls, fields, where):
             )
         if key in c:
             raise ParseError("duplicate monomial %r in %s" % (key, where))
-        c[key] = GaussianRational(
-            parse_rational(entry.get("re", "0")), parse_rational(entry.get("im", "0"))
-        )
+        (a, b), (x, y) = _rational_parts(entry.get("re", 0)), _rational_parts(entry.get("im", 0))
+        c[key] = _reduced(a * y, x * b, b * y)
     return cls(n, c)
 
 

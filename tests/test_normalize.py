@@ -39,11 +39,13 @@ from moser_chains.normalize import (
     translate_to_point,
     _f32_slice_through_subpipeline,
     _through_rotation,
+    _homological_operator,
+    _operator_columns,
+    _solve_homological,
     _without_terms,
-    _punctual_system,
-    _solve_punctual,
 )
 from moser_chains.series_core import (
+    I_UNIT,
     ONE,
     GaussianRational,
     GraphTable,
@@ -164,6 +166,15 @@ class TestBiholo:
         for field, bad in (("trunc_order", True), ("f", [{"j": True, "l": 0, "re": "1"}])):
             with pytest.raises(ParseError):
                 Biholo.from_json(dict(blob, **{field: bad}))
+
+    def test_json_refusals(self):
+        # no trunc_order, and a map that does not fix the origin
+        for bad in ([], {"f": [], "g": []}):
+            with pytest.raises(ParseError, match="needs trunc_order"):
+                Biholo.from_json(bad)
+        blob = dict(Biholo.identity(6).to_json(), g=[{"j": 0, "l": 0, "re": "1"}])
+        with pytest.raises(ParseError, match="invalid map: map must fix the origin"):
+            Biholo.from_json(blob)
 
     def test_json_rejects_monomials_above_order(self):
         # f is carried to weight n - 1, g to weight n
@@ -352,6 +363,15 @@ class TestGraphTransform:
         F = Series3(8, {(1, 1, 0): ONE, (1, 0, 0): gr(1, 1), (0, 1, 0): gr(1, -1)})
         with pytest.raises(MathPreconditionError, match="no weight-1 term .*shear"):
             graph_transform(Hypersurface(F), Biholo.identity(8))
+
+    def test_weight_one_surface_residual_names_the_surface(self):
+        # the truncated residual blamed the map ("w-component truncated");
+        # for complete polynomial data the weight-1 term is sound
+        M = Hypersurface(Series3(8, {(1, 1, 0): ONE, (1, 0, 0): gr(1, 1), (0, 1, 0): gr(1, -1)}))
+        h = Biholo.identity(8)
+        with pytest.raises(MathPreconditionError, match="no weight-1 term .*shear"):
+            fundamental_identity_residual(M, h, M)
+        assert fundamental_identity_residual(M, h, M, polynomial=True).is_zero()
 
     def test_pure_scaling(self):
         # (z, w) -> (2z, 4w) maps the sphere to itself
@@ -715,21 +735,74 @@ class TestAdaptChart:
 # ---------------------------------------------------------------------------
 
 
+def holo_keys(n):
+    """(j, l) with j + 2l = n, sorted."""
+    return sorted((n - 2 * l, l) for l in range(n // 2 + 1))
+
+
+def row_keys(delta):
+    """The real rows at weight delta: (j, k, l, im) for the monomials with
+    j >= k, sorted, im = 0 for the real part and 1, off the diagonal, for
+    the imaginary part."""
+    monos = sorted(
+        (delta - 2 * l - k, k, l)
+        for l in range(delta // 2 + 1)
+        for k in range((delta - 2 * l) // 2 + 1)
+    )
+    return [(j, k, l, im) for j, k, l in monos for im in range(1 + (j != k))]
+
+
+def real_rows(series, delta):
+    """The parts of series' coefficients that ``row_keys(delta)`` name."""
+    values = []
+    for j, k, l, im in row_keys(delta):
+        v = series.coeff(j, k, l)
+        values.append(v.imag if im else v.real)
+    return values
+
+
+def core_matrix(delta):
+    """L at weight delta by probes: the rows ``row_keys`` of core_expression
+    on each unit coefficient of f, then of g, at their keys (j, l) sorted,
+    each unit 1 then i."""
+    columns = []
+    for n, part in ((delta - 1, 0), (delta, 1)):
+        for key in holo_keys(n):
+            for unit in (ONE, I_UNIT):
+                fg = [HoloSeries.zero(delta - 1), HoloSeries.zero(delta)]
+                fg[part] = HoloSeries(n, {key: unit})
+                columns.append(real_rows(core_expression(*fg, delta), delta))
+    return [list(row) for row in zip(*columns)]
+
+
+def col_type(col):
+    """The type j - k of a column's first row."""
+    j, k, _, _ = next(iter(col))
+    return j - k
+
+
+def dense(delta, columns):
+    """The columns {(j, k, l, im): value} of ``_operator_columns`` as a matrix
+    over ``row_keys``."""
+    return [[col.get(key, 0) for col in columns] for key in row_keys(delta)]
+
+
 class TestPunctual:
     def test_system_dimensions(self):
         # unknown/equation counts for the three weights
         expected = {3: (8, 6), 4: (10, 9), 5: (12, 12)}
         for delta, (n_unknowns, n_rows) in expected.items():
-            f_keys, g_keys, monos, columns = _punctual_system(delta)
-            assert len(columns) == n_unknowns
-            assert len(columns[0]) == n_rows
+            labels, keys, den, rows = _homological_operator(delta)
+            assert len(labels) == len(rows) == n_unknowns
+            assert keys == row_keys(delta) and len(keys) == n_rows
+            mat = core_matrix(delta)
+            assert (len(mat[0]), len(mat)) == (n_unknowns, n_rows)
 
     def test_system_has_full_row_rank(self):
         # rank = row count (6, 9, 12): every target is solvable, so the
         # solve operator needs no consistency rows
         for delta in (3, 4, 5):
-            columns = _punctual_system(delta)[3]
-            mat = [[col[r] for col in columns] for r in range(len(columns[0]))]
+            mat = core_matrix(delta)
             assert rank(mat) == len(mat)
 
     @pytest.mark.parametrize("bad", [3, 4, 5])
@@ -737,37 +810,33 @@ class TestPunctual:
         # doubling one weight's solution leaves minus its target there; the
         # stage residual still vanishes, as the transform of the doubled map
         # is right, so the remainder check is what refuses it
-        solve_punctual = normalize._solve_punctual
+        solve_homological = normalize._solve_homological
 
         def doubled(delta, target):
-            fc, gc = solve_punctual(delta, target)
+            parts = solve_homological(delta, target)
             if delta == bad:
-                fc, gc = ({k: v * 2 for k, v in c.items()} for c in (fc, gc))
-            return fc, gc
+                parts = tuple({k: v * 2 for k, v in c.items()} for c in parts)
+            return parts
 
         # an adapted surface with a term at each of the weights 3, 4 and 5
         M = perturbed_sphere(8, (2, 1, 0, gr(1, 2)), (2, 2, 0, gr(3)), (3, 2, 0, gr("1/2", -1)))
-        monkeypatch.setattr(normalize, "_solve_punctual", doubled)
+        monkeypatch.setattr(normalize, "_solve_homological", doubled)
         with pytest.raises(InternalInvariantError, match="weight-%d normalization left" % bad):
             punctual_normalize(M, [], verify=True)
 
     def test_cached_solver_matches_solve(self, rng):
-        # the cached operator gives linalg.solve's particular solution on
-        # random Gaussian-rational targets
+        # the cached operator gives linalg.solve's particular solution of
+        # the probed system on random Gaussian-rational targets
         for delta in (3, 4, 5):
-            f_keys, g_keys, monos, columns = _punctual_system(delta)
-            mat = [[col[r] for col in columns] for r in range(len(columns[0]))]
+            mat = core_matrix(delta)
+            f_keys, g_keys = holo_keys(delta - 1), holo_keys(delta)
             for _ in range(8):
                 target = rand_real_series3(rng, 9, terms=6, min_weight=delta).weight_part(delta)
-                rhs = []
-                for j, k, l in monos:
-                    v = target.coeff(j, k, l)
-                    rhs += [v.real, v.imag] if j != k else [v.real]
-                sol = solve(mat, rhs)
+                sol = solve(mat, real_rows(target, delta))
                 pairs = [GaussianRational(re, im) for re, im in zip(sol[::2], sol[1::2])]
                 fc = {jk: v for jk, v in zip(f_keys, pairs) if v}
                 gc = {jk: v for jk, v in zip(g_keys, pairs[len(f_keys):]) if v}
-                assert _solve_punctual(delta, target) == (fc, gc)
+                assert _solve_homological(delta, target) == (fc, gc, {})
 
     def test_core_expression_frozen(self):
         # f = 0, g = -2i z^3 gives Re{2 z^3} = z^3 + zb^3
@@ -788,6 +857,72 @@ class TestPunctual:
         M = perturbed_sphere(8, (1, 0, 0, gr(1)))
         with pytest.raises(MathPreconditionError):
             punctual_normalize(M)
+
+
+class TestHomologicalOperator:
+    """L(f, g) = Re(i g + 2 zbar f) on w0 = u + i z zbar, built by type
+    block in closed form, with N's unit columns (ROADMAP item 19)."""
+
+    @pytest.mark.parametrize("delta", range(3, 13))
+    def test_columns_are_core_expression(self, delta):
+        labels, columns = _operator_columns(delta)
+        probed = [col for (part, _, _), col in zip(labels, columns) if part < 2]
+        assert dense(delta, probed) == core_matrix(delta)
+        # N's columns are the units at the monomials assert_normal_form allows
+        normal = []
+        for j, k, l, im in row_keys(delta):
+            term = Series3.monomial(delta, j, k, l, ONE)
+            try:
+                assert_normal_form(Hypersurface(sphere(delta).series + term + term.conj()))
+            except InternalInvariantError:
+                continue
+            normal.append(((2, (j, k, l), (ONE, I_UNIT)[im]), {(j, k, l, im): 1}))
+        assert [lc for lc in zip(labels, columns) if lc[0][0] == 2] == normal
+
+    def test_each_column_lies_in_one_type(self):
+        for delta in range(3, 16):
+            for col in _operator_columns(delta)[1]:
+                assert col and len({j - k for j, k, _, _ in col}) == 1
+
+    @pytest.mark.parametrize("delta", range(3, 16))
+    def test_blocks(self, delta):
+        # from weight 5 on every block of [L | N] is square and of full rank,
+        # so each weight-delta part splits uniquely as L(f, g) + N; at
+        # weights 3 and 4 L's kernel has dimension 2 and 1 (the isotropy)
+        labels, columns = _operator_columns(delta)
+        assert (delta <= 5) == all(part < 2 for part, _, _ in labels)
+        types = {j - k for j, k, _, _ in row_keys(delta)}
+        kernel = 0
+        for t in types:
+            cols = [col for col in columns if col_type(col) == t]
+            keys = [key for key in row_keys(delta) if key[0] - key[1] == t]
+            rows = [[col.get(key, 0) for col in cols] for key in keys]
+            assert rank(rows) == len(rows)
+            if delta >= 5:
+                assert len(cols) == len(rows)
+            kernel += len(cols) - len(rows)
+        assert kernel == {3: 2, 4: 1}.get(delta, 0)
+
+    def test_cached_and_filled_by_punctual(self):
+        _homological_operator.cache_clear()
+        punctual_normalize(perturbed_sphere(6, (2, 1, 0, ONE), (3, 1, 0, ONE), (3, 2, 0, ONE)))
+        assert _homological_operator.cache_info().currsize == 3
+        misses = _homological_operator.cache_info().misses
+        punctual_normalize(perturbed_sphere(8, (2, 1, 0, gr(1, 2)), (3, 2, 0, ONE)))
+        assert _homological_operator.cache_info().misses == misses
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weight_6_normal_part_is_c42(self, seed):
+        # the post-punctual surface is normal through weight 5, so at weight
+        # 6 the later stages act through L alone, and the normal form keeps
+        # the N part of the split: c42 z^4 zbar^2 + conj (ROADMAP item 20)
+        gen = load_gen()
+        rng = random.Random(seed)
+        M = Hypersurface.from_json(gen.rand_surface_json(rng, rng, 6, 30))
+        post = normalize_hypersurface(M, stop_after="punctual").surface
+        _, _, nc = _solve_homological(6, post.series.weight_part(6))
+        c42 = normalize_hypersurface(M).surface.series.coeff(4, 2, 0)
+        assert c42 and nc == {(4, 2, 0): c42}
 
 
 # ---------------------------------------------------------------------------

@@ -1034,3 +1034,37 @@ class TestJson:
         # digits other than ASCII ones are not rational literals
         with pytest.raises(ParseError):
             series3_from_json({"trunc_order": 6, "coeffs": [{"j": 1, "k": 1, "l": 0, "re": "\u0661\u0662"}]})
+
+    def test_refusal_sites(self):
+        # each refusal of the readers' structure, by its message
+        for bad, message in (
+            ([], "series object must be a JSON object"),
+            ({"trunc_order": 6, "coeffs": {}}, "must be a list of coefficient entries"),
+            ({"trunc_order": 6, "coeffs": [[1, 1, 0, "1"]]}, "bad coefficient entry"),
+        ):
+            with pytest.raises(ParseError, match=message):
+                series3_from_json(bad)
+        with pytest.raises(ParseError, match="must be a list"):
+            holo_from_json("1", 6)
+
+    def test_rational_literals(self):
+        # what the reader takes as a coefficient part: a JSON integer or the
+        # text "p" or "p/q", reduced or not, around which whitespace is
+        # ignored; the part left out is 0
+        def part(value):
+            entry = {"j": 2, "k": 1, "l": 0, "re": value, "im": "-1/3"}
+            return series3_from_json({"trunc_order": 6, "coeffs": [entry]}).coeff(2, 1, 0)
+
+        for value, expected in (
+            (3, gr(3, "-1/3")),
+            ("+4/6", gr("2/3", "-1/3")),
+            (" 3/4\n", gr("3/4", "-1/3")),
+            ("-0/7", gr(0, "-1/3")),
+            ("007/010", gr("7/10", "-1/3")),
+        ):
+            assert part(value) == expected
+        entry = {"j": 2, "k": 1, "l": 0, "im": "1"}
+        assert series3_from_json({"trunc_order": 6, "coeffs": [entry]}).coeff(2, 1, 0) == gr(0, 1)
+        for bad in (True, False, 1.5, 2.0, None, "1/0", "1.5", "3 /4", "1/-2", "", "1_0"):
+            with pytest.raises(ParseError):
+                part(bad)

@@ -5,7 +5,7 @@ import pytest
 from moser_chains.errors import InternalInvariantError
 from moser_chains.lie_jets import RPoly, VectorField, bracket
 from moser_chains.linalg import rank
-from moser_chains.normalize import _punctual_system, core_expression
+from moser_chains.normalize import _operator_columns, core_expression
 from moser_chains.series_core import HoloSeries, gr
 from moser_chains.sphere_isotropy import (
     FIELD_NAMES,
@@ -135,8 +135,8 @@ class TestPunctualKernel:
 
     def test_kernel_dimension(self):
         for delta, dim in ((3, 2), (4, 1), (5, 0)):
-            columns = _punctual_system(delta)[3]
-            matrix = [[col[r] for col in columns] for r in range(len(columns[0]))]
+            columns = _operator_columns(delta)[1]
+            matrix = [[col.get(key, 0) for col in columns] for key in sorted(set().union(*columns))]
             assert len(columns) - rank(matrix) == dim, delta
             assert len(self.HOMOGENEOUS[delta]) == dim
 
