@@ -38,8 +38,6 @@ def rref(rows):
 
 def rank(rows):
     """Rank of A."""
-    if not rows:
-        return 0
     _, pivot_cols = rref(rows)
     return len(pivot_cols)
 

@@ -67,6 +67,13 @@ back as it is, at order n.  A graph or curve substitution F(x, conj(x), t)
 has a real t, so its table builds half of its powers and products as
 conjugates (``GraphTable``); the result stays exact for any F.
 
+Many substitutions put the variables themselves in every slot but the last:
+x = z in F(z, zbar, t) (the vertical images, their residual oracle, the
+tilt's tables) and the z of f(z, u + iF) (the transform's ingredients).
+Then F = sum_l F_l(z, zbar) t^l with F_l a polynomial in the variables, so
+the core takes one product F_l * t^l per last exponent l and builds no
+product of the other arguments at all.
+
 Coefficients are exact Gaussian rationals.  Series arithmetic -- sums,
 products, scalar multiples, conjugation, truncation, slices and the
 substitution core -- runs on plain integers: a term costs integer products
@@ -178,9 +185,7 @@ class GaussianRational:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        if not self._b:
-            return hash(self.real)
-        return hash((self.real, self.imag))
+        return hash((self.real, self.imag) if self._b else self.real)
 
     def __neg__(self):
         return _reduced(-self._a, -self._b, self._d)
@@ -195,11 +200,7 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d1, d2 = self._d, other._d
-        return _reduced(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -234,15 +235,9 @@ class GaussianRational:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return (ONE / self) ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        out, base = ONE, self if k >= 0 else ONE / self
+        for _ in range(abs(k)):
+            out = out * base
         return out
 
     def __complex__(self):
@@ -476,16 +471,15 @@ def _check_key(cls, exponents):
     exponents, or one bare exponent when ``_ARITY`` is None (``UPoly``), each
     an integer (not a bool) >= 0."""
     fields = (exponents,) if cls._ARITY is None else exponents
-    if type(fields) is tuple and len(fields) == (cls._ARITY or 1):
-        for e in fields:
-            if type(e) is not int or e < 0:
-                break
-        else:
-            return
-    raise ParseError(
-        "%s key %r is not %d exponents, each an integer >= 0"
-        % (cls.__name__, exponents, cls._ARITY or 1)
-    )
+    if not (
+        type(fields) is tuple
+        and len(fields) == (cls._ARITY or 1)
+        and all(type(e) is int and e >= 0 for e in fields)
+    ):
+        raise ParseError(
+            "%s key %r is not %d exponents, each an integer >= 0"
+            % (cls.__name__, exponents, cls._ARITY or 1)
+        )
 
 
 def _derivative(series, i):
@@ -725,14 +719,8 @@ class UPoly(WeightedSeries):
         return fixed_point(lambda e: one + (da * e).integrate(), one, "UPoly.exp")
 
     def evaluate(self, x):
-        """Horner evaluation at a scalar."""
-        top = self.degree()
-        if top is None:
-            return ZERO
-        acc = self.coeff(top)
-        for m in range(top - 1, -1, -1):
-            acc = acc * x + self.coeff(m)
-        return acc
+        """The value at a scalar."""
+        return sum((v * x**m for m, v in self.c.items()), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -839,10 +827,7 @@ class Series3(WeightedSeries):
 
     def evaluate(self, z, zb, u):
         """Plain evaluation at scalars."""
-        total = ZERO
-        for (j, k, l), v in self.c.items():
-            total = total + v * (z ** j) * (zb ** k) * (u ** l)
-        return total
+        return sum((v * z**j * zb**k * u**l for (j, k, l), v in self.c.items()), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -951,12 +936,15 @@ class PowerTable:
     part.  So a power e is args[i]**(e - 1), read to m - low(x_i), times
     args[i]; and each factor of a head is read to m less the low weights of
     the others.  ``near`` is the arguments' gap d and offsets h_i
-    (``_near_identity``), found once per table.  A graph or curve
+    (``_near_identity``), found once per table.  ``lone`` says that every
+    argument but the last is its own variable x_i with coefficient 1 (the
+    z, zbar of a graph table with x = z, or the z of a (z, W) table), so
+    ``_substitute`` needs only the powers of the last.  A graph or curve
     substitution uses ``GraphTable``, whose ``_conj`` makes half of the
     powers and heads conjugates.
     """
 
-    __slots__ = ("args", "n", "pows", "heads", "lows", "caps", "near")
+    __slots__ = ("args", "n", "pows", "heads", "lows", "caps", "near", "lone")
 
     #: the conjugation of the arguments' class when the table mirrors
     #: (see ``GraphTable``), else None
@@ -968,6 +956,10 @@ class PowerTable:
         self.heads = {}
         self.lows = [arg.low_weight() if arg.num else n + 1 for arg in args]
         self.caps = [min(n, arg.n) for arg in args]
+        units = type(args[0])._UNITS
+        self.lone = len(units) >= len(args) and all(
+            a.num == {x: (a.d, 0)} for a, x in zip(args[:-1], units)
+        )
 
     def power(self, i, e, m=inf):
         got = self.pows[i].get(e)
@@ -1029,6 +1021,14 @@ def _substitute(F, table):
     all-zero head needs no product.  The result has the type of the
     arguments, whose class checks F first (``_check_substitution``).
 
+    On a table whose arguments but the last are the variables themselves
+    (``PowerTable.lone``) a head x^e is the monomial of key sum_i e_i x_i,
+    so the terms are grouped by their last exponent l instead, under the
+    key (0, ..., 0, l) of low weight l * low(Q).  The group's inner sum is
+    the polynomial F_l itself and its factor Q^l, read to n - low(F_l): one
+    product F_l * Q^l per l and no head.  The group l = 0 needs no
+    product, and one with low(F_l) + l * low(Q) > n is skipped.
+
     A group reads its head and its powers of Q only to the weight they can
     reach the order n at.  The head has low weight w = sum_i e_i * low(x_i),
     from its key (``PowerTable``), and the inner sum low weight
@@ -1055,64 +1055,77 @@ def _substitute(F, table):
     real -- cost one product: group (k, j) is then conj(x)^j x^k times
     sum_l conj(v_jkl) t^l, the conjugate of group (j, k).  A group whose
     mirror differs or is absent gets its own product, so a non-real F stays
-    exact.
+    exact.  A variable-head table has no mirrored groups.
 
     The result is one accumulator: one numerator dict over a denominator
     den that every part divides.  The kept terms, the band products, the
     zero-head group's inner sum and each head's product with its inner sum
     are added into it in place (``_add_into``, ``_mul_into``); an inner sum
     is built over den / (the head's denominator), so its product lands over
-    den unscaled.  The mirrored groups' products go into a second dict,
-    which is added once at the end together with its conjugate.
+    den unscaled.  A band product is a part like a head's: its factor is
+    the derivative of the band and its inner sum the offset h_i.  The
+    mirrored groups' products go into a second dict, which is added once at
+    the end together with its conjugate.
     """
     n, last = table.n, len(table.args) - 1
     cls = type(table.args[0])
     cls._check_substitution(F, table.args)
-    conj = table._conj
+    conj, lone, lows, zeros = table._conj, table.lone, table.lows, (0,) * last
     d, hs = table.near if type(F) is cls else (0, [])
     shift, unpack, groups, kept, band = F._SHIFT, F._unpack, {}, {}, {}
     for key, v in F.num.items():
         w = key >> shift
         if not d or w <= n - 2 * d:
             exponents = unpack(key)
-            groups.setdefault(exponents[:-1], {})[exponents[-1]] = v
+            head, l = exponents[:-1], exponents[-1]
+            if lone:
+                head, l = zeros + (l,), sum(map(mul, head, cls._UNITS))
+            groups.setdefault(head, {})[l] = v
         elif w <= n:
             kept[key] = v
             if w <= n - d:
                 band[key] = v
     if d and not (groups or band):
         return F.padded(n)
-    grads = [(g, h) for i, h in hs if (g := _derivative(_series(cls, n, F.d, band), i))]
     mirrored = set()
-    if conj:
+    if conj and not lone:
         for (j, k), pairs in groups.items():
             if j > k and groups.get((k, j)) == {l: (a, -b) for l, (a, b) in pairs.items()}:
                 mirrored.add((j, k))
     for j, k in mirrored:
         del groups[k, j]
-    heads = []
-    for head, pairs in sorted(groups.items()):
-        low, reach = sum(map(mul, head, table.lows)), n - min(pairs) * table.lows[last]
-        if low <= reach:
-            prod = table.head(head, reach)
-            pows = [(table.power(last, l, n - low), a, b) for l, (a, b) in pairs.items()]
-            heads.append((head, prod, low, pows, prod.d * F.d * lcm(*(p.d for p, _, _ in pows))))
-    den = lcm(F.d, *(F.d * h.d for _, h in grads), *(part[-1] for part in heads))
+    # a part (factor, low, [(p, a, b)], into) is the factor times the inner
+    # sum of (a + ib) p, each p read to n - low, added into the dict into;
+    # into is None when the factor is one: the sum goes into acc unmultiplied
     acc, mirror = {}, {}
+    parts = [
+        (_series(cls, n, 1, g), 0, [(h, 1, 0)], acc)
+        for i, h in hs
+        if (g := _derivative(_series(cls, n, F.d, band), i))
+    ]
+    for head, pairs in sorted(groups.items()):
+        poly = lone and _series(cls, n, 1, pairs)
+        low = sum(map(mul, head, lows))
+        reach = n - (poly.low_weight() if lone else min(pairs) * lows[last])
+        if low <= reach:
+            if lone:
+                prod, pows = table.power(last, head[-1], reach), [(poly, 1, 0)]
+            else:
+                prod = table.head(head, reach)
+                pows = [(table.power(last, l, n - low), a, b) for l, (a, b) in pairs.items()]
+            into = (mirror if head in mirrored else acc) if any(head) else None
+            parts.append((prod, low, pows, into))
+    den = lcm(F.d, *(prod.d * F.d * lcm(*(p.d for p, _, _ in pows)) for prod, _, pows, _ in parts))
     _add_into(acc, kept.items(), den // F.d, 0)
-    for grad, h in grads:
-        m = den // (F.d * h.d)
-        ys = sorted((k, (a * m, b * m)) for k, (a, b) in h.num.items())
-        _mul_into(acc, _series(cls, n, F.d, grad), ys, n)
-    for head, prod, low, pows, _ in heads:
-        # the inner sum over den / prod.d, straight into acc for the zero head
-        inner = {} if any(head) else acc
+    for prod, low, pows, into in parts:
+        # the inner sum over den / prod.d, so the product lands over den
+        inner = acc if into is None else {}
         scale = den // (prod.d * F.d)
         for p, a, b in pows:
             m = scale // p.d
             _add_into(inner, _items_to(p, n - low), a * m, b * m)
-        if any(head) and inner:
-            _mul_into(mirror if head in mirrored else acc, prod, sorted(inner.items()), n)
+        if into is not None and inner:
+            _mul_into(into, prod, sorted(inner.items()), n)
     if mirror:
         _add_into(acc, mirror.items(), 1, 0)
         _add_into(acc, conj(_series(cls, n, den, mirror)).num.items(), 1, 0)

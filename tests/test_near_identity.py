@@ -1,9 +1,11 @@
-"""The near-identity rule of the substitution core, against the term-by-term
-sum of ``TestSubstitution.naive_sum``.
+"""The near-identity and variable-head rules of the substitution core,
+against the term-by-term sum of ``TestSubstitution.naive_sum``.
 
 Arguments x_i + h_i whose h_i sit d >= 1 weights above their variables let
 the core copy the terms of F above n - d, take one product per argument for
-the band n - 2d < w <= n - d and substitute only the rest in full.
+the band n - 2d < w <= n - d and substitute only the rest in full.  When
+every argument but the last is its own variable, the rest costs one product
+F_l * t^l per last exponent l, with no head.
 """
 
 import pytest
@@ -17,6 +19,7 @@ from moser_chains.lie_jets import VAR_NAMES, RPoly
 from moser_chains.series_core import (
     GraphTable,
     HoloSeries,
+    I_UNIT,
     PowerTable,
     Series3,
     UPoly,
@@ -159,6 +162,90 @@ class TestNoGap:
         assert PowerTable((HoloSeries.z_var(n), HoloSeries.w_var(n)), n).near == (n + 1, [])
 
 
+class TestVariableHeads:
+    """Tables whose arguments but the last are the variables themselves:
+    (z, conj z, t) graph tables and (z, W) tables, as the vertical images,
+    their oracles and the transform's ingredients make them."""
+
+    @staticmethod
+    def check(F, t, n, polynomial=False):
+        """F(z, conj z, t) through ``eval_graph``, whose table has variable
+        heads, against the term-by-term sum; returns the sum."""
+        z = Series3.z_var(n)
+        assert GraphTable(z, t, n).lone
+        expect = naive_sum(F, (z, z.conj(), t), n)
+        assert eval_graph(F, z, t, polynomial=polynomial) == expect
+        return expect
+
+    def test_scale(self, rng):
+        # t = a u, a real: no offset, so no near-identity gap either
+        n = 10
+        for _ in range(3):
+            t = Series3.u_var(n) * rand_rat(rng, nonzero=True)
+            assert GraphTable(Series3.z_var(n), t, n).near == (0, [])
+            for F in (rand_real_series3(rng, n, terms=12), rand_series3(rng, n, terms=12)):
+                self.check(F, t, n)
+
+    def test_shear_and_bend(self, rng):
+        # t = u + a z + conj(a) zbar and u + b z^2 + conj(b) zbar^2 have terms
+        # below u's weight; F is a complete polynomial
+        n = 9
+        for _ in range(3):
+            for e in (1, 2):
+                a = rand_gr(rng, nonzero=True)
+                t = Series3.u_var(n) + Series3(n, {(e, 0, 0): a, (0, e, 0): a.conjugate()})
+                for F in (rand_real_series3(rng, n, terms=12), rand_series3(rng, n, terms=12)):
+                    self.check(F, t, n, polynomial=True)
+
+    def test_band_and_copy(self, rng):
+        # t = u plus real terms of weight >= 2 + d: the near-identity rule
+        # copies and bands the high terms, and the rest goes by powers of t
+        n = 10
+        for d in (1, 2, 3):
+            for _ in range(3):
+                t = Series3.u_var(n) + above(rng, Series3, n, 2 + d, real=True)
+                table = GraphTable(Series3.z_var(n), t, n)
+                assert table.near[0] == d and [i for i, _ in table.near[1]] == [2]
+                for F in (rand_real_series3(rng, n, terms=12), rand_series3(rng, n, terms=12)):
+                    self.check(F, t, n)
+
+    def test_holomorphic_into_z_and_w(self, rng):
+        # f(z, W) with W = u + iF, as the transform's ingredients substitute
+        n = 10
+        z = Series3.z_var(n)
+        for _ in range(3):
+            F = Series3.hermitian_square(n) + rand_real_series3(rng, n, terms=8, min_weight=3)
+            W = Series3.u_var(n) + F * I_UNIT
+            table = PowerTable((z, W), n)
+            assert table.lone
+            rest = rand_series3(rng, n, terms=14)
+            h = HoloSeries(n, {(j + k, l): v for (j, k, l), v in rest.c.items()})
+            assert series_core._substitute(h, table) == naive_sum(h, (z, W), n)
+            assert eval_holo3(h, z, W) == naive_sum(h, (z, W), n)
+
+    def test_groups_that_cannot_reach_n(self, rng):
+        # t of low weight 4 (above u's 2): a group F_l of low weight w is
+        # skipped when w + 4l > n, here the lowest u-power group (l = 2) and
+        # the others alike, so the result is zero; a zero t skips every l > 0
+        n = 9
+        t = Series3.hermitian_square(n) * Series3.u_var(n) + above(rng, Series3, n, 6, real=True)
+        F = Series3(n, {(2, 1, 2): gr(1, 2), (1, 2, 2): gr(1, -2), (1, 0, 3): gr("1/3")})
+        assert self.check(F, t, n).is_zero()
+        G = F + Series3(n, {(1, 1, 1): gr(5), (0, 0, 1): gr(2), (3, 0, 0): gr(0, 1)})
+        self.check(G, t, n)
+        zero = self.check(G, Series3.zero(n), n, polynomial=True)
+        assert zero == Series3(n, {(3, 0, 0): gr(0, 1)})
+
+    def test_other_tables_keep_heads(self):
+        # a coefficient on z, an offset on z or a curve keeps the head grouping
+        n = 8
+        z, u = Series3.z_var(n), Series3.u_var(n)
+        assert not GraphTable(z * 2, u, n).lone
+        assert not GraphTable(z + u, u, n).lone
+        assert not GraphTable(UPoly.var(n), UPoly.var(n), n).lone
+        assert not PowerTable((UPoly.zero(n), UPoly.var(n)), n).lone
+
+
 class TestCost:
     @pytest.fixture
     def products(self, monkeypatch):
@@ -204,6 +291,24 @@ class TestCost:
         out = table(rest)
         assert products
         assert out == naive_sum(rest, (zs, zs.conj(), us), n)
+
+    def test_variable_heads_cost_one_product_per_last_exponent(self, rng, products):
+        # with the powers of t built, F(z, conj z, t) is one product
+        # F_l * t^l per last exponent l > 0 (F_0 is added as it is), and no
+        # head is built; t = u + a z + conj(a) zbar has no near-identity gap
+        n = 9
+        a = rand_gr(rng, nonzero=True)
+        t = Series3.u_var(n) + Series3(n, {(1, 0, 0): a, (0, 1, 0): a.conjugate()})
+        table = GraphTable(Series3.z_var(n), t, n)
+        assert table.lone and table.near == (0, [])
+        for l in range(2, n + 1):
+            table.power(2, l)
+        for F in (rand_real_series3(rng, n, terms=12), rand_series3(rng, n, terms=12)):
+            del products[:]
+            out = series_core._substitute(F, table)
+            assert len(products) == len({l for _, _, l in F.c} - {0}) > 0
+            assert table.heads == {}
+            assert out == naive_sum(F, (table.args[0], table.args[1], t), n)
 
 
 class TestAccumulator:

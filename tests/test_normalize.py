@@ -858,6 +858,18 @@ class TestPunctual:
         with pytest.raises(MathPreconditionError):
             punctual_normalize(M)
 
+    def test_needs_order_6(self):
+        # an order-5 surface is refused before any weight is solved
+        with pytest.raises(MathPreconditionError, match="needs order >= 6"):
+            punctual_normalize(sphere(5))
+
+
+class TestLinalg:
+    def test_empty_system(self):
+        # rref of no rows has no pivots: rank 0, and the empty solution
+        assert rank([]) == 0
+        assert solve([], []) == []
+
 
 class TestHomologicalOperator:
     """L(f, g) = Re(i g + 2 zbar f) on w0 = u + i z zbar, built by type
@@ -956,6 +968,14 @@ class TestStraighten:
             moved = transform_curve(moved, st.map)
         moved.validate_on(Ma)
 
+    def test_transform_curve_refuses_a_tangent_image(self):
+        # w -> i w turns the u-axis into the v-axis, which Re psi = t cannot
+        # parametrize
+        axis = TransversalCurve(UPoly.zero(4), UPoly.var(4))
+        h = Biholo(HoloSeries.z_var(7), HoloSeries.w_var(8) * I_UNIT)
+        with pytest.raises(MathPreconditionError, match="loses transversality"):
+            transform_curve(axis, h)
+
 
 # ---------------------------------------------------------------------------
 # the individual normal-form stages (frozen examples + postconditions)
@@ -989,6 +1009,12 @@ class TestStages:
         f = stages[0].map.f
         assert f.coeff(1, 1) == gr("1/2")
         assert f.coeff(1, 2) == gr("-1/8")
+
+    def test_normalize_levi_needs_levi_slice_at_1(self):
+        # F = 2 z zbar: the Levi slice starts at 2, which only the adapted
+        # chart's scale removes
+        with pytest.raises(MathPreconditionError, match="Levi slice must start at 1"):
+            normalize_levi(Hypersurface(Series3.hermitian_square(8) * 2))
 
     def test_absorb_frozen(self):
         M = perturbed_sphere(8, (3, 1, 0, gr("1/2", "1/3")))
