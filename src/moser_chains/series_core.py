@@ -200,7 +200,11 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self.__add__(-other)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        d1, d2 = self._d, other._d
+        return _reduced(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -235,9 +239,15 @@ class GaussianRational:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        out, base = ONE, self if k >= 0 else ONE / self
-        for _ in range(abs(k)):
-            out = out * base
+        if k < 0:
+            return (ONE / self) ** (-k)
+        out = ONE
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
         return out
 
     def __complex__(self):
@@ -719,8 +729,14 @@ class UPoly(WeightedSeries):
         return fixed_point(lambda e: one + (da * e).integrate(), one, "UPoly.exp")
 
     def evaluate(self, x):
-        """The value at a scalar."""
-        return sum((v * x**m for m, v in self.c.items()), ZERO)
+        """Horner evaluation at a scalar."""
+        top = self.degree()
+        if top is None:
+            return ZERO
+        acc = self.coeff(top)
+        for m in range(top - 1, -1, -1):
+            acc = acc * x + self.coeff(m)
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -956,10 +972,10 @@ class PowerTable:
         self.heads = {}
         self.lows = [arg.low_weight() if arg.num else n + 1 for arg in args]
         self.caps = [min(n, arg.n) for arg in args]
+        # a table has at most three arguments and a class with units at
+        # least two, so zip pairs every argument but the last; UPoly has none
         units = type(args[0])._UNITS
-        self.lone = len(units) >= len(args) and all(
-            a.num == {x: (a.d, 0)} for a, x in zip(args[:-1], units)
-        )
+        self.lone = units and all(a.num == {x: (a.d, 0)} for a, x in zip(args[:-1], units))
 
     def power(self, i, e, m=inf):
         got = self.pows[i].get(e)
@@ -1024,10 +1040,12 @@ def _substitute(F, table):
     On a table whose arguments but the last are the variables themselves
     (``PowerTable.lone``) a head x^e is the monomial of key sum_i e_i x_i,
     so the terms are grouped by their last exponent l instead, under the
-    key (0, ..., 0, l) of low weight l * low(Q).  The group's inner sum is
-    the polynomial F_l itself and its factor Q^l, read to n - low(F_l): one
-    product F_l * Q^l per l and no head.  The group l = 0 needs no
-    product, and one with low(F_l) + l * low(Q) > n is skipped.
+    key (0, ..., 0, l) of low weight l * low(Q).  The group's factor is the
+    power Q^l, read to n - low(F_l), and its inner sum the polynomial F_l
+    itself, read to n - l * low(Q) like any inner sum: one product
+    F_l * Q^l per l and no head product.  So a term of an F longer than the
+    table whose variable part lies above n adds nothing.  The group l = 0
+    needs no product, and one with low(F_l) + l * low(Q) > n is skipped.
 
     A group reads its head and its powers of Q only to the weight they can
     reach the order n at.  The head has low weight w = sum_i e_i * low(x_i),
@@ -1057,20 +1075,21 @@ def _substitute(F, table):
     mirror differs or is absent gets its own product, so a non-real F stays
     exact.  A variable-head table has no mirrored groups.
 
-    The result is one accumulator: one numerator dict over a denominator
-    den that every part divides.  The kept terms, the band products, the
-    zero-head group's inner sum and each head's product with its inner sum
-    are added into it in place (``_add_into``, ``_mul_into``); an inner sum
-    is built over den / (the head's denominator), so its product lands over
-    den unscaled.  A band product is a part like a head's: its factor is
-    the derivative of the band and its inner sum the offset h_i.  The
-    mirrored groups' products go into a second dict, which is added once at
-    the end together with its conjugate.
+    The result is one accumulator: one numerator dict over den * F.d, with
+    den the least common multiple of every part's factor and power
+    denominators.  The kept terms, the band products, the zero-head group's
+    inner sum and each head's product with its inner sum are added into it
+    in place (``_add_into``, ``_mul_into``); an inner sum is built from F's
+    numerators over den / (the head's denominator), so its product lands
+    over den * F.d unscaled.  A band product is a part like a head's: its
+    factor is the derivative of the band and its inner sum the offset h_i.
+    The mirrored groups' products go into a second dict, which is added
+    once at the end together with its conjugate.
     """
     n, last = table.n, len(table.args) - 1
     cls = type(table.args[0])
     cls._check_substitution(F, table.args)
-    conj, lone, lows, zeros = table._conj, table.lone, table.lows, (0,) * last
+    conj, lone = table._conj, table.lone
     d, hs = table.near if type(F) is cls else (0, [])
     shift, unpack, groups, kept, band = F._SHIFT, F._unpack, {}, {}, {}
     for key, v in F.num.items():
@@ -1079,7 +1098,7 @@ def _substitute(F, table):
             exponents = unpack(key)
             head, l = exponents[:-1], exponents[-1]
             if lone:
-                head, l = zeros + (l,), sum(map(mul, head, cls._UNITS))
+                head, l = (0,) * last + (l,), sum(map(mul, head, cls._UNITS))
             groups.setdefault(head, {})[l] = v
         elif w <= n:
             kept[key] = v
@@ -1087,11 +1106,13 @@ def _substitute(F, table):
                 band[key] = v
     if d and not (groups or band):
         return F.padded(n)
-    mirrored = set()
-    if conj and not lone:
-        for (j, k), pairs in groups.items():
-            if j > k and groups.get((k, j)) == {l: (a, -b) for l, (a, b) in pairs.items()}:
-                mirrored.add((j, k))
+    # a graph table's group (j, k), j > k, whose mirror (k, j) is its conjugate;
+    # none when the table does not mirror or its heads are variables
+    mirrored = conj and not lone and {
+        (j, k)
+        for (j, k), pairs in groups.items()
+        if j > k and groups.get((k, j)) == {l: (a, -b) for l, (a, b) in pairs.items()}
+    } or ()
     for j, k in mirrored:
         del groups[k, j]
     # a part (factor, low, [(p, a, b)], into) is the factor times the inner
@@ -1104,32 +1125,30 @@ def _substitute(F, table):
         if (g := _derivative(_series(cls, n, F.d, band), i))
     ]
     for head, pairs in sorted(groups.items()):
-        poly = lone and _series(cls, n, 1, pairs)
-        low = sum(map(mul, head, lows))
-        reach = n - (poly.low_weight() if lone else min(pairs) * lows[last])
+        low = sum(map(mul, head, table.lows))
+        reach = n - (min(pairs) >> cls._SHIFT if lone else min(pairs) * table.lows[last])
         if low <= reach:
-            if lone:
-                prod, pows = table.power(last, head[-1], reach), [(poly, 1, 0)]
-            else:
-                prod = table.head(head, reach)
-                pows = [(table.power(last, l, n - low), a, b) for l, (a, b) in pairs.items()]
+            prod = table.head(head, reach)
+            pows = [(_series(cls, F.n, 1, pairs), 1, 0)] if lone else [
+                (table.power(last, l, n - low), a, b) for l, (a, b) in pairs.items()
+            ]
             into = (mirror if head in mirrored else acc) if any(head) else None
             parts.append((prod, low, pows, into))
-    den = lcm(F.d, *(prod.d * F.d * lcm(*(p.d for p, _, _ in pows)) for prod, _, pows, _ in parts))
-    _add_into(acc, kept.items(), den // F.d, 0)
+    den = lcm(*(prod.d * p.d for prod, _, pows, _ in parts for p, _, _ in pows))
+    _add_into(acc, kept.items(), den, 0)
     for prod, low, pows, into in parts:
         # the inner sum over den / prod.d, so the product lands over den
         inner = acc if into is None else {}
-        scale = den // (prod.d * F.d)
+        scale = den // prod.d
         for p, a, b in pows:
             m = scale // p.d
             _add_into(inner, _items_to(p, n - low), a * m, b * m)
-        if into is not None and inner:
+        if into is not None:
             _mul_into(into, prod, sorted(inner.items()), n)
     if mirror:
         _add_into(acc, mirror.items(), 1, 0)
-        _add_into(acc, conj(_series(cls, n, den, mirror)).num.items(), 1, 0)
-    return _reduced_series(cls, n, den, acc)
+        _add_into(acc, conj(_series(cls, n, 1, mirror)).num.items(), 1, 0)
+    return _reduced_series(cls, n, den * F.d, acc)
 
 
 def eval_holo3(h, zs, ws, polynomial=False):

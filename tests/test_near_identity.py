@@ -236,6 +236,27 @@ class TestVariableHeads:
         zero = self.check(G, Series3.zero(n), n, polynomial=True)
         assert zero == Series3(n, {(3, 0, 0): gr(0, 1)})
 
+    def test_F_of_higher_order_than_the_table(self, rng):
+        # F of order 8 into arguments of order 6: the table has order 6, and
+        # a term whose variable part alone lies above 6, as z^7 or z^3 w^2,
+        # adds nothing, in the group of every power of t or W
+        z, u = Series3.z_var(6), Series3.u_var(6)
+        F = Series3(8, {(2, 0, 0): gr(1), (7, 0, 0): gr(1)})
+        assert eval_graph(F, z, u * 2) == Series3(6, {(2, 0, 0): gr(1)})
+        high = {(7, 0, 0): gr(1), (0, 8, 0): gr(0, 2), (4, 3, 0): gr(3), (5, 2, 1): gr(-1)}
+        zh = HoloSeries.z_var(6)
+        for _ in range(3):
+            F = rand_series3(rng, 8, terms=14) + Series3(8, high)
+            t = u * rand_rat(rng, nonzero=True)
+            assert GraphTable(z, t, 6).lone
+            out = eval_graph(F, z, t)
+            assert out.n == 6 and out == naive_sum(F, (z, z.conj(), t), 6)
+            h = HoloSeries(8, {(j + k, l): v for (j, k, l), v in F.c.items()})
+            wh = HoloSeries.w_var(6) * rand_gr(rng, nonzero=True)
+            assert PowerTable((zh, wh), 6).lone
+            out = eval_holo2(h, zh, wh)
+            assert out.n == 6 and out == naive_sum(h, (zh, wh), 6)
+
     def test_other_tables_keep_heads(self):
         # a coefficient on z, an offset on z or a curve keeps the head grouping
         n = 8
@@ -295,7 +316,8 @@ class TestCost:
     def test_variable_heads_cost_one_product_per_last_exponent(self, rng, products):
         # with the powers of t built, F(z, conj z, t) is one product
         # F_l * t^l per last exponent l > 0 (F_0 is added as it is), and no
-        # head is built; t = u + a z + conj(a) zbar has no near-identity gap
+        # head product is built: the factor of group l is the power t^l;
+        # t = u + a z + conj(a) zbar has no near-identity gap
         n = 9
         a = rand_gr(rng, nonzero=True)
         t = Series3.u_var(n) + Series3(n, {(1, 0, 0): a, (0, 1, 0): a.conjugate()})
@@ -307,7 +329,10 @@ class TestCost:
             del products[:]
             out = series_core._substitute(F, table)
             assert len(products) == len({l for _, _, l in F.c} - {0}) > 0
-            assert table.heads == {}
+            assert all(
+                key[:2] == (0, 0) and table.heads[key][0] == table.power(2, key[2])
+                for key in table.heads
+            )
             assert out == naive_sum(F, (table.args[0], table.args[1], t), n)
 
 
