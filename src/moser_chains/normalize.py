@@ -946,22 +946,13 @@ def kill_f33_reparam(M, stages=None, verify=False):
 # chain finding on a surface normalized through weight 5
 # ---------------------------------------------------------------------------
 
-def _through_rotation(M, stages, verify=False, stop_after=None):
-    """Run harmonics, levi, absorb and rotate on a straightened surface;
-    returns (surface, stopped), stopped True when the checkpoint stop_after
-    was reached (the surface is then the one at it)."""
+def _through_rotation(M, stages, verify=False):
+    """Run harmonics, levi, absorb and rotate on a straightened surface."""
     # the stages are looked up by name on each call, not kept in a module
     # constant, so a wrapper on the module's names (perfbench/tracing.py) counts
-    for name, stage in (
-        ("harmonics", kill_harmonics),
-        ("levi", normalize_levi),
-        ("absorb", absorb_k1),
-        ("rotate", kill_f22_rotation),
-    ):
+    for stage in (kill_harmonics, normalize_levi, absorb_k1, kill_f22_rotation):
         M = stage(M, stages, verify)
-        if stop_after == name:
-            return M, True
-    return M, False
+    return M
 
 
 def _without_terms(M, cut):
@@ -983,7 +974,7 @@ def _f32_slice_through_subpipeline(M, phi):
     the slice is the one the whole surface leaves.
     """
     M = straighten_curve(M, TransversalCurve.complete(M, phi))
-    M5, _ = _through_rotation(_without_terms(M, lambda j, k, l: j > 3 or k > 3), None)
+    M5 = _through_rotation(_without_terms(M, lambda j, k, l: j > 3 or k > 3), None)
     return M5.slice(3, 2)
 
 
@@ -1165,67 +1156,54 @@ class PipelineResult:
 def normalize_hypersurface(M, curve=None, verify=False, stop_after=None):
     """Run the normal-form pipeline on a Levi nondegenerate graph.
 
-    With curve=None the distinguished curve (the chain with flat 1-jet at
-    the origin) is found automatically after the weight-5 punctual
-    normalization.  Passing a TransversalCurve instead transports it through
-    the adapted-chart moves, straightens it, and skips the punctual stages;
-    the pipeline then fails with a precondition error before the final
+    The path's steps are PIPELINE_STEPS, less "punctual" when a curve is
+    supplied.  With curve=None the distinguished curve (the chain with flat
+    1-jet at the origin) is found at "straighten", after the weight-5
+    punctual normalization.  A supplied TransversalCurve is instead
+    transported through the adapted-chart moves and straightened; the
+    pipeline then fails with a precondition error before the final
     reparametrization if the curve was not actually a chain (its F_{3,2}
     obstruction survives straightening).
 
-    stop_after names a checkpoint from PIPELINE_STEPS to halt at.  With a
-    supplied curve there is no "punctual" checkpoint, and asking for it
-    raises ParseError.
+    stop_after names a checkpoint, a position in the path's step list, to
+    halt after; "reparam", the last, is the full run.  Any other name raises
+    ParseError.
     """
     _check_type(M, Hypersurface, "surface")
+    steps = PIPELINE_STEPS
     if curve is not None:
         _check_type(curve, TransversalCurve, "curve")
-    if stop_after is not None and stop_after not in PIPELINE_STEPS:
-        raise ParseError(
-            "unknown checkpoint %r; expected one of %s" % (stop_after, ", ".join(PIPELINE_STEPS))
-        )
-    if curve is not None and stop_after == "punctual":
-        raise ParseError("a supplied curve skips the punctual stages; no 'punctual' checkpoint")
+        steps = tuple(s for s in steps if s != "punctual")
+    if stop_after is not None and stop_after not in steps:
+        raise ParseError("checkpoint %r is not on this path: %s" % (stop_after, ", ".join(steps)))
     if M.n < 6:
         raise MathPreconditionError("normalization needs truncation order >= 6")
-    stages = []
-    chain = None
-
-    def result(surface, completed):
-        return PipelineResult(M, surface, stages, chain, completed)
-
-    if curve is None:
-        cur = adapt_chart(M, stages, verify)
-        if stop_after == "adapt":
-            return result(cur, False)
-        cur = punctual_normalize(cur, stages, verify)
-        if stop_after == "punctual":
-            return result(cur, False)
-        chain = TransversalCurve.complete(cur, find_chain_curve(cur))
-    else:
+    if curve is not None:
         curve.validate_on(M)
-        cur = adapt_chart(M, stages, verify)
-        chain = curve
-        for stage in stages:
-            chain = transform_curve(chain, stage.map)
-        chain.validate_on(cur)
-        if stop_after == "adapt":
-            return result(cur, False)
-
-    cur = straighten_curve(cur, chain, stages, verify)
-    if stop_after == "straighten":
-        return result(cur, False)
-    cur, stopped = _through_rotation(cur, stages, verify, stop_after)
-    if stopped:
-        return result(cur, False)
-
-    if not cur.slice(3, 2).is_zero():
-        if curve is None:
-            raise InternalInvariantError("automatically found curve left a chain obstruction")
-        raise MathPreconditionError(
-            "the supplied curve is not a chain: its straightening obstruction survives"
-        )
-
-    cur = kill_f33_reparam(cur, stages, verify)
-    assert_normal_form(cur)
-    return result(cur, True)
+    cur, stages, chain = M, [], curve
+    # the stage of each step in PIPELINE_STEPS, looked up by name on each call
+    # as in _through_rotation; straighten reads the chain when it runs
+    run = dict(zip(PIPELINE_STEPS, (
+        adapt_chart, punctual_normalize,
+        lambda M, stages, verify: straighten_curve(M, chain, stages, verify),
+        kill_harmonics, normalize_levi, absorb_k1, kill_f22_rotation, kill_f33_reparam,
+    )))
+    for name in steps:
+        if name == "straighten" and curve is None:
+            chain = TransversalCurve.complete(cur, find_chain_curve(cur))
+        if name == "reparam" and not cur.slice(3, 2).is_zero():
+            if curve is None:
+                raise InternalInvariantError("automatically found curve left a chain obstruction")
+            raise MathPreconditionError(
+                "the supplied curve is not a chain: its straightening obstruction survives"
+            )
+        cur = run[name](cur, stages, verify)
+        if name == "adapt" and curve is not None:
+            for stage in stages:
+                chain = transform_curve(chain, stage.map)
+            chain.validate_on(cur)
+        if name == stop_after:
+            break
+    if name == "reparam":
+        assert_normal_form(cur)
+    return PipelineResult(M, cur, stages, chain, name == "reparam")

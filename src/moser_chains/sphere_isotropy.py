@@ -101,6 +101,17 @@ def _restrict_to_sphere(h):
     return RPoly({k: v.real for k, v in c.items()}), RPoly({k: v.imag for k, v in c.items()})
 
 
+def _on_sphere(field):
+    """Re a, Im a and Re b of X = a d_z + b d_w restricted to the sphere, and
+    the tangency defect Im b - 2x Re a - 2y Im a there; each component is
+    restricted once."""
+    a_re, a_im = _restrict_to_sphere(field.comp["z"])
+    b_re, b_im = _restrict_to_sphere(field.comp["w"])
+    x = RPoly.var("x")
+    y = RPoly.var("y")
+    return a_re, a_im, b_re, b_im - 2 * x * a_re - 2 * y * a_im
+
+
 def tangency_residual(field):
     """Defect of tangency to v = x^2 + y^2 (zero iff the field is tangent).
 
@@ -108,11 +119,7 @@ def tangency_residual(field):
     components (Re a, Im a, Re b, Im b) on the sphere; tangency demands
     Im b = 2x Re a + 2y Im a there.
     """
-    a_re, a_im = _restrict_to_sphere(field.comp["z"])
-    _, b_im = _restrict_to_sphere(field.comp["w"])
-    x = RPoly.var("x")
-    y = RPoly.var("y")
-    return b_im - 2 * x * a_re - 2 * y * a_im
+    return _on_sphere(field)[3]
 
 
 def intrinsic_pushforward(field):
@@ -122,10 +129,9 @@ def intrinsic_pushforward(field):
     Re(b) d_u + Re(a) d_x + Im(a) d_y with all components restricted to the
     sphere.
     """
-    if not tangency_residual(field).is_zero():
+    a_re, a_im, b_re, defect = _on_sphere(field)
+    if not defect.is_zero():
         raise InternalInvariantError("cannot push forward a non-tangent field")
-    a_re, a_im = _restrict_to_sphere(field.comp["z"])
-    b_re, _ = _restrict_to_sphere(field.comp["w"])
     return VectorField({"u": b_re, "x": a_re, "y": a_im})
 
 

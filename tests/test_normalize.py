@@ -1371,7 +1371,7 @@ class TestChain:
             top = phi.n
             whole = M.with_order(2 * top + 1)
             straight = straighten_curve(whole, TransversalCurve.complete(whole, phi))
-            full, _ = _through_rotation(straight, [])
+            full = _through_rotation(straight, [])
             for q in range(top - 1):
                 assert f32.coeff(q) == full.slice(3, 2).coeff(q), (top, q)
 
@@ -1516,7 +1516,11 @@ class TestPipeline:
         M = m_eps(gr("1/10"))
         res = normalize_hypersurface(M, stop_after="adapt")
         assert not res.completed
-        with pytest.raises(ParseError):
+        with pytest.raises(
+            ParseError,
+            match="'nonsense' is not on this path: "
+            "adapt, punctual, straighten, harmonics, levi, absorb, rotate, reparam$",
+        ):
             normalize_hypersurface(M, stop_after="nonsense")
 
     def test_every_checkpoint_in_both_modes(self):
@@ -1535,6 +1539,10 @@ class TestPipeline:
                 assert res.completed == (step == "reparam"), step
                 names = res.stage_names()
                 assert names == full.stage_names()[: len(names)], step
+                stopped_at = full.stages[len(names) - 1].surface
+                assert res.surface.to_json() == stopped_at.to_json(), step
+                if curve is not None and step == "adapt":
+                    res.chain_curve.validate_on(res.surface)
                 found_yet = PIPELINE_STEPS.index(step) >= PIPELINE_STEPS.index("straighten")
                 assert (res.chain_curve is not None) == (curve is not None or found_yet), step
 
@@ -1548,8 +1556,53 @@ class TestPipeline:
         M_eps = m_eps(gr("1/10"))
         axis = TransversalCurve.complete(M_eps, UPoly.zero(4))
         for surface, curve in ((M, wrong), (M_eps, axis)):
-            with pytest.raises(ParseError):
+            with pytest.raises(
+                ParseError,
+                match="'punctual' is not on this path: "
+                "adapt, straighten, harmonics, levi, absorb, rotate, reparam$",
+            ):
                 normalize_hypersurface(surface, curve=curve, stop_after="punctual")
+
+    def test_stages_are_looked_up_by_name_on_every_call(self, monkeypatch):
+        # a wrapper on the module's stage names (the benchmark's tracer
+        # installs them) must see every stage the pipeline runs, also the
+        # ones inside the chain finder's subpipeline
+        h = rand_contract_map(random.Random(2), 8)
+        M, _, _ = graph_transform(sphere(8), h)
+        chain = transform_curve(TransversalCurve.complete(sphere(8), UPoly.zero(4)), h)
+        stage_names = (
+            "adapt_chart",
+            "punctual_normalize",
+            "straighten_curve",
+            "kill_harmonics",
+            "normalize_levi",
+            "absorb_k1",
+            "kill_f22_rotation",
+            "kill_f33_reparam",
+        )
+        calls, finding = [], []
+        for name in stage_names + ("find_chain_curve",):
+            def recorded(*args, name=name, inner=getattr(normalize, name), **kwargs):
+                calls.append((name, any(finding)))
+                finding.append(name == "find_chain_curve")
+                try:
+                    return inner(*args, **kwargs)
+                finally:
+                    finding.pop()
+            monkeypatch.setattr(normalize, name, recorded)
+        for curve in (None, chain):
+            calls.clear()
+            assert normalize_hypersurface(M, curve=curve).completed
+            direct = {name for name, in_finder in calls if not in_finder}
+            nested = {name for name, in_finder in calls if in_finder}
+            if curve is None:
+                assert direct == set(stage_names) | {"find_chain_curve"}
+                assert nested >= {
+                    "kill_harmonics", "normalize_levi", "absorb_k1", "kill_f22_rotation"
+                }
+            else:
+                assert direct == set(stage_names) - {"punctual_normalize"}
+                assert not nested
 
     def test_order_too_low(self):
         with pytest.raises(MathPreconditionError):
